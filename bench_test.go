@@ -254,9 +254,62 @@ func BenchmarkEventLoop(b *testing.B) {
 	loop.RunAll()
 }
 
-// BenchmarkEventScheduleCancel measures the re-armed-timer pattern
-// (TCP RTO resets fire it once per ACK): schedule far in the future,
-// cancel immediately. Also 0 allocs/op.
+// longTimerChain is one short typed-timer chain (a flow's packet hops)
+// that re-arms one of a shared set of long timers on every tick, as
+// every ACK re-arms its connection's retransmission timer.
+type longTimerChain struct {
+	loop   *sim.Loop
+	left   int
+	timers []sim.Event
+	next   int
+}
+
+func longTimerChainTick(env, _ any) {
+	c := env.(*longTimerChain)
+	k := c.next
+	c.next = (k + 1) % len(c.timers)
+	c.loop.Cancel(c.timers[k])
+	rto := time.Second + time.Duration(k)*time.Millisecond
+	c.timers[k] = c.loop.AfterTimer(rto, longTimerFire, c, nil)
+	if c.left--; c.left > 0 {
+		c.loop.AfterTimer(time.Duration(1+k%7)*time.Microsecond, longTimerChainTick, c, nil)
+	}
+}
+
+func longTimerFire(_, _ any) {}
+
+// BenchmarkEventLoopLongTimers measures the simulator's real event
+// mix: 64 short typed-timer chains, one event per op, each tick
+// canceling and re-arming one of 1024 long timers 1-2 s out, which
+// (like TCP retransmission timers reset by every ACK) almost never
+// fire. Unlike BenchmarkEventLoop, the queue always holds ~1000 far
+// events behind the few that are due; allocs/op must stay at zero.
+// Once the chains end, each long timer fires once: 1024 extra events.
+func BenchmarkEventLoopLongTimers(b *testing.B) {
+	loop := sim.NewLoop(1)
+	loop.Grow(2048)
+	const fanout, perChain = 64, 16
+	chains := make([]longTimerChain, fanout)
+	for i := range chains {
+		c := &chains[i]
+		*c = longTimerChain{loop: loop, left: b.N / fanout, timers: make([]sim.Event, perChain)}
+		for k := range c.timers {
+			c.timers[k] = loop.AfterTimer(time.Second+time.Duration(k)*time.Millisecond, longTimerFire, c, nil)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range chains {
+		loop.AfterTimer(time.Duration(i), longTimerChainTick, &chains[i], nil)
+	}
+	loop.RunAll()
+}
+
+// BenchmarkEventScheduleCancel measures the bare cost of re-arming one
+// timer: schedule an hour out, cancel immediately, on an otherwise
+// empty queue. It says nothing about the cost a timer adds while it
+// waits behind other events; BenchmarkEventLoopLongTimers measures
+// that. Also 0 allocs/op.
 func BenchmarkEventScheduleCancel(b *testing.B) {
 	loop := sim.NewLoop(1)
 	loop.Grow(256)

@@ -29,11 +29,11 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{Spec{Name: "onoff"}, true},
 		{Spec{Name: "flood", Aggressiveness: 2.5}, true},
-		{Spec{Name: "shrew"}, false},              // unknown name
-		{Spec{Name: ""}, false},                   // empty name
-		{Spec{Name: "mimic", Lambda: -1}, false},  // negative rate
-		{Spec{Name: "mimic", Window: -2}, false},  // negative window
-		{Spec{Name: "onoff", Duty: 1.5}, false},   // duty out of range
+		{Spec{Name: "shrew"}, false},             // unknown name
+		{Spec{Name: ""}, false},                  // empty name
+		{Spec{Name: "mimic", Lambda: -1}, false}, // negative rate
+		{Spec{Name: "mimic", Window: -2}, false}, // negative window
+		{Spec{Name: "onoff", Duty: 1.5}, false},  // duty out of range
 		{Spec{Name: "adaptive", Aggressiveness: -1}, false},
 		{Spec{Name: "defector", Work: -time.Second}, false},
 	}

@@ -28,8 +28,8 @@ func liveTimers(c *fakeClock) int {
 }
 
 func TestReconfigureDuringStallHoldsEvictions(t *testing.T) {
-	h := newHarness(Config{}) // defaults: orphan 10s, inactivity 30s, sweep 1s
-	h.th.RequestArrived(1)    // busy
+	h := newHarness(Config{})     // defaults: orphan 10s, inactivity 30s, sweep 1s
+	h.th.RequestArrived(1)        // busy
 	h.th.PaymentReceived(42, 500) // orphan candidate: bytes, no request
 	h.th.RequestArrived(2)        // inactivity candidate: request, no bytes
 	h.th.SetOriginStalled(true)
@@ -88,9 +88,9 @@ func TestReconfigureDuringStallKeepsSingleSweepChain(t *testing.T) {
 }
 
 func TestReconfigureDuringRecoveryRespectsHold(t *testing.T) {
-	h := newHarness(Config{})      // orphan timeout 10s
-	h.th.RequestArrived(1)         // busy
-	h.th.PaymentReceived(42, 500)  // orphan candidate
+	h := newHarness(Config{})     // orphan timeout 10s
+	h.th.RequestArrived(1)        // busy
+	h.th.PaymentReceived(42, 500) // orphan candidate
 	h.th.SetOriginStalled(true)
 	h.clock.Advance(3 * time.Second)
 

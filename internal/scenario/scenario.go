@@ -452,7 +452,16 @@ func Run(cfg Config) *Result {
 	var lastPrice int64 // last winning bid: the public price observable
 
 	// --- thinner + server ---
-	owner := make(map[core.RequestID]int) // id -> group index
+	// owner maps a live request id to its group index, -1 once the
+	// request is done. Ids are issued in order from 1, so a slice
+	// indexed by id replaces a map (no hashing, no rehash growth).
+	owner := []int32{-1}
+	groupOf := func(id core.RequestID) (int, bool) {
+		if id >= core.RequestID(len(owner)) || owner[id] < 0 {
+			return 0, false
+		}
+		return int(owner[id]), true
+	}
 	srvCfg := server.Config{Capacity: cfg.Capacity, Seed: cfg.Seed + 9999}
 	groupHasWork := false
 	for _, g := range cfg.Groups {
@@ -468,7 +477,7 @@ func Run(cfg Config) *Result {
 					return w
 				}
 			}
-			if gi, ok := owner[id]; ok && cfg.Groups[gi].Work > 0 {
+			if gi, ok := groupOf(id); ok && cfg.Groups[gi].Work > 0 {
 				return cfg.Groups[gi].Work
 			}
 			return fallback
@@ -507,7 +516,7 @@ func Run(cfg Config) *Result {
 		return func() core.RequestID {
 			nextID++
 			id := core.RequestID(nextID)
-			owner[id] = group
+			owner = append(owner, int32(group))
 			if strat != nil {
 				stratOf[id] = strat
 			}
@@ -520,7 +529,7 @@ func Run(cfg Config) *Result {
 		if loop.Now() < cfg.Warmup {
 			return
 		}
-		if gi, ok := owner[id]; ok {
+		if gi, ok := groupOf(id); ok {
 			res.Groups[gi].Prices.Add(float64(paid))
 		}
 	}
@@ -528,7 +537,7 @@ func Run(cfg Config) *Result {
 		if loop.Now() < cfg.Warmup {
 			return
 		}
-		if gi, ok := owner[id]; ok {
+		if gi, ok := groupOf(id); ok {
 			res.Groups[gi].ServedWork += work
 		}
 	}
@@ -559,7 +568,7 @@ func Run(cfg Config) *Result {
 		if strat != nil {
 			wl.OnDenial = func(id core.RequestID) {
 				strat.Observe(adversary.Outcome{Denied: true, Now: clock.Now()})
-				delete(owner, id)
+				owner[id] = -1
 				delete(stratOf, id)
 			}
 		}
@@ -574,7 +583,7 @@ func Run(cfg Config) *Result {
 				delete(stratOf, o.ID)
 			}
 			if loop.Now() < cfg.Warmup {
-				delete(owner, o.ID)
+				owner[o.ID] = -1
 				return
 			}
 			gr := &res.Groups[gi]
@@ -588,7 +597,7 @@ func Run(cfg Config) *Result {
 				gr.Failed++
 			}
 			gr.PaidBytes += o.PaidBytes
-			delete(owner, o.ID)
+			owner[o.ID] = -1
 		}
 		workloads = append(workloads, wl)
 	}

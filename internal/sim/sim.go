@@ -8,22 +8,57 @@
 //
 // The implementation is built for zero steady-state allocation on the
 // scheduling hot path. Events live in a slot arena recycled through a
-// free list; the priority queue is a hand-rolled 4-ary min-heap of
-// small value entries (no interface boxing, no virtual dispatch); and
-// hot callers use ScheduleTimer with a typed Handler plus two untyped
-// pointer arguments instead of closures, so scheduling a packet hop
-// never touches the garbage collector. Schedule/After with ordinary
-// closures remain available for cold paths and tests.
+// free list; the queue holds small value entries (no interface
+// boxing, no virtual dispatch); and hot callers use ScheduleTimer with
+// a typed Handler plus two untyped pointer arguments instead of
+// closures, so scheduling a packet hop never touches the garbage
+// collector. Schedule/After with ordinary closures remain available
+// for cold paths and tests.
+//
+// # Two tiers
+//
+// Most pending events in a TCP simulation are retransmission and
+// handshake timers 0.1-10 s away, and nearly all of them are canceled
+// and re-armed by the next ACK long before they fire. The queue
+// therefore has two tiers split at a moving boundary, limit:
+//
+//   - the near tier, a hand-rolled 4-ary min-heap, holds every queued
+//     event with at <= limit;
+//   - the far tier, an unsorted list at the other end of the heap's
+//     array, holds every queued event with at > limit. Scheduling into
+//     it is an append, and canceling from it a swap-remove, both O(1)
+//     (each slot records its tier and its index there).
+//
+// When the heap runs dry, a refill advances limit by span and moves
+// the far entries now at or before it into the heap. span adapts so
+// the refill's scan of the far tier stays amortised against the events
+// run since the previous refill: it doubles when fewer events ran than
+// the far tier holds, and halves when more than four times as many
+// ran. The heap thus stays about as small as the scan cost allows,
+// without a tuned constant.
+//
+// Run order is exact. Every entry keeps the (at, seq) key it was given
+// when scheduled, wherever it lives; every near entry precedes every
+// far one because at <= limit < at'; so the heap root is always the
+// earliest queued event, and when the heap is empty the refill moves
+// the earliest far event (at least) into it. Cancel removes entries
+// eagerly from either tier, and Processed counts only events that ran,
+// so order, event counts and every derived output are the same as a
+// single heap's.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
 // Time is a virtual timestamp measured from the start of the run.
 // It is a time.Duration so arithmetic is exact (integer nanoseconds).
 type Time = time.Duration
+
+const maxTime = Time(math.MaxInt64)
 
 // Handler is a typed event callback. The loop dispatches it with the
 // two values supplied to ScheduleTimer: env is conventionally the
@@ -42,13 +77,14 @@ type Event struct {
 	gen  uint32
 }
 
-// slot states. A slot is queued from Schedule until the heap pops it
-// or Cancel removes it (eager deletion: canceled timers leave the heap
-// immediately, so churny re-armed timers — TCP RTO resets fire one per
-// ACK — never inflate the heap with corpses).
+// slot states. A slot is queued, in the near or the far tier, from
+// Schedule until it runs or Cancel removes it (eager deletion: canceled
+// timers leave the queue immediately, so churny re-armed timers — TCP
+// RTO resets fire one per ACK — never inflate it with corpses).
 const (
 	slotFree = iota
-	slotQueued
+	slotNear
+	slotFar
 )
 
 // eventSlot is one arena cell. Callback state is cleared eagerly on
@@ -61,29 +97,46 @@ type eventSlot struct {
 	arg   any
 	gen   uint32
 	state uint32
-	pos   int32 // index of this slot's entry in the heap
+	pos   int32 // index of this slot's entry in its tier
 }
 
-// entry is one heap element. The ordering key (at, seq) is stored
-// inline so sift operations compare without dereferencing the arena.
+// entry is one queue element. The ordering key (at, seq) is stored
+// inline so sift operations and far-tier scans compare without
+// dereferencing the arena.
 type entry struct {
 	at   Time
 	seq  uint64
 	slot uint32
 }
 
-func (a entry) less(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (a entry) less(b entry) bool { return lessBit(a, b) != 0 }
+
+// lessBit is 1 if a orders before b and 0 otherwise, computed without
+// a branch: (at, seq) compared as one 128-bit unsigned number (at is
+// never negative). Heap sifts pick the least child with it, where a
+// branch would be mispredicted about half the time.
+func lessBit(a, b entry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
 }
 
 // Loop is the simulation event loop. Create one with NewLoop.
 type Loop struct {
-	now    Time
-	seq    uint64 // tie-break: schedule order among equal timestamps
-	heap   []entry
+	now   Time
+	seq   uint64 // tie-break: schedule order among equal timestamps
+	limit Time
+	span  Time   // how far a refill advances limit; adapted in refill
+	ranAt uint64 // nRun at the last refill
+
+	// The tiers share q, so they pre-size and grow as one: the near
+	// heap (every event with at <= limit) is q[:len(heap)], and the far
+	// list (unsorted, every event with at > limit) grows down from the
+	// end, its entry k at q[len(q)-1-k].
+	q    []entry
+	heap []entry
+	nFar int
+
 	slots  []eventSlot
 	free   []uint32 // recycled arena indices
 	rng    Rand
@@ -94,7 +147,7 @@ type Loop struct {
 // NewLoop returns a Loop whose RNG is seeded with seed. Two loops
 // with equal seeds and equal schedules produce identical runs.
 func NewLoop(seed int64) *Loop {
-	l := &Loop{}
+	l := &Loop{span: 1}
 	l.rng.Seed(seed)
 	return l
 }
@@ -109,14 +162,12 @@ func (l *Loop) Rand() *Rand { return &l.rng }
 // Processed returns the number of events executed so far.
 func (l *Loop) Processed() uint64 { return l.nRun }
 
-// Grow pre-sizes the arena and heap for n simultaneously pending
+// Grow pre-sizes the arena and the queue for n simultaneously pending
 // events, so even the first packets of a run schedule without growing
 // a slice.
 func (l *Loop) Grow(n int) {
-	if cap(l.heap) < n {
-		h := make([]entry, len(l.heap), n)
-		copy(h, l.heap)
-		l.heap = h
+	if len(l.q) < n {
+		l.resize(n)
 	}
 	if cap(l.slots) < n {
 		s := make([]eventSlot, len(l.slots), n)
@@ -167,7 +218,8 @@ func (l *Loop) AfterTimer(d time.Duration, h Handler, env, arg any) Event {
 	return l.ScheduleTimer(l.now+d, h, env, arg)
 }
 
-// alloc reserves an arena slot and pushes it onto the heap.
+// alloc reserves an arena slot and queues it in the tier its time
+// belongs to.
 func (l *Loop) alloc(at Time) Event {
 	if at < l.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, l.now))
@@ -183,23 +235,33 @@ func (l *Loop) alloc(at Time) Event {
 	}
 	s := &l.slots[idx]
 	s.at = at
-	s.state = slotQueued
-	l.push(entry{at: at, seq: l.seq, slot: idx})
+	e := entry{at: at, seq: l.seq, slot: idx}
+	if at <= l.limit {
+		s.state = slotNear
+		l.push(e)
+	} else {
+		s.state = slotFar
+		l.pushFar(e)
+	}
 	return Event{slot: idx + 1, gen: s.gen}
 }
 
 // Cancel prevents a pending event from running. Canceling an event
 // that already ran (or was canceled), or the zero Event, is a no-op.
-// The heap entry is removed immediately and the slot recycled.
+// The queue entry is removed immediately and the slot recycled.
 func (l *Loop) Cancel(e Event) {
 	if e.slot == 0 {
 		return
 	}
 	s := &l.slots[e.slot-1]
-	if s.gen != e.gen || s.state != slotQueued {
+	if s.gen != e.gen || s.state == slotFree {
 		return
 	}
-	l.removeAt(int(s.pos))
+	if s.state == slotNear {
+		l.removeAt(int(s.pos))
+	} else {
+		l.removeFar(int(s.pos))
+	}
 	s.fn, s.h, s.env, s.arg = nil, nil, nil, nil
 	s.state = slotFree
 	s.gen++
@@ -212,7 +274,7 @@ func (l *Loop) Pending(e Event) bool {
 		return false
 	}
 	s := &l.slots[e.slot-1]
-	return s.gen == e.gen && s.state == slotQueued
+	return s.gen == e.gen && s.state != slotFree
 }
 
 // Halt stops the loop after the current event returns. Pending events
@@ -226,10 +288,7 @@ func (l *Loop) Halt() { l.halted = true }
 func (l *Loop) Run(deadline Time) uint64 {
 	l.halted = false
 	start := l.nRun
-	for len(l.heap) > 0 && !l.halted {
-		if l.heap[0].at > deadline {
-			break
-		}
+	for !l.halted && l.due(deadline) {
 		at, fn, h, env, arg := l.pop()
 		l.now = at
 		if h != nil {
@@ -251,7 +310,7 @@ func (l *Loop) Run(deadline Time) uint64 {
 func (l *Loop) RunAll() uint64 {
 	l.halted = false
 	start := l.nRun
-	for len(l.heap) > 0 && !l.halted {
+	for !l.halted && l.due(maxTime) {
 		at, fn, h, env, arg := l.pop()
 		l.now = at
 		if h != nil {
@@ -262,6 +321,105 @@ func (l *Loop) RunAll() uint64 {
 		l.nRun++
 	}
 	return l.nRun - start
+}
+
+// due reports whether the earliest queued event is at or before
+// deadline, first refilling the heap from the far tier if it ran dry.
+func (l *Loop) due(deadline Time) bool {
+	if len(l.heap) == 0 && !l.refill(deadline) {
+		return false
+	}
+	return l.heap[0].at <= deadline
+}
+
+// refill moves the far tier's earliest events into the empty heap and
+// reports whether it moved any. It moves none when the far tier is
+// empty or when every far event lies past deadline (all are past
+// limit, and limit is not before deadline).
+func (l *Loop) refill(deadline Time) bool {
+	if l.nFar == 0 || l.limit >= deadline {
+		return false
+	}
+	// Keep the scan amortised: one far entry scanned per event run.
+	ran, n := l.nRun-l.ranAt, uint64(l.nFar)
+	l.ranAt = l.nRun
+	switch {
+	case ran < n && l.span < maxTime/2:
+		l.span *= 2
+	case ran > 4*n && l.span > 1:
+		l.span /= 2
+	}
+	limit := addSat(max(l.limit, l.now), l.span)
+	if moved, earliest := l.pull(limit); !moved {
+		// Idle stretch: nothing due within span; jump to the earliest.
+		limit = addSat(earliest, l.span)
+		l.pull(limit)
+	}
+	l.limit = limit
+	return true
+}
+
+// pull moves every far entry at or before limit into the heap. It
+// reports whether it moved any, and the earliest time left behind.
+func (l *Loop) pull(limit Time) (moved bool, earliest Time) {
+	earliest = maxTime
+	for k := 0; k < l.nFar; {
+		e := *l.farAt(k)
+		if e.at > limit {
+			earliest = min(earliest, e.at)
+			k++
+			continue
+		}
+		l.removeFar(k)
+		l.slots[e.slot].state = slotNear
+		l.push(e)
+		moved = true
+	}
+	return moved, earliest
+}
+
+// farAt returns far entry k.
+func (l *Loop) farAt(k int) *entry { return &l.q[len(l.q)-1-k] }
+
+func (l *Loop) pushFar(e entry) {
+	l.reserve()
+	*l.farAt(l.nFar) = e
+	l.slots[e.slot].pos = int32(l.nFar)
+	l.nFar++
+}
+
+// removeFar swap-removes far entry k.
+func (l *Loop) removeFar(k int) {
+	l.nFar--
+	if k != l.nFar {
+		e := *l.farAt(l.nFar)
+		*l.farAt(k) = e
+		l.slots[e.slot].pos = int32(k)
+	}
+}
+
+// reserve makes room in q for one more entry in either tier.
+func (l *Loop) reserve() {
+	if len(l.heap)+l.nFar == len(l.q) {
+		l.resize(max(64, 2*len(l.q)))
+	}
+}
+
+// resize moves both tiers into a new q of n entries. Far entries keep
+// their index k, which counts from the end.
+func (l *Loop) resize(n int) {
+	q := make([]entry, n)
+	copy(q, l.heap)
+	copy(q[n-l.nFar:], l.q[len(l.q)-l.nFar:])
+	l.q, l.heap = q, q[:len(l.heap)]
+}
+
+// addSat returns t+d, saturating at maxTime.
+func addSat(t, d Time) Time {
+	if t > maxTime-d {
+		return maxTime
+	}
+	return t + d
 }
 
 // pop removes the earliest heap entry, retires its slot to the free
@@ -281,7 +439,7 @@ func (l *Loop) pop() (at Time, fn func(), h Handler, env, arg any) {
 }
 
 // QueueLen returns the number of queued events.
-func (l *Loop) QueueLen() int { return len(l.heap) }
+func (l *Loop) QueueLen() int { return len(l.heap) + l.nFar }
 
 // --- 4-ary min-heap over entry values ---
 //
@@ -298,7 +456,8 @@ func (l *Loop) place(h []entry, i int, e entry) {
 }
 
 func (l *Loop) push(e entry) {
-	l.heap = append(l.heap, e)
+	l.reserve()
+	l.heap = l.q[:len(l.heap)+1]
 	l.siftUp(len(l.heap)-1, e)
 }
 
@@ -350,14 +509,18 @@ func (l *Loop) siftDown(i int, e entry) {
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if h[j].less(h[m]) {
-				m = j
+		var m int
+		if c+3 < n {
+			// Four children: a branch-free tournament.
+			a := c + lessBit(h[c+1], h[c])
+			b := c + 2 + lessBit(h[c+3], h[c+2])
+			m = a + lessBit(h[b], h[a])*(b-a)
+		} else {
+			m = c
+			for j := c + 1; j < n; j++ {
+				if h[j].less(h[m]) {
+					m = j
+				}
 			}
 		}
 		if !h[m].less(e) {

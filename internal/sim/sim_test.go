@@ -357,9 +357,9 @@ func TestCancelReleasesReferencesEarly(t *testing.T) {
 func TestGrowPreallocates(t *testing.T) {
 	l := NewLoop(1)
 	l.Grow(1024)
-	if cap(l.heap) < 1024 || cap(l.slots) < 1024 || cap(l.free) < 1024 {
-		t.Fatalf("Grow did not pre-size: heap=%d slots=%d free=%d",
-			cap(l.heap), cap(l.slots), cap(l.free))
+	if len(l.q) < 1024 || cap(l.slots) < 1024 || cap(l.free) < 1024 {
+		t.Fatalf("Grow did not pre-size: queue=%d slots=%d free=%d",
+			len(l.q), cap(l.slots), cap(l.free))
 	}
 	// Growing must preserve queued events.
 	hits := 0

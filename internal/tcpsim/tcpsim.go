@@ -92,9 +92,12 @@ type Stack struct {
 	conns  map[connKey]*Conn
 	nextID uint64
 
-	// segFree recycles segments: every received segment returns here
-	// after dispatch, so steady-state traffic allocates none. Segments
-	// lost to drops are simply collected by the GC.
+	// segFree recycles the segments this stack allocated: a delivered
+	// segment returns to its sender's stack after dispatch, so each
+	// list stays as deep as that stack's own peak in flight and
+	// steady-state traffic allocates none, even when it is one-sided
+	// (thousands of clients uploading into one server). Segments lost
+	// to drops are simply collected by the GC.
 	segFree []*segment
 }
 
@@ -358,16 +361,20 @@ func (c *Conn) fillAndSend(seg *segment) {
 	c.stack.net.Send(pkt)
 }
 
-// handlePacket dispatches one delivered segment, then recycles it.
-// Nothing may retain the segment past dispatch (peer identity is the
-// sender *Conn*, which outlives it).
+// handlePacket dispatches one delivered segment, then recycles it to
+// the stack that allocated it. Nothing may retain the segment past
+// dispatch (peer identity is the sender *Conn*, which outlives it).
 func (s *Stack) handlePacket(pkt *netsim.Packet) {
 	seg, ok := pkt.Payload.(*segment)
 	if !ok {
 		panic(fmt.Sprintf("tcpsim: non-TCP packet at node %d", s.node))
 	}
 	s.dispatch(seg, pkt.Src)
-	s.freeSegment(seg)
+	owner := s
+	if seg.sender != nil {
+		owner = seg.sender.stack
+	}
+	owner.freeSegment(seg)
 }
 
 func (s *Stack) dispatch(seg *segment, src netsim.NodeID) {
