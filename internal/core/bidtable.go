@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,8 +17,9 @@ import (
 // almost nothing and must never serialize behind other channels.
 // The BidTable therefore shards payment channels across a power-of-two
 // array by RequestID hash. Each channel (PayChan) carries an atomic
-// byte counter, an atomic last-activity timestamp, and an atomic state
-// word; crediting is a couple of atomic stores with no locks.
+// balance word, an atomic last-activity timestamp, and an atomic state
+// word; crediting is one atomic add on the balance plus a timestamp
+// store, with no locks.
 //
 // Winner selection and timeout eviction are driven by incrementally
 // maintained indexes, so their cost is independent of how many
@@ -64,7 +66,9 @@ import (
 // ChanState is a payment channel's lifecycle word. A channel starts
 // ChanActive; settling it (auction win or eviction) publishes exactly
 // one of the final states via compare-and-swap, which in-flight
-// payment POSTs observe between chunks.
+// payment POSTs observe between chunks. The state word only reports
+// the verdict: whether a chunk counts is decided by the balance word
+// (see closedBit).
 type ChanState int32
 
 const (
@@ -99,7 +103,7 @@ type PayChan struct {
 	shard   *bidShard
 	created time.Duration // clock reading at creation; immutable
 
-	paid     atomic.Int64 // bytes credited
+	paid     atomic.Int64 // bytes credited, with closedBit once settled
 	lastPay  atomic.Int64 // clock reading (ns) of the last credit
 	state    atomic.Int32 // ChanState word
 	eligible atomic.Bool  // request message has arrived
@@ -124,8 +128,16 @@ type PayChan struct {
 // ID returns the channel's request id.
 func (c *PayChan) ID() RequestID { return c.id }
 
+// closedBit marks a settled channel in its balance word. Settling sets
+// it with one atomic OR whose result is the exact final balance, and
+// a credit is one atomic add whose result says whether it landed
+// before that OR (counted in the price) or after it (refused). That
+// single linearization point keeps every byte credited either in the
+// settled price or out of every tally, never in one and not the other.
+const closedBit = math.MinInt64
+
 // Paid returns the bytes credited so far.
-func (c *PayChan) Paid() int64 { return c.paid.Load() }
+func (c *PayChan) Paid() int64 { return c.paid.Load() &^ closedBit }
 
 // State returns the channel's lifecycle word. Payment loops poll this
 // between chunks; a non-active value means stop reading and report the
@@ -134,23 +146,17 @@ func (c *PayChan) State() ChanState { return ChanState(c.state.Load()) }
 
 // Credit adds bytes to the channel's balance — the payment hot path:
 // a handful of atomic operations, no locks, no allocation. Credits
-// arriving after the channel settled are dropped and report false.
-// now is the caller's clock reading, used for inactivity accounting.
+// arriving after the channel settled are dropped and report false;
+// a credit reporting true is part of the settled price. now is the
+// caller's clock reading, used for inactivity accounting.
 func (c *PayChan) Credit(bytes int64, now time.Duration) bool {
 	if bytes < 0 {
 		panic("core: negative payment")
 	}
-	if ChanState(c.state.Load()) != ChanActive {
-		return false
-	}
-	c.paid.Add(bytes)
-	if ChanState(c.state.Load()) != ChanActive {
-		// Settled between the check and the add: roll back so the
-		// caller's tally, the shard totals, and the recorded admission
-		// price stay aligned. (A settle racing the handful of
-		// instructions between the add and this re-check can still
-		// capture or miss one in-flight chunk in the price — bounded,
-		// stats-only, and unavoidable without locking the hot path.)
+	if c.paid.Add(bytes) < 0 {
+		// Landed after the settling OR (closedBit is the sign bit), so
+		// the final balance Remove returned excludes it. Undo the add
+		// so Paid keeps reporting that final balance.
 		c.paid.Add(-bytes)
 		return false
 	}
@@ -581,8 +587,10 @@ func (t *BidTable) Remove(id RequestID, final ChanState) int64 {
 		s.touched.Store(true)
 	}
 	s.mu.Unlock()
+	// Publish the verdict before closing the balance, so a payer whose
+	// credit is refused already reads a final state.
 	c.state.CompareAndSwap(int32(ChanActive), int32(final))
-	paid := c.paid.Load()
+	paid := c.paid.Or(closedBit)
 	s.removed.Add(paid)
 	return paid
 }
@@ -765,7 +773,7 @@ func (t *BidTable) Inactive(dst []RequestID, cutoff time.Duration) []RequestID {
 // Balance returns id's current balance (0 if unknown).
 func (t *BidTable) Balance(id RequestID) int64 {
 	if c := t.Lookup(id); c != nil {
-		return c.paid.Load()
+		return c.Paid()
 	}
 	return 0
 }
