@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"speakup/internal/appsim"
+	"speakup/internal/core"
 	"speakup/internal/faults"
 	"speakup/internal/metrics"
 	"speakup/internal/scenario"
@@ -80,6 +81,26 @@ func goldenConfigs() map[string]scenario.Config {
 			Groups: []scenario.ClientGroup{
 				{Count: 3, Good: true},
 				{Count: 3, Good: false, PayConns: 4},
+			},
+		},
+		"hetero_quantum": {
+			Seed: 5, Duration: 20 * time.Second, Capacity: 20,
+			Mode:   appsim.ModeHetero,
+			Hetero: core.HeteroConfig{Tau: 50 * time.Millisecond},
+			Groups: []scenario.ClientGroup{
+				{Count: 10, Good: true, Work: 50 * time.Millisecond},
+				{Count: 10, Good: false, Work: 500 * time.Millisecond},
+			},
+		},
+		"hetero_abort": {
+			Seed: 6, Duration: 20 * time.Second, Capacity: 20,
+			Mode: appsim.ModeHetero,
+			Hetero: core.HeteroConfig{
+				Tau: 50 * time.Millisecond, AbortAfter: 2 * time.Second, OrphanTimeout: time.Second,
+			},
+			Groups: []scenario.ClientGroup{
+				{Count: 6, Good: true, Work: 50 * time.Millisecond},
+				{Count: 12, Good: false, Work: time.Second, PayConns: 2},
 			},
 		},
 	}

@@ -227,3 +227,25 @@ func TestHeteroIdleServerAdmitsWithinTau(t *testing.T) {
 		t.Fatalf("idle-server admission failed: %v", h.starts)
 	}
 }
+
+// TestHeteroActiveNotEvictedAsOrphan serves one request uncontested
+// for longer than OrphanTimeout while it keeps paying: the active
+// request is being served, not orphaned, so nothing is evicted and its
+// lifetime charge includes every byte it paid.
+func TestHeteroActiveNotEvictedAsOrphan(t *testing.T) {
+	h := newHetHarness(100 * time.Millisecond)
+	h.th.RequestArrived(1)
+	h.th.PaymentReceived(1, 100)
+	h.clock.Advance(100 * time.Millisecond) // 1 admitted, charged 100
+	for i := 0; i < 150; i++ {              // 15s, past the 10s OrphanTimeout
+		h.th.PaymentReceived(1, 10)
+		h.clock.Advance(100 * time.Millisecond)
+	}
+	h.th.ServerDone(1)
+	if ev := h.th.Stats().Evicted; ev != 0 {
+		t.Fatalf("evicted = %d, want 0 (the active request is no orphan)", ev)
+	}
+	if h.donePaid[1] != 1600 {
+		t.Fatalf("lifetime charge = %d, want 1600", h.donePaid[1])
+	}
+}
