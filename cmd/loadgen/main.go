@@ -45,7 +45,7 @@
 // Per-second progress goes to stderr. The final summary — per-class
 // service rates, admissions/sec, payment-ingest bits/sec, and latency
 // percentiles — prints human-readable to stdout, or as one JSON
-// object with -json (the shape cmd/benchjson and dashboards consume).
+// object with -json (the shape scripts and dashboards consume).
 // The JSON carries the attack profile and a config_hash: the short
 // canonical hash of the resolved workload (scenario file or synthetic
 // flag-built document), so results are attributable to one exact

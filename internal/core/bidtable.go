@@ -9,7 +9,8 @@ import (
 )
 
 // This file implements the BidTable: the concurrent payment ledger
-// behind the live thinner's hot path.
+// behind both auction policies (the §3.3 Thinner and the §5
+// HeteroThinner) and the live thinner's hot path.
 //
 // Speak-up's defining asymmetry is that the thinner must *ingest* far
 // more traffic than the origin ever serves — payment bytes dwarf
@@ -54,9 +55,10 @@ import (
 //     on the once-per-request path, not the per-chunk path.
 //   - MarkEligible, Remove, Winner, DueOrphans, and DueInactive are
 //     the auctioneer's structural operations: they are individually
-//     consistent, but the auction policy (core.Thinner) must run them
-//     from one goroutine to keep its single-threaded semantics — in
-//     particular, the tournament tree is owned by the Winner caller.
+//     consistent, but the auction policy (Thinner or HeteroThinner)
+//     must run them from one goroutine to keep its single-threaded
+//     semantics — in particular, the tournament tree is owned by the
+//     Winner caller.
 //     The deterministic simulator and the live front both obey this.
 //
 // Shard count never affects auction outcomes — the winner is the
@@ -624,12 +626,12 @@ func (t *BidTable) refreshLeaf(i int) {
 }
 
 // Winner returns the eligible channel with the highest balance (ties
-// to the lowest id, like the single-threaded ledger). ok is false when
-// nothing is eligible. Only shards whose index changed since the last
-// call — a credit, eligibility, or removal — are touched: each drains
-// its dirty stack (work proportional to the channels that paid since
-// the last auction) and updates its tournament leaf in O(log shards).
-// Untouched shards cost one atomic load.
+// to the lowest id). ok is false when nothing is eligible. Only shards
+// whose index changed since the last call — a credit, eligibility, or
+// removal — are touched: each drains its dirty stack (work
+// proportional to the channels that paid since the last auction) and
+// updates its tournament leaf in O(log shards). Untouched shards cost
+// one atomic load.
 func (t *BidTable) Winner() (id RequestID, paid int64, ok bool) {
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -647,7 +649,7 @@ func (t *BidTable) Winner() (id RequestID, paid int64, ok bool) {
 
 // WinnerByScan recomputes the winner by brute force over every channel
 // in every shard — the pre-index selection path, retained as the
-// reference for the model tests and the BENCH_PR5 flood benchmark.
+// reference for the model tests and the flood speed-up test.
 // O(population); do not call on a hot path.
 func (t *BidTable) WinnerByScan() (id RequestID, paid int64, ok bool) {
 	for i := range t.shards {
@@ -732,40 +734,6 @@ func (t *BidTable) DueInactive(dst []RequestID, now, cutoff time.Duration) []Req
 			}
 		}
 		s.mu.Unlock()
-	}
-	return dst
-}
-
-// Orphans appends to dst the ids of ineligible channels created at or
-// before cutoff (payment arrived but the request never did). Full
-// scan, any cutoff — a diagnostic; the sweep hot path uses DueOrphans.
-func (t *BidTable) Orphans(dst []RequestID, cutoff time.Duration) []RequestID {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for id, c := range s.chans {
-			if !c.eligible.Load() && c.created <= cutoff {
-				dst = append(dst, id)
-			}
-		}
-		s.mu.RUnlock()
-	}
-	return dst
-}
-
-// Inactive appends to dst the ids of eligible channels with no payment
-// activity since cutoff. Full scan, any cutoff — a diagnostic; the
-// sweep hot path uses DueInactive.
-func (t *BidTable) Inactive(dst []RequestID, cutoff time.Duration) []RequestID {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for id, c := range s.chans {
-			if c.eligible.Load() && time.Duration(c.lastPay.Load()) <= cutoff {
-				dst = append(dst, id)
-			}
-		}
-		s.mu.RUnlock()
 	}
 	return dst
 }

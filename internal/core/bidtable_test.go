@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -97,21 +100,28 @@ func TestBidTableOrphansAndInactive(t *testing.T) {
 	bt.Credit(2, 10, 5*time.Second) // orphan, created t=5s
 	bt.Credit(3, 10, 1*time.Second)
 	bt.MarkEligible(3, 1*time.Second) // eligible, last pay t=1s
-	bt.MarkEligible(4, 8*time.Second) // eligible, created/last pay t=8s
+	bt.MarkEligible(4, 1*time.Second)
+	bt.Credit(4, 1, 9*time.Second) // eligible, paid again at t=9s
 
-	var ids []RequestID
-	ids = bt.Orphans(ids, 2*time.Second)
-	if len(ids) != 1 || ids[0] != 1 {
+	ids := bt.DueOrphans(nil, 2*time.Second)
+	if !slices.Equal(ids, []RequestID{1}) {
 		t.Fatalf("orphans = %v, want [1]", ids)
 	}
-	ids = bt.Inactive(ids[:0], 2*time.Second)
-	if len(ids) != 1 || ids[0] != 3 {
+	// The due prefix is handed out once; the caller removes it.
+	if ids = bt.DueOrphans(ids[:0], 2*time.Second); len(ids) != 0 {
+		t.Fatalf("orphans handed out twice: %v", ids)
+	}
+	// The table's default 30s inactivity timeout, checked at t=32s.
+	ids = bt.DueInactive(ids[:0], 32*time.Second, 2*time.Second)
+	if !slices.Equal(ids, []RequestID{3}) {
 		t.Fatalf("inactive = %v, want [3]", ids)
 	}
-	// Paying refreshes activity.
-	bt.Credit(3, 1, 9*time.Second)
-	if ids = bt.Inactive(ids[:0], 2*time.Second); len(ids) != 0 {
-		t.Fatalf("paying contender still inactive: %v", ids)
+	// Paying at t=9s moved 4's deadline to t=39s.
+	if ids = bt.DueInactive(ids[:0], 38*time.Second, 8*time.Second); len(ids) != 0 {
+		t.Fatalf("paying contender inactive early: %v", ids)
+	}
+	if ids = bt.DueInactive(ids[:0], 39*time.Second, 9*time.Second); !slices.Equal(ids, []RequestID{4}) {
+		t.Fatalf("inactive = %v, want [4]", ids)
 	}
 }
 
@@ -177,55 +187,254 @@ func TestBidTableShardCountRounding(t *testing.T) {
 	}
 }
 
-// TestBidTableMatchesLedger cross-checks the concurrent table against
-// the single-threaded ledger on a deterministic op mix: same credits,
-// same eligibility, same winners, same totals — the property the
-// simulator's byte-identical goldens rest on.
-func TestBidTableMatchesLedger(t *testing.T) {
-	for _, shards := range []int{1, 4, 64} {
-		bt := NewBidTable(shards)
-		l := NewLedger()
-		rng := uint64(12345)
-		next := func(n uint64) uint64 { // xorshift
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return rng % n
+// The TestLedger* tests began as the tests of a separate heap-backed
+// ledger that once backed the §5 scheduler. The BidTable is now the
+// only payment book, so they run against it.
+
+func TestLedgerCreditCreatesOrphan(t *testing.T) {
+	bt := NewBidTable(1)
+	bt.Credit(7, 100, 0)
+	c := bt.Lookup(7)
+	bt.Credit(7, 50, time.Second)
+	if bt.Lookup(7) != c || c.created != 0 {
+		t.Fatal("second credit must reuse the channel and keep its creation time")
+	}
+	if bt.Balance(7) != 150 {
+		t.Fatalf("balance = %d, want 150", bt.Balance(7))
+	}
+	if bt.Eligible() != 0 {
+		t.Fatal("orphan must not be eligible")
+	}
+	if _, _, ok := bt.Winner(); ok {
+		t.Fatal("winner must not exist among orphans")
+	}
+}
+
+func TestLedgerEligibilityAndWinner(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.Credit(1, 100, 0)
+	bt.Credit(2, 300, 0)
+	bt.Credit(3, 200, 0)
+	bt.MarkEligible(1, 0)
+	bt.MarkEligible(3, 0)
+	id, paid, ok := bt.Winner()
+	if !ok || id != 3 || paid != 200 {
+		t.Fatalf("winner = %d/%d/%v, want 3/200 (2 is ineligible)", id, paid, ok)
+	}
+	bt.MarkEligible(2, 0)
+	if id, paid, _ := bt.Winner(); id != 2 || paid != 300 {
+		t.Fatalf("winner = %d/%d, want 2/300", id, paid)
+	}
+}
+
+func TestLedgerWinnerTieBreaksLowID(t *testing.T) {
+	// Equal bids spread over many shards: the tie is broken in the
+	// tournament over shard maxima, not inside one heap.
+	bt := NewBidTable(16)
+	for _, id := range []RequestID{9, 4, 6, 31, 17} {
+		bt.Credit(id, 500, 0)
+		bt.MarkEligible(id, 0)
+	}
+	if id, _, _ := bt.Winner(); id != 4 {
+		t.Fatalf("tie-break winner = %d, want 4", id)
+	}
+}
+
+func TestLedgerRemove(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.Credit(1, 100, 0)
+	bt.MarkEligible(1, 0)
+	bt.Credit(2, 50, 0)
+	bt.MarkEligible(2, 0)
+	if got := bt.Remove(1, ChanAdmitted); got != 100 {
+		t.Fatalf("removed balance = %d, want 100", got)
+	}
+	if id, _, _ := bt.Winner(); id != 2 {
+		t.Fatalf("winner after remove = %d, want 2", id)
+	}
+	if bt.Remove(99, ChanEvicted) != 0 {
+		t.Fatal("removing unknown id must return 0")
+	}
+	if bt.Size() != 1 || bt.Eligible() != 1 {
+		t.Fatalf("size/eligible = %d/%d", bt.Size(), bt.Eligible())
+	}
+}
+
+// chargeChan is the §5 scheduler's charge: settle the balance and
+// reopen an empty, ineligible channel under the same id.
+func chargeChan(bt *BidTable, id RequestID, now time.Duration) int64 {
+	paid := bt.Remove(id, ChanAdmitted)
+	bt.Channel(id, now)
+	return paid
+}
+
+func TestLedgerChargeKeepsEntry(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.Credit(1, 400, 0)
+	bt.MarkEligible(1, 0)
+	if got := chargeChan(bt, 1, 0); got != 400 {
+		t.Fatalf("charged %d, want 400", got)
+	}
+	if bt.Balance(1) != 0 || !bt.Contains(1) || bt.Lookup(1).State() != ChanActive {
+		t.Fatal("charge must zero the balance but keep an open channel")
+	}
+	bt.Credit(2, 10, 0)
+	bt.MarkEligible(2, 0)
+	if id, _, _ := bt.Winner(); id != 2 {
+		t.Fatal("charged request must drop out of the auction")
+	}
+	// Payment after the charge is the next bid once the request
+	// contends again (the scheduler suspends it).
+	bt.Credit(1, 30, time.Second)
+	bt.MarkEligible(1, time.Second)
+	if id, paid, _ := bt.Winner(); id != 1 || paid != 30 {
+		t.Fatalf("winner = %d/%d, want 1/30", id, paid)
+	}
+}
+
+func TestLedgerMarkEligibleWithoutCredit(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.MarkEligible(5, time.Second)
+	if bt.Balance(5) != 0 || bt.Eligible() != 1 {
+		t.Fatal("request-before-payment channel broken")
+	}
+	if id, paid, ok := bt.Winner(); !ok || id != 5 || paid != 0 {
+		t.Fatal("zero-balance eligible channel must be able to win")
+	}
+}
+
+func TestLedgerOrphans(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.Credit(1, 10, 0)             // orphan from t=0
+	bt.Credit(2, 10, 5*time.Second) // orphan from t=5s
+	bt.Credit(3, 10, 0)             // becomes eligible
+	bt.MarkEligible(3, time.Second)
+	if got := bt.DueOrphans(nil, 2*time.Second); !slices.Equal(got, []RequestID{1}) {
+		t.Fatalf("orphans(cutoff=2s) = %v, want [1]", got)
+	}
+	if got := bt.DueOrphans(nil, 10*time.Second); !slices.Equal(got, []RequestID{2}) {
+		t.Fatalf("orphans(cutoff=10s) = %v, want [2]", got)
+	}
+}
+
+func TestLedgerInactive(t *testing.T) {
+	bt := NewBidTable(4)
+	bt.MarkEligible(1, 0)
+	bt.MarkEligible(2, 0)
+	bt.Credit(2, 5, 40*time.Second)
+	if got := bt.DueInactive(nil, 60*time.Second, 30*time.Second); !slices.Equal(got, []RequestID{1}) {
+		t.Fatalf("inactive = %v, want [1]", got)
+	}
+}
+
+func TestLedgerNegativeCreditPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative credit did not panic")
 		}
+	}()
+	NewBidTable(1).Channel(1, 0).Credit(-5, 0)
+}
+
+func TestLedgerTotals(t *testing.T) {
+	bt := NewBidTable(2)
+	bt.Credit(1, 100, 0)
+	bt.Credit(2, 200, 0)
+	bt.MarkEligible(1, 0)
+	chargeChan(bt, 1, 0)
+	bt.Credit(1, 40, 0)
+	bt.Remove(2, ChanEvicted)
+	if bt.TotalCredited() != 340 || bt.TotalRemoved() != 300 {
+		t.Fatalf("totals = %d/%d, want 340/300", bt.TotalCredited(), bt.TotalRemoved())
+	}
+	if bt.OutstandingBytes() != 40 {
+		t.Fatalf("outstanding = %d, want 40", bt.OutstandingBytes())
+	}
+}
+
+// Property: under random credit/eligible/remove/charge sequences, the
+// winner is always the max-balance eligible channel, and conservation
+// holds: TotalCredited == TotalRemoved + OutstandingBytes.
+func TestQuickLedgerInvariants(t *testing.T) {
+	type op struct {
+		Kind  uint8
+		ID    uint8
+		Bytes uint16
+	}
+	f := func(ops []op) bool {
+		bt := NewBidTable(4)
 		now := time.Duration(0)
-		for step := 0; step < 5000; step++ {
+		for _, o := range ops {
+			id := RequestID(o.ID % 16)
 			now += time.Millisecond
-			id := RequestID(next(40))
-			switch next(4) {
-			case 0, 1:
-				amt := int64(next(1000))
-				bt.Credit(id, amt, now)
-				l.Credit(id, amt, now)
-			case 2:
+			switch o.Kind % 4 {
+			case 0:
+				bt.Credit(id, int64(o.Bytes), now)
+			case 1:
 				bt.MarkEligible(id, now)
-				l.MarkEligible(id, now)
+			case 2:
+				bt.Remove(id, ChanEvicted)
 			case 3:
-				bi, bp, bok := bt.Winner()
-				li, lp, lok := l.Winner()
-				if bi != li || bp != lp || bok != lok {
-					t.Fatalf("shards=%d step %d: winner %d/%d/%v vs ledger %d/%d/%v",
-						shards, step, bi, bp, bok, li, lp, lok)
+				chargeChan(bt, id, now)
+			}
+			wid, wpaid, wok := bt.Winner()
+			sid, spaid, sok := bt.WinnerByScan()
+			if wid != sid || wpaid != spaid || wok != sok {
+				return false
+			}
+			if bt.TotalCredited() != bt.TotalRemoved()+bt.OutstandingBytes() {
+				return false
+			}
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(51))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: heap indices stay consistent (every eligible channel's
+// heapIdx points back at itself; every other channel's is -1).
+func TestQuickLedgerHeapConsistency(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bt := NewBidTable(4)
+		for i := 0; i < 200; i++ {
+			id := RequestID(rng.Intn(24))
+			switch rng.Intn(4) {
+			case 0:
+				bt.Credit(id, int64(rng.Intn(1000)), 0)
+			case 1:
+				bt.MarkEligible(id, 0)
+			case 2:
+				bt.Remove(id, ChanEvicted)
+			case 3:
+				chargeChan(bt, id, 0)
+			}
+			bt.Winner() // drain the dirty stacks into the heaps
+			for s := range bt.shards {
+				sh := &bt.shards[s]
+				if int(sh.nelig.Load()) != len(sh.elig) {
+					return false
 				}
-				if bok {
-					bt.Remove(bi, ChanAdmitted)
-					l.Remove(li)
+				for idx, c := range sh.elig {
+					if int(c.heapIdx) != idx || !c.eligible.Load() {
+						return false
+					}
+				}
+				for _, c := range sh.chans {
+					if !c.eligible.Load() && c.heapIdx != -1 {
+						return false
+					}
 				}
 			}
 		}
-		if bt.Eligible() != l.Eligible() || bt.Size() != l.Size() ||
-			bt.OutstandingBytes() != l.OutstandingBytes() ||
-			bt.TotalCredited() != l.TotalCredited ||
-			bt.TotalRemoved() != l.TotalRemoved {
-			t.Fatalf("shards=%d: totals diverged: table(e=%d n=%d out=%d cr=%d rm=%d) ledger(e=%d n=%d out=%d cr=%d rm=%d)",
-				shards,
-				bt.Eligible(), bt.Size(), bt.OutstandingBytes(), bt.TotalCredited(), bt.TotalRemoved(),
-				l.Eligible(), l.Size(), l.OutstandingBytes(), l.TotalCredited, l.TotalRemoved)
-		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(52))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -262,8 +471,9 @@ func TestBidTableConcurrentCredit(t *testing.T) {
 			default:
 			}
 			bt.Winner()
-			bt.Orphans(nil, time.Hour)
-			bt.Inactive(nil, -time.Hour)
+			// Sweeps with cutoffs that evict nothing.
+			bt.DueOrphans(nil, -time.Hour)
+			bt.DueInactive(nil, 0, -time.Hour)
 		}
 	}()
 	wg.Wait()
@@ -330,50 +540,6 @@ func BenchmarkBidTableCredit(b *testing.B) {
 					now += time.Microsecond
 					pc.Credit(16384, now)
 					if pc.State() != ChanActive {
-						b.Error("settled")
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkLedgerCreditGlobalLock is the pre-refactor model: every
-// credit takes one global mutex around the heap-backed ledger, exactly
-// as internal/web did before the BidTable (mutex + Ledger.Credit with
-// its O(log n) heap fix + pay-state map read). Compare against
-// BenchmarkBidTableCredit for the sharding win; benchjson records both
-// in BENCH_PR3.json.
-func BenchmarkLedgerCreditGlobalLock(b *testing.B) {
-	for _, pop := range creditPopulations {
-		b.Run(fmt.Sprintf("contenders=%d", pop), func(b *testing.B) {
-			l := NewLedger()
-			for i := 0; i < pop; i++ {
-				id := RequestID(1_000_000 + i)
-				l.Credit(id, int64(i), 0)
-				l.MarkEligible(id, 0)
-			}
-			var mu sync.Mutex
-			var nextID RequestID
-			states := make(map[RequestID]int)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				nextID++
-				id := nextID
-				l.MarkEligible(id, 0)
-				states[id] = 0
-				mu.Unlock()
-				now := time.Duration(0)
-				for pb.Next() {
-					now += time.Microsecond
-					mu.Lock()
-					l.Credit(id, 16384, now)
-					st := states[id]
-					mu.Unlock()
-					if st != 0 {
 						b.Error("settled")
 						return
 					}

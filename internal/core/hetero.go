@@ -17,17 +17,25 @@ import (
 //  3. requests SUSPENDed longer than AbortAfter are ABORTed.
 //
 // The server must export SUSPEND/RESUME/ABORT (internal/server does).
+//
+// Payments live in the same BidTable the §3.3 auction uses. Charging
+// settles the channel and reopens an empty, ineligible one that the
+// active request keeps paying into, so the active request never
+// contends and the table's winner is always the top challenger u.
+// Suspending v makes its channel eligible again, bidding with what v
+// paid since its last charge.
 type HeteroThinner struct {
-	clock  Clock
-	cfg    HeteroConfig
-	ledger *Ledger
-	stats  Stats
+	clock Clock
+	cfg   HeteroConfig
+	table *BidTable
+	stats Stats
 
 	active    RequestID
 	hasActive bool
 	started   map[RequestID]bool          // requests already begun (RESUME vs Start)
 	suspended map[RequestID]time.Duration // id -> when suspended
 	charged   map[RequestID]int64         // bytes charged across quanta so far
+	orphans   []RequestID                 // DueOrphans buffer, reused every tick
 
 	stopTick func()
 
@@ -75,7 +83,7 @@ func NewHeteroThinner(clock Clock, cfg HeteroConfig) *HeteroThinner {
 	h := &HeteroThinner{
 		clock:     clock,
 		cfg:       cfg.withDefaults(),
-		ledger:    NewLedger(),
+		table:     NewBidTable(1),
 		started:   make(map[RequestID]bool),
 		suspended: make(map[RequestID]time.Duration),
 		charged:   make(map[RequestID]int64),
@@ -84,8 +92,8 @@ func NewHeteroThinner(clock Clock, cfg HeteroConfig) *HeteroThinner {
 	return h
 }
 
-// Ledger exposes the payment ledger.
-func (h *HeteroThinner) Ledger() *Ledger { return h.ledger }
+// Table exposes the payment table.
+func (h *HeteroThinner) Table() *BidTable { return h.table }
 
 // Stats returns a copy of the activity counters.
 func (h *HeteroThinner) Stats() Stats { return h.stats }
@@ -103,12 +111,12 @@ func (h *HeteroThinner) Stop() {
 
 // RequestArrived registers a request; it contends for quanta from now
 // on. Unlike the homogeneous thinner there is no free-server fast
-// path bypassing the ledger: every request is admitted via the quantum
+// path bypassing the auction: every request is admitted via the quantum
 // procedure so that attackers cannot sneak hard requests in for free.
 // When the server is idle the next tick admits the top contender, so
 // idle-server latency is bounded by Tau.
 func (h *HeteroThinner) RequestArrived(id RequestID) {
-	h.ledger.MarkEligible(id, h.clock.Now())
+	h.table.MarkEligible(id, h.clock.Now())
 	if h.Encourage != nil {
 		h.Encourage(id)
 	}
@@ -116,7 +124,7 @@ func (h *HeteroThinner) RequestArrived(id RequestID) {
 
 // PaymentReceived credits bytes to id's channel.
 func (h *HeteroThinner) PaymentReceived(id RequestID, bytes int64) {
-	h.ledger.Credit(id, bytes, h.clock.Now())
+	h.table.Credit(id, bytes, h.clock.Now())
 }
 
 // ServerDone reports that the active request completed.
@@ -125,7 +133,7 @@ func (h *HeteroThinner) ServerDone(id RequestID) {
 		return
 	}
 	h.hasActive = false
-	paid := h.charged[id] + h.ledger.Remove(id)
+	paid := h.charged[id] + h.table.Remove(id, ChanAdmitted)
 	delete(h.charged, id)
 	delete(h.started, id)
 	h.stats.Admitted++
@@ -154,7 +162,7 @@ func (h *HeteroThinner) tick() {
 		if now-since >= h.cfg.AbortAfter {
 			delete(h.suspended, id)
 			delete(h.started, id)
-			paid := h.charged[id] + h.ledger.Remove(id)
+			paid := h.charged[id] + h.table.Remove(id, ChanEvicted)
 			delete(h.charged, id)
 			h.stats.Evicted++
 			h.stats.WastedBytes += paid
@@ -163,57 +171,53 @@ func (h *HeteroThinner) tick() {
 			}
 		}
 	}
-	// Evict orphaned payment channels.
-	var orphans []RequestID
-	for _, id := range h.ledger.Orphans(orphans, now-h.cfg.OrphanTimeout) {
-		paid := h.ledger.Remove(id)
+	// Evict orphaned payment channels. The active request's channel
+	// is ineligible too, but it is being served, not orphaned.
+	h.orphans = h.table.DueOrphans(h.orphans[:0], now-h.cfg.OrphanTimeout)
+	for _, id := range h.orphans {
+		if h.hasActive && id == h.active {
+			continue
+		}
 		h.stats.Evicted++
-		h.stats.WastedBytes += paid
+		h.stats.WastedBytes += h.table.Remove(id, ChanEvicted)
 	}
 
-	u, uPaid, ok := h.topContender()
+	u, uPaid, ok := h.table.Winner()
 	if !ok {
 		return // nobody waiting; v (if any) keeps running for free
 	}
 	if !h.hasActive {
-		h.admit(u, uPaid)
+		h.admit(u)
 		return
 	}
-	vPaid := h.ledger.Balance(h.active)
+	vPaid := h.table.Balance(h.active)
 	if uPaid > vPaid {
 		// u outbids v: suspend v, start/resume u.
 		v := h.active
 		h.suspended[v] = now
 		h.hasActive = false
+		h.table.MarkEligible(v, now)
 		if h.Suspend != nil {
 			h.Suspend(v)
 		}
-		h.admit(u, uPaid)
+		h.admit(u)
 		return
 	}
 	// v holds the server: charge it for the next quantum.
-	h.charged[h.active] += h.ledger.Charge(h.active)
+	h.charge(h.active)
 }
 
-// topContender returns the highest-paid eligible request that is not
-// the active one.
-func (h *HeteroThinner) topContender() (RequestID, int64, bool) {
-	id, paid, ok := h.ledger.Winner()
-	if !ok {
-		return 0, 0, false
-	}
-	if h.hasActive && id == h.active {
-		// The active request tops the heap; the runner-up is one of
-		// the root's children, which the ledger answers in O(1) — no
-		// scan over the contender population.
-		return h.ledger.RunnerUp()
-	}
-	return id, paid, ok
+// charge settles id's payment since its last charge into its lifetime
+// total and reopens an empty, ineligible channel for it to keep paying
+// into.
+func (h *HeteroThinner) charge(id RequestID) {
+	h.charged[id] += h.table.Remove(id, ChanAdmitted)
+	h.table.Channel(id, h.clock.Now())
 }
 
-func (h *HeteroThinner) admit(id RequestID, paid int64) {
+func (h *HeteroThinner) admit(id RequestID) {
 	h.stats.Auctions++
-	h.charged[id] += h.ledger.Charge(id)
+	h.charge(id)
 	h.active = id
 	h.hasActive = true
 	delete(h.suspended, id)

@@ -48,11 +48,11 @@ func TestHeteroAdmitsTopPayerOnTick(t *testing.T) {
 		t.Fatalf("starts = %v, want [2]", h.starts)
 	}
 	// Winner's payment was charged (zeroed).
-	if h.th.Ledger().Balance(2) != 0 {
+	if h.th.Table().Balance(2) != 0 {
 		t.Fatal("winner's quantum payment not charged")
 	}
 	// Loser's balance persists.
-	if h.th.Ledger().Balance(1) != 100 {
+	if h.th.Table().Balance(1) != 100 {
 		t.Fatal("loser's balance lost")
 	}
 }
@@ -76,8 +76,8 @@ func TestHeteroActiveKeepsServerWhilePayingMore(t *testing.T) {
 	}
 	// 2's payments accumulate across lost quanta (the paper's rule:
 	// only the *winner's* payment is zeroed).
-	if h.th.Ledger().Balance(2) != 250 {
-		t.Fatalf("challenger balance = %d, want 250", h.th.Ledger().Balance(2))
+	if h.th.Table().Balance(2) != 250 {
+		t.Fatalf("challenger balance = %d, want 250", h.th.Table().Balance(2))
 	}
 }
 
@@ -210,7 +210,7 @@ func TestHeteroOrphanPaymentEvicted(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.PaymentReceived(9, 500) // no request ever follows
 	h.clock.Advance(15 * time.Second)
-	if h.th.Ledger().Contains(9) {
+	if h.th.Table().Contains(9) {
 		t.Fatal("orphan payment channel not evicted")
 	}
 	if h.th.Stats().WastedBytes != 500 {

@@ -1,3 +1,24 @@
+// Package core implements speak-up's central mechanism: the thinner.
+//
+// The thinner is the front-end the paper places before a protected
+// server (§3). It performs *encouragement* — causing clients to send
+// payment bytes when the server is overloaded — and *proportional
+// allocation* — admitting, each time the server frees up, the
+// contending request that has paid the most (the virtual auction of
+// §3.3). The package also implements the random-drop/aggressive-retry
+// variant of §3.2, the no-defense pass-through baseline used by the
+// paper's "OFF" experiments, and the heterogeneous-request quantum
+// scheduler of §5. Both auctions keep their payments in one book, the
+// BidTable.
+//
+// The policies are transport-independent: the same state machines
+// drive the discrete-event simulation (internal/scenario) and the
+// real-socket front-ends (internal/web, internal/wire). Only payment
+// runs concurrently: transports credit chunks through a cached PayChan
+// from any goroutine, with no lock. A policy's arrivals, auctions,
+// admissions and sweeps must be serialized by the caller; the live
+// front holds its control mutex for them (see the BidTable's
+// concurrency contract in bidtable.go).
 package core
 
 import (
@@ -8,6 +29,11 @@ import (
 	"speakup/internal/metrics"
 	"speakup/internal/trace"
 )
+
+// RequestID identifies one client request. The request message and its
+// payment channel carry the same ID so the thinner can correlate them
+// (the paper's prototype uses an id field in both HTTP requests).
+type RequestID uint64
 
 // Clock abstracts time so the thinner runs unchanged over virtual time
 // (simulation) and wall-clock time (real sockets).

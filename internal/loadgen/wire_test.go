@@ -16,7 +16,7 @@ import (
 // binary framed transport: good and bad clients multiplex OPEN/CREDIT
 // frames on persistent connections against the same front the HTTP
 // test uses. Liveness assertions only, like the HTTP end-to-end test;
-// throughput comparison is cmd/benchjson -pr 8's job.
+// throughput is measured by e2ebench's wire_flood workload.
 func TestEndToEndWireTransport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4s live-socket attack; skipped with -short")

@@ -19,8 +19,8 @@ import (
 // about, since the thinner must absorb vastly more payment traffic
 // than the origin serves (§3, §6).
 //
-// Run with -cpu to see ingest scale with cores; benchjson records the
-// result in BENCH_PR3.json against the pre-refactor global-lock front.
+// Run with -cpu to see ingest scale with cores; BENCH_PR3.json holds
+// the recorded result against the pre-refactor global-lock front.
 func BenchmarkFrontPayThroughput(b *testing.B) {
 	const chunk = 16 << 10
 	// An origin that never finishes keeps the thinner busy so payment

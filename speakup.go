@@ -199,11 +199,8 @@ type (
 	ProfilerConfig = core.ProfilerConfig
 	// Address identifies a client for detect-and-block purposes.
 	Address = core.Address
-	// Ledger tracks contending requests' payment balances
-	// (single-threaded; the §5 quantum scheduler uses it).
-	Ledger = core.Ledger
-	// BidTable is the concurrent sharded payment table behind the
-	// auction thinner: lock-free per-chunk crediting, per-shard maxima
+	// BidTable is the concurrent sharded payment table behind both
+	// auction policies: lock-free per-chunk crediting, per-shard maxima
 	// for the auction scan.
 	BidTable = core.BidTable
 	// PayChan is one request's payment channel in a BidTable; credit
@@ -241,9 +238,6 @@ func NewPassThrough() *PassThrough { return core.NewPassThrough() }
 
 // NewProfiler creates the §8.1 detect-and-block baseline on a clock.
 func NewProfiler(clock Clock, cfg ProfilerConfig) *Profiler { return core.NewProfiler(clock, cfg) }
-
-// NewLedger creates an empty payment ledger.
-func NewLedger() *Ledger { return core.NewLedger() }
 
 // NewBidTable creates a concurrent payment table with the given shard
 // count (rounded up to a power of two; <= 0 selects a GOMAXPROCS-

@@ -87,11 +87,11 @@ func TestLiveFrontPublicAPI(t *testing.T) {
 }
 
 func TestCoreBuildingBlocksPublicAPI(t *testing.T) {
-	l := NewLedger()
-	l.Credit(1, 100, 0)
-	l.MarkEligible(1, 0)
-	if id, paid, ok := l.Winner(); !ok || id != 1 || paid != 100 {
-		t.Fatalf("ledger via public API broken: %v %v %v", id, paid, ok)
+	bt := NewBidTable(1)
+	bt.Credit(1, 100, 0)
+	bt.MarkEligible(1, 0)
+	if id, paid, ok := bt.Winner(); !ok || id != 1 || paid != 100 {
+		t.Fatalf("bid table via public API broken: %v %v %v", id, paid, ok)
 	}
 	pt := NewPassThrough()
 	admitted := false
