@@ -20,6 +20,7 @@ package tcpsim
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"speakup/internal/netsim"
@@ -65,21 +66,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-type connKey struct {
-	initiator netsim.NodeID
-	n         uint64
-}
-
 type segment struct {
-	key      connKey
-	sender   *Conn // sending endpoint; receivers use it to link peers
-	syn      bool
-	synAck   bool
-	rst      bool
-	seq      int64 // offset of first payload byte
-	ackNo    int64 // cumulative: next byte expected by the segment's sender
-	length   int   // payload bytes (0 for pure ACK/SYN/RST)
-	fromInit bool  // true if sent by the connection initiator
+	sender *Conn // sending endpoint; its peer is the receiving one
+	syn    bool
+	synAck bool
+	rst    bool
+	seq    int64 // offset of first payload byte
+	ackNo  int64 // cumulative: next byte expected by the segment's sender
+	length int   // payload bytes (0 for pure ACK/SYN/RST)
 }
 
 // Stack is a per-host TCP endpoint multiplexer bound to one netsim node.
@@ -89,8 +83,6 @@ type Stack struct {
 	node   netsim.NodeID
 	opts   Options
 	accept func(*Conn)
-	conns  map[connKey]*Conn
-	nextID uint64
 
 	// segFree recycles the segments this stack allocated: a delivered
 	// segment returns to its sender's stack after dispatch, so each
@@ -121,11 +113,10 @@ func (s *Stack) freeSegment(seg *segment) {
 // packet handler.
 func NewStack(net *netsim.Network, node netsim.NodeID, opts Options) *Stack {
 	s := &Stack{
-		net:   net,
-		loop:  net.Loop(),
-		node:  node,
-		opts:  opts.withDefaults(),
-		conns: make(map[connKey]*Conn),
+		net:  net,
+		loop: net.Loop(),
+		node: node,
+		opts: opts.withDefaults(),
 	}
 	net.SetHandler(node, s.handlePacket)
 	return s
@@ -157,11 +148,9 @@ type record struct {
 // sender state for its outgoing stream and the receiver state for its
 // incoming stream.
 type Conn struct {
-	stack     *Stack
-	peer      *Conn // opposite endpoint; set when its first segment arrives
-	key       connKey
-	initiator bool
-	remote    netsim.NodeID
+	stack  *Stack
+	peer   *Conn // opposite endpoint; both are linked when the SYN is accepted
+	remote netsim.NodeID
 
 	established bool
 	closed      bool
@@ -204,7 +193,7 @@ type Conn struct {
 
 	// --- receiver state ---
 	rcvNxt int64
-	ooo    map[int64]int64 // out-of-order runs: start offset -> end offset
+	ooo    []oooRun // out-of-order runs, sorted by start, one per start
 
 	// Stats (payload bytes; headers excluded).
 	BytesSent      int64 // handed to the network, including retransmissions
@@ -217,27 +206,20 @@ type Conn struct {
 // returned Conn accepts writes immediately; data flows once the
 // handshake completes. onOpen may be nil.
 func (s *Stack) Dial(remote netsim.NodeID, onOpen func()) *Conn {
-	s.nextID++
-	key := connKey{initiator: s.node, n: s.nextID}
-	c := s.newConn(key, true, remote)
+	c := s.newConn(remote)
 	c.OnOpen = onOpen
 	c.sendSYN()
 	return c
 }
 
-func (s *Stack) newConn(key connKey, initiator bool, remote netsim.NodeID) *Conn {
-	c := &Conn{
-		stack:     s,
-		key:       key,
-		initiator: initiator,
-		remote:    remote,
-		cwnd:      float64(s.opts.InitialCwndSegments * s.opts.MSS),
-		ssthresh:  1 << 30,
-		rto:       s.opts.RTOInit,
-		ooo:       make(map[int64]int64),
+func (s *Stack) newConn(remote netsim.NodeID) *Conn {
+	return &Conn{
+		stack:    s,
+		remote:   remote,
+		cwnd:     float64(s.opts.InitialCwndSegments * s.opts.MSS),
+		ssthresh: 1 << 30,
+		rto:      s.opts.RTOInit,
 	}
-	s.conns[key] = c
-	return c
 }
 
 // Established reports whether the handshake has completed.
@@ -312,7 +294,7 @@ func (c *Conn) Close() {
 		return
 	}
 	rst := c.stack.newSegment()
-	rst.key, rst.rst, rst.fromInit = c.key, true, c.initiator
+	rst.rst = true
 	c.fillAndSend(rst)
 	c.teardown()
 }
@@ -322,7 +304,6 @@ func (c *Conn) teardown() {
 	c.established = false
 	c.stack.loop.Cancel(c.rtoTimer)
 	c.stack.loop.Cancel(c.synTimer)
-	delete(c.stack.conns, c.key)
 }
 
 // connSYNTimeout and connRTO are the typed timer entry points: the
@@ -343,7 +324,7 @@ func (c *Conn) sendSYN() {
 		return
 	}
 	syn := c.stack.newSegment()
-	syn.key, syn.syn, syn.fromInit = c.key, true, true
+	syn.syn = true
 	c.fillAndSend(syn)
 	c.synTimer = c.stack.loop.AfterTimer(c.rto, connSYNTimeout, c, nil)
 }
@@ -363,58 +344,58 @@ func (c *Conn) fillAndSend(seg *segment) {
 
 // handlePacket dispatches one delivered segment, then recycles it to
 // the stack that allocated it. Nothing may retain the segment past
-// dispatch (peer identity is the sender *Conn*, which outlives it).
+// dispatch (peer identity is the sender *Conn*, which outlives it). A
+// segment with no sender came from no stack and is not recycled.
 func (s *Stack) handlePacket(pkt *netsim.Packet) {
 	seg, ok := pkt.Payload.(*segment)
 	if !ok {
 		panic(fmt.Sprintf("tcpsim: non-TCP packet at node %d", s.node))
 	}
 	s.dispatch(seg, pkt.Src)
-	owner := s
 	if seg.sender != nil {
-		owner = seg.sender.stack
+		seg.sender.stack.freeSegment(seg)
 	}
-	owner.freeSegment(seg)
 }
 
+// dispatch demultiplexes by pointer: the receiver of a segment is its
+// sender's peer, linked when the SYN was accepted.
 func (s *Stack) dispatch(seg *segment, src netsim.NodeID) {
+	from := seg.sender
+	if from == nil {
+		return
+	}
+	c := from.peer
+	live := c != nil && !c.closed
 	if seg.syn {
-		if c, exists := s.conns[seg.key]; exists {
+		if live {
 			// Retransmitted SYN for an accepted connection: re-SYNACK.
 			synAck := s.newSegment()
-			synAck.key, synAck.synAck, synAck.fromInit = c.key, true, c.initiator
+			synAck.synAck = true
 			c.fillAndSend(synAck)
 			return
 		}
 		if s.accept == nil {
 			return // no listener: silently drop
 		}
-		c := s.newConn(seg.key, false, src)
-		c.peer = seg.sender
+		c = s.newConn(src)
+		c.peer, from.peer = from, c
 		c.established = true
 		s.accept(c)
 		synAck := s.newSegment()
-		synAck.key, synAck.synAck = c.key, true
+		synAck.synAck = true
 		c.fillAndSend(synAck)
 		if c.OnOpen != nil {
 			c.OnOpen()
 		}
 		return
 	}
-	c, exists := s.conns[seg.key]
-	if !exists {
+	if !live {
 		return // stale packet for a closed connection
-	}
-	if c.peer == nil {
-		c.peer = seg.sender
 	}
 	c.handleSegment(seg)
 }
 
 func (c *Conn) handleSegment(seg *segment) {
-	if c.closed {
-		return
-	}
 	if seg.rst {
 		c.teardown()
 		if c.OnClose != nil {
@@ -447,38 +428,46 @@ func (c *Conn) receiveData(seg *segment) {
 		if start <= c.rcvNxt {
 			c.advanceTo(end)
 			c.drainOutOfOrder()
-		} else if cur, dup := c.ooo[start]; !dup || end > cur {
-			c.ooo[start] = end
+		} else {
+			c.bufferOutOfOrder(start, end)
 		}
 	}
 	if c.closed {
 		return // an application callback closed the connection
 	}
 	// Cumulative ACK for everything received in order so far.
-	ack := c.stack.newSegment()
-	ack.key, ack.fromInit = c.key, c.initiator
-	c.fillAndSend(ack)
+	c.fillAndSend(c.stack.newSegment())
 }
 
-// drainOutOfOrder folds buffered runs that now overlap the in-order
-// point. Multiple passes handle chains; overall coverage is
-// deterministic regardless of map iteration order.
+// oooRun is a buffered out-of-order byte range [start, end).
+type oooRun struct{ start, end int64 }
+
+// bufferOutOfOrder inserts [start, end) into the sorted run list; a
+// run with the same start keeps the larger end. Runs mostly arrive in
+// increasing order, so the insertion point is found from the back.
+func (c *Conn) bufferOutOfOrder(start, end int64) {
+	i := len(c.ooo)
+	for i > 0 && c.ooo[i-1].start > start {
+		i--
+	}
+	if i > 0 && c.ooo[i-1].start == start {
+		c.ooo[i-1].end = max(c.ooo[i-1].end, end)
+		return
+	}
+	c.ooo = slices.Insert(c.ooo, i, oooRun{start, end})
+}
+
+// drainOutOfOrder folds, in start order, the buffered runs the
+// in-order point now reaches. rcvNxt only grows, so one pass from the
+// front suffices.
 func (c *Conn) drainOutOfOrder() {
-	for {
-		advanced := false
-		for start, end := range c.ooo {
-			if start <= c.rcvNxt {
-				delete(c.ooo, start)
-				if end > c.rcvNxt {
-					c.advanceTo(end)
-				}
-				advanced = true
-			}
-		}
-		if !advanced {
-			return
+	k := 0
+	for ; k < len(c.ooo) && c.ooo[k].start <= c.rcvNxt; k++ {
+		if end := c.ooo[k].end; end > c.rcvNxt {
+			c.advanceTo(end)
 		}
 	}
+	c.ooo = c.ooo[:copy(c.ooo, c.ooo[k:])]
 }
 
 // advanceTo moves rcvNxt forward and fires application callbacks with
@@ -488,9 +477,6 @@ func (c *Conn) advanceTo(end int64) {
 	c.rcvNxt = end
 	c.BytesDelivered += end - from
 	peer := c.peer
-	if peer == nil {
-		return
-	}
 	for i := peer.recBase; i < len(peer.records); i++ {
 		r := peer.records[i]
 		if r.end <= from {
@@ -583,7 +569,7 @@ func (c *Conn) limitedTransmit() {
 	}
 	length := int(minI64(int64(c.stack.opts.MSS), avail))
 	seg := c.stack.newSegment()
-	seg.key, seg.seq, seg.length, seg.fromInit = c.key, c.sndNxt, length, c.initiator
+	seg.seq, seg.length = c.sndNxt, length
 	c.sndNxt += int64(length)
 	c.BytesSent += int64(length)
 	c.fillAndSend(seg)
@@ -613,7 +599,7 @@ func (c *Conn) retransmit(seq int64) {
 	c.Retransmits++
 	c.BytesSent += int64(length)
 	seg := c.stack.newSegment()
-	seg.key, seg.seq, seg.length, seg.fromInit = c.key, seq, length, c.initiator
+	seg.seq, seg.length = seq, length
 	c.fillAndSend(seg)
 }
 
@@ -687,7 +673,7 @@ func (c *Conn) trySend() {
 			c.timedRetrans = false
 		}
 		seg := c.stack.newSegment()
-		seg.key, seg.seq, seg.length, seg.fromInit = c.key, c.sndNxt, length, c.initiator
+		seg.seq, seg.length = c.sndNxt, length
 		c.sndNxt += int64(length)
 		c.BytesSent += int64(length)
 		c.fillAndSend(seg)

@@ -180,7 +180,7 @@ func TestSYNLossRetransmission(t *testing.T) {
 	// Queue capacity 100B: one 50B filler serializes, two fill the
 	// queue exactly, so the 40B SYN arriving next is tail-dropped.
 	p := newPair(7, 1e5, 5*time.Millisecond, 100)
-	filler := &segment{key: connKey{initiator: 999, n: 1}}
+	filler := &segment{}
 	for i := 0; i < 3; i++ {
 		p.net.Send(&netsim.Packet{Size: 50, Src: p.a.Node(), Dst: p.b.Node(), Payload: filler})
 	}
