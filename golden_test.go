@@ -29,7 +29,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden fi
 
 // goldenConfigs cover the hot paths the zero-allocation engine
 // rebuilt: plain auction topology, OFF mode, shared bottlenecks,
-// bystander HTTP transfers, and heterogeneous work with suspends.
+// bystander HTTP transfers, heterogeneous work with suspends, the §8.1
+// profiling baseline under a flood, and the §3.2 random-drop variant.
 func goldenConfigs() map[string]scenario.Config {
 	return map[string]scenario.Config{
 		"auction_basic": {
@@ -101,6 +102,23 @@ func goldenConfigs() map[string]scenario.Config {
 			Groups: []scenario.ClientGroup{
 				{Count: 6, Good: true, Work: 50 * time.Millisecond},
 				{Count: 12, Good: false, Work: time.Second, PayConns: 2},
+			},
+		},
+		"profiling_flood": {
+			Seed: 12, Duration: 10 * time.Second, Capacity: 40,
+			Mode:     appsim.ModeProfiling,
+			Profiler: core.ProfilerConfig{BaselineRate: 2, Slack: 3, BlacklistFor: 3 * time.Second},
+			Groups: []scenario.ClientGroup{
+				{Count: 5, Good: true},
+				{Count: 5, Good: false, Lambda: 40},
+			},
+		},
+		"random_drop": {
+			Seed: 13, Duration: 8 * time.Second, Capacity: 30,
+			Mode: appsim.ModeRandomDrop,
+			Groups: []scenario.ClientGroup{
+				{Count: 4, Good: true},
+				{Count: 6, Good: false},
 			},
 		},
 	}
