@@ -224,7 +224,7 @@ func TestRandomDropModeServesUnderOverload(t *testing.T) {
 	if got := r.served(); got < 60 {
 		t.Fatalf("served %d with c=5 over 30s, want ~150ish", got)
 	}
-	st := r.thinner.RandomDrop().Stats()
+	st := r.thinner.Stats()
 	if st.Evicted == 0 {
 		t.Fatal("no retries issued under overload")
 	}

@@ -52,11 +52,12 @@ type ThinnerApp struct {
 	mode  Mode
 
 	auction *core.Thinner
-	off     *core.PassThrough
+	off     *core.PassThrough // ModeOff, and ModeProfiling past the profile
 	rdrop   *core.RandomDrop
 	hetero  *core.HeteroThinner
-	prof    *core.Profiler
+	prof    *core.Profiler // ModeProfiling's address profile
 	srv     *server.Server
+	stats   func() core.Stats // the active policy's Stats
 
 	reqConns map[core.RequestID]*tcpsim.Conn   // request connection per id
 	payConns map[core.RequestID][]*tcpsim.Conn // payment connection(s) per id
@@ -98,19 +99,23 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 		reqConns: make(map[core.RequestID]*tcpsim.Conn),
 		payConns: make(map[core.RequestID][]*tcpsim.Conn),
 	}
+	// done releases the policy's busy latch when the server finishes
+	// (or loses, in a crash) a request; the hetero scheduler takes
+	// completions itself.
+	var done func()
 	switch cfg.Mode {
+	case ModeProfiling:
+		pc := cfg.Profiler
+		if pc.BaselineRate == 0 {
+			pc.BaselineRate = 2 // the good-client profile (λ=2)
+		}
+		a.prof = core.NewProfiler(clock, pc)
+		fallthrough
 	case ModeOff:
 		a.off = core.NewPassThrough()
 		a.off.Admit = func(id core.RequestID) { a.admit(id, 0) }
 		a.off.Drop = func(id core.RequestID) { a.replyAndForget(id, kindBusy, a.sizes.Busy) }
-		srv.Done = func(id core.RequestID) {
-			a.respond(id)
-			a.off.ServerDone()
-		}
-		srv.Failed = func(id core.RequestID) {
-			a.failRequest(id)
-			a.off.ServerDone()
-		}
+		a.stats, done = a.off.Stats, a.off.ServerDone
 	case ModeAuction:
 		a.auction = core.NewThinner(clock, cfg.Thinner)
 		a.auction.Trace = cfg.Trace
@@ -126,31 +131,14 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 		// Brownout shed: answer busy instead of stranding the client as
 		// a silent waiter; a retrying client backs off and re-offers.
 		a.auction.Shed = func(id core.RequestID) { a.replyAndForget(id, kindBusy, a.sizes.Busy) }
-		srv.Done = func(id core.RequestID) {
-			a.respond(id)
-			a.auction.ServerDone()
-		}
-		srv.Failed = func(id core.RequestID) {
-			// Crash: the in-flight request is gone; the closed
-			// connection tells the client. ServerDone releases the busy
-			// latch — the brownout ladder defers the next auction until
-			// the origin is back.
-			a.failRequest(id)
-			a.auction.ServerDone()
-		}
+		// On a crash, ServerDone releases the busy latch; the brownout
+		// ladder defers the next auction until the origin is back.
+		a.stats, done = a.auction.Stats, a.auction.ServerDone
 	case ModeRandomDrop:
-		rd := cfg.RandomDrop
-		a.rdrop = core.NewRandomDrop(clock, rd)
+		a.rdrop = core.NewRandomDrop(clock, cfg.RandomDrop)
 		a.rdrop.Admit = func(id core.RequestID) { a.admit(id, 0) }
 		a.rdrop.Retry = func(id core.RequestID) { a.reply(id, kindRetry, a.sizes.Retry) }
-		srv.Done = func(id core.RequestID) {
-			a.respond(id)
-			a.rdrop.ServerDone()
-		}
-		srv.Failed = func(id core.RequestID) {
-			a.failRequest(id)
-			a.rdrop.ServerDone()
-		}
+		a.stats, done = a.rdrop.Stats, a.rdrop.ServerDone
 	case ModeHetero:
 		a.hetero = core.NewHeteroThinner(clock, cfg.Hetero)
 		a.hetero.Start = func(id core.RequestID) { srv.Start(id) }
@@ -173,24 +161,21 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 			a.respond(id)
 		}
 		srv.Done = func(id core.RequestID) { a.hetero.ServerDone(id) }
-	case ModeProfiling:
-		pc := cfg.Profiler
-		if pc.BaselineRate == 0 {
-			pc.BaselineRate = 2 // the good-client profile (λ=2)
-		}
-		a.prof = core.NewProfiler(clock, pc)
-		a.prof.Admit = func(id core.RequestID) { a.admit(id, 0) }
-		a.prof.Drop = func(id core.RequestID) { a.replyAndForget(id, kindBusy, a.sizes.Busy) }
-		srv.Done = func(id core.RequestID) {
-			a.respond(id)
-			a.prof.ServerDone()
-		}
-		srv.Failed = func(id core.RequestID) {
-			a.failRequest(id)
-			a.prof.ServerDone()
-		}
+		a.stats = a.hetero.Stats
 	default:
 		panic("appsim: unknown mode")
+	}
+	if done != nil {
+		srv.Done = func(id core.RequestID) {
+			a.respond(id)
+			done()
+		}
+		srv.Failed = func(id core.RequestID) {
+			// Crash: the in-flight request is gone; the closed
+			// connection tells the client.
+			a.failRequest(id)
+			done()
+		}
 	}
 	stack.Listen(a.accept)
 	return a
@@ -199,17 +184,8 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 // Auction exposes the auction policy (nil in other modes).
 func (a *ThinnerApp) Auction() *core.Thinner { return a.auction }
 
-// Off exposes the pass-through baseline (nil in other modes).
-func (a *ThinnerApp) Off() *core.PassThrough { return a.off }
-
-// Profiler exposes the §8.1 baseline (nil in other modes).
-func (a *ThinnerApp) Profiler() *core.Profiler { return a.prof }
-
-// Hetero exposes the §5 policy (nil in other modes).
-func (a *ThinnerApp) Hetero() *core.HeteroThinner { return a.hetero }
-
-// RandomDrop exposes the §3.2 policy (nil in other modes).
-func (a *ThinnerApp) RandomDrop() *core.RandomDrop { return a.rdrop }
+// Stats returns the active policy's activity counters.
+func (a *ThinnerApp) Stats() core.Stats { return a.stats() }
 
 // Server exposes the emulated server.
 func (a *ThinnerApp) Server() *server.Server { return a.srv }
@@ -326,10 +302,15 @@ func (a *ThinnerApp) registerPayConn(id core.RequestID, conn *tcpsim.Conn) {
 // itself never keys on addresses — §2.2).
 func (a *ThinnerApp) initialArrived(id core.RequestID, from core.Address) {
 	switch a.mode {
+	case ModeProfiling:
+		if !a.prof.Allow(from) {
+			// Blocked by the profile: the busy reply a busy drop gets.
+			a.replyAndForget(id, kindBusy, a.sizes.Busy)
+			return
+		}
+		fallthrough
 	case ModeOff:
 		a.off.RequestArrived(id)
-	case ModeProfiling:
-		a.prof.RequestArrived(id, from)
 	case ModeRandomDrop:
 		a.rdrop.RequestArrived(id)
 	case ModeAuction:

@@ -47,8 +47,6 @@ type HeteroThinner struct {
 	Resume func(id RequestID)
 	// Abort cancels a suspended request that timed out.
 	Abort func(id RequestID)
-	// Encourage tells a client to start (or keep) paying.
-	Encourage func(id RequestID)
 	// Done reports a request that finished service (its channel may be
 	// closed); paid is the total charged over its lifetime.
 	Done func(id RequestID, paid int64)
@@ -117,9 +115,6 @@ func (h *HeteroThinner) Stop() {
 // idle-server latency is bounded by Tau.
 func (h *HeteroThinner) RequestArrived(id RequestID) {
 	h.table.MarkEligible(id, h.clock.Now())
-	if h.Encourage != nil {
-		h.Encourage(id)
-	}
 }
 
 // PaymentReceived credits bytes to id's channel.

@@ -7,22 +7,20 @@ import (
 
 // hetHarness wires a HeteroThinner to a scripted fake server.
 type hetHarness struct {
-	clock     *fakeClock
-	th        *HeteroThinner
-	starts    []RequestID
-	suspends  []RequestID
-	resumes   []RequestID
-	aborts    []RequestID
-	done      []RequestID
-	donePaid  map[RequestID]int64
-	encourage map[RequestID]int
+	clock    *fakeClock
+	th       *HeteroThinner
+	starts   []RequestID
+	suspends []RequestID
+	resumes  []RequestID
+	aborts   []RequestID
+	done     []RequestID
+	donePaid map[RequestID]int64
 }
 
 func newHetHarness(tau time.Duration) *hetHarness {
 	h := &hetHarness{
-		clock:     &fakeClock{},
-		donePaid:  make(map[RequestID]int64),
-		encourage: make(map[RequestID]int),
+		clock:    &fakeClock{},
+		donePaid: make(map[RequestID]int64),
 	}
 	h.th = NewHeteroThinner(h.clock, HeteroConfig{Tau: tau})
 	h.th.Start = func(id RequestID) { h.starts = append(h.starts, id) }
@@ -33,7 +31,6 @@ func newHetHarness(tau time.Duration) *hetHarness {
 		h.done = append(h.done, id)
 		h.donePaid[id] = paid
 	}
-	h.th.Encourage = func(id RequestID) { h.encourage[id]++ }
 	return h
 }
 

@@ -48,10 +48,11 @@ func (c ProfilerConfig) withDefaults() ProfilerConfig {
 	return c
 }
 
-// Profiler is a detect-and-block front-end (paper §1 taxonomy, §8.1):
-// it rate-limits each client address to Slack times its learned
-// baseline and otherwise behaves like the no-defense pass-through.
-// Requests over the profile are blocked outright.
+// Profiler is the address profile of the §8.1 detect-and-block
+// baseline (paper §1 taxonomy): it rate-limits each client address to
+// Slack times its learned baseline, and requests over the profile are
+// blocked outright. A front runs it ahead of a PassThrough, so past the
+// profile the baseline behaves like the no-defense pass-through.
 //
 // Against primitive bots (which must send fast to be effective) this
 // works very well. Against "smart" bots that stay within the profile's
@@ -61,15 +62,8 @@ type Profiler struct {
 	clock Clock
 	cfg   ProfilerConfig
 
-	busy    bool
 	buckets map[Address]*profileBucket
-	stats   Stats
 	blocked uint64
-
-	// Admit delivers a request to the server.
-	Admit func(id RequestID)
-	// Drop rejects a request: profile violation or busy server.
-	Drop func(id RequestID)
 }
 
 type profileBucket struct {
@@ -79,7 +73,7 @@ type profileBucket struct {
 	blockedTill time.Duration // 0 = not blacklisted
 }
 
-// NewProfiler creates the §8.1 baseline front-end.
+// NewProfiler creates the §8.1 address profile.
 func NewProfiler(clock Clock, cfg ProfilerConfig) *Profiler {
 	if cfg.BaselineRate <= 0 {
 		panic("core: Profiler requires BaselineRate > 0")
@@ -91,18 +85,13 @@ func NewProfiler(clock Clock, cfg ProfilerConfig) *Profiler {
 	}
 }
 
-// Stats returns a copy of the activity counters.
-func (p *Profiler) Stats() Stats { return p.stats }
-
 // Blocked returns how many requests the profile rejected.
 func (p *Profiler) Blocked() uint64 { return p.blocked }
 
-// Busy reports whether the server is occupied.
-func (p *Profiler) Busy() bool { return p.busy }
-
-// allow charges one request against from's profile bucket; repeated
+// Allow charges one request against from's profile bucket and reports
+// whether it may proceed; a refusal counts toward Blocked. Repeated
 // violations blacklist the address (detection -> blocking).
-func (p *Profiler) allow(from Address) bool {
+func (p *Profiler) Allow(from Address) bool {
 	now := p.clock.Now()
 	b, ok := p.buckets[from]
 	if !ok {
@@ -111,6 +100,7 @@ func (p *Profiler) allow(from Address) bool {
 	}
 	if b.blockedTill > 0 {
 		if now < b.blockedTill {
+			p.blocked++
 			return false
 		}
 		b.blockedTill = 0
@@ -129,6 +119,7 @@ func (p *Profiler) allow(from Address) bool {
 		if b.violations >= p.cfg.BlacklistAfter {
 			b.blockedTill = now + p.cfg.BlacklistFor
 		}
+		p.blocked++
 		return false
 	}
 	b.tokens--
@@ -140,30 +131,3 @@ func (p *Profiler) Blacklisted(from Address) bool {
 	b, ok := p.buckets[from]
 	return ok && b.blockedTill > 0 && p.clock.Now() < b.blockedTill
 }
-
-// RequestArrived applies the profile, then the pass-through rule.
-func (p *Profiler) RequestArrived(id RequestID, from Address) {
-	if !p.allow(from) {
-		p.blocked++
-		if p.Drop != nil {
-			p.Drop(id)
-		}
-		return
-	}
-	if p.busy {
-		p.stats.Evicted++
-		if p.Drop != nil {
-			p.Drop(id)
-		}
-		return
-	}
-	p.busy = true
-	p.stats.Admitted++
-	p.stats.AdmittedDirect++
-	if p.Admit != nil {
-		p.Admit(id)
-	}
-}
-
-// ServerDone signals that the server finished a request.
-func (p *Profiler) ServerDone() { p.busy = false }

@@ -5,27 +5,23 @@ import (
 	"time"
 )
 
-func newProfiler(cfg ProfilerConfig) (*fakeClock, *Profiler, *[]RequestID, *[]RequestID) {
+func newProfiler(cfg ProfilerConfig) (*fakeClock, *Profiler) {
 	clock := &fakeClock{}
-	p := NewProfiler(clock, cfg)
-	var admitted, dropped []RequestID
-	p.Admit = func(id RequestID) { admitted = append(admitted, id) }
-	p.Drop = func(id RequestID) { dropped = append(dropped, id) }
-	return clock, p, &admitted, &dropped
+	return clock, NewProfiler(clock, cfg)
 }
 
 func TestProfilerAllowsBaselineRate(t *testing.T) {
-	clock, p, admitted, _ := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
+	clock, p := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
 	// One request every 500ms (the baseline) stays well within 3x slack.
-	var id RequestID
+	allowed := 0
 	for i := 0; i < 40; i++ {
-		id++
-		p.RequestArrived(id, 1)
-		p.ServerDone()
+		if p.Allow(1) {
+			allowed++
+		}
 		clock.Advance(500 * time.Millisecond)
 	}
-	if len(*admitted) != 40 {
-		t.Fatalf("baseline traffic blocked: admitted %d/40", len(*admitted))
+	if allowed != 40 {
+		t.Fatalf("baseline traffic blocked: allowed %d/40", allowed)
 	}
 	if p.Blocked() != 0 {
 		t.Fatalf("blocked = %d", p.Blocked())
@@ -33,76 +29,58 @@ func TestProfilerAllowsBaselineRate(t *testing.T) {
 }
 
 func TestProfilerBlocksFlooding(t *testing.T) {
-	clock, p, admitted, _ := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
+	clock, p := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
 	// 40 requests/second for 10 seconds: only ~6/s (plus burst) pass.
-	var id RequestID
+	passed := 0
 	for tick := 0; tick < 400; tick++ {
-		id++
-		p.RequestArrived(id, 7)
-		p.ServerDone()
+		if p.Allow(7) {
+			passed++
+		}
 		clock.Advance(25 * time.Millisecond)
 	}
-	passed := len(*admitted)
 	if passed > 70+10 { // 6/s * 10s + burst, generous slack
 		t.Fatalf("flood passed %d requests, want <= ~70", passed)
 	}
 	if p.Blocked() < 300 {
 		t.Fatalf("blocked only %d of a 400-request flood", p.Blocked())
 	}
+	if int(p.Blocked())+passed != 400 {
+		t.Fatalf("blocked %d + passed %d != 400: Blocked must count every refusal", p.Blocked(), passed)
+	}
 }
 
 func TestProfilerSmartBotFliesUnderRadar(t *testing.T) {
-	clock, p, admitted, _ := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
+	clock, p := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5})
 	// Exactly the allowed 6/s: never blocked — profiling can only
 	// limit, not block, a bot that mimics the profile (§8.1).
-	var id RequestID
+	allowed := 0
 	for i := 0; i < 120; i++ {
-		id++
-		p.RequestArrived(id, 9)
-		p.ServerDone()
+		if p.Allow(9) {
+			allowed++
+		}
 		clock.Advance(time.Second / 6)
 	}
 	if p.Blocked() > 2 {
 		t.Fatalf("smart bot blocked %d times", p.Blocked())
 	}
-	if len(*admitted) < 115 {
-		t.Fatalf("smart bot admitted only %d/120", len(*admitted))
+	if allowed < 115 {
+		t.Fatalf("smart bot allowed only %d/120", allowed)
 	}
 }
 
 func TestProfilerPerAddressIsolation(t *testing.T) {
-	clock, p, _, _ := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 2})
+	_, p := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 2})
 	// Address 1 floods and exhausts its bucket; address 2 must be
 	// unaffected.
-	var id RequestID
 	for i := 0; i < 20; i++ {
-		id++
-		p.RequestArrived(id, 1)
-		p.ServerDone()
+		p.Allow(1)
 	}
 	blockedBefore := p.Blocked()
 	if blockedBefore == 0 {
 		t.Fatal("flooder not blocked")
 	}
-	id++
-	p.RequestArrived(id, 2)
-	if p.Blocked() != blockedBefore {
+	if !p.Allow(2) || p.Blocked() != blockedBefore {
 		t.Fatal("well-behaved address punished for another's flood")
-	}
-	_ = clock
-}
-
-func TestProfilerBusyDropsLikePassThrough(t *testing.T) {
-	_, p, admitted, dropped := newProfiler(ProfilerConfig{BaselineRate: 100})
-	p.RequestArrived(1, 1)
-	p.RequestArrived(2, 2) // within profile, but server busy
-	if len(*admitted) != 1 || len(*dropped) != 1 {
-		t.Fatalf("admitted=%v dropped=%v", *admitted, *dropped)
-	}
-	p.ServerDone()
-	p.RequestArrived(3, 3)
-	if len(*admitted) != 2 {
-		t.Fatal("server-free admission failed")
 	}
 }
 
@@ -116,12 +94,9 @@ func TestProfilerValidation(t *testing.T) {
 }
 
 func TestProfilerBlacklistsFlooders(t *testing.T) {
-	clock, p, _, _ := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5, BlacklistAfter: 10})
-	var id RequestID
+	clock, p := newProfiler(ProfilerConfig{BaselineRate: 2, Slack: 3, Burst: 5, BlacklistAfter: 10})
 	for i := 0; i < 50; i++ {
-		id++
-		p.RequestArrived(id, 4)
-		p.ServerDone()
+		p.Allow(4)
 		clock.Advance(10 * time.Millisecond)
 	}
 	if !p.Blacklisted(4) {
@@ -130,31 +105,23 @@ func TestProfilerBlacklistsFlooders(t *testing.T) {
 	// Everything is now dropped, even at a polite rate.
 	blockedBefore := p.Blocked()
 	clock.Advance(time.Second)
-	id++
-	p.RequestArrived(id, 4)
-	if p.Blocked() != blockedBefore+1 {
+	if p.Allow(4) || p.Blocked() != blockedBefore+1 {
 		t.Fatal("blacklisted address got through")
 	}
 }
 
 func TestProfilerBlacklistExpires(t *testing.T) {
-	clock, p, admitted, _ := newProfiler(ProfilerConfig{
+	clock, p := newProfiler(ProfilerConfig{
 		BaselineRate: 2, Slack: 3, Burst: 5, BlacklistAfter: 5, BlacklistFor: 10 * time.Second,
 	})
-	var id RequestID
 	for i := 0; i < 30; i++ {
-		id++
-		p.RequestArrived(id, 8)
-		p.ServerDone()
+		p.Allow(8)
 	}
 	if !p.Blacklisted(8) {
 		t.Fatal("not blacklisted")
 	}
 	clock.Advance(11 * time.Second)
-	before := len(*admitted)
-	id++
-	p.RequestArrived(id, 8)
-	if len(*admitted) != before+1 {
+	if !p.Allow(8) {
 		t.Fatal("reformed address still blocked after expiry")
 	}
 }

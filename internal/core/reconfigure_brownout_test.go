@@ -59,8 +59,9 @@ func TestReconfigureDuringStallHoldsEvictions(t *testing.T) {
 	if got := h.th.Stats().Shed; got != 1 {
 		t.Fatalf("shed = %d, want 1", got)
 	}
-	if len(h.admitted) != 1 || len(h.encourage) != 1 {
-		t.Fatalf("mid-stall arrival reached the auction: admitted=%v encourage=%v", h.admitted, h.encourage)
+	if len(h.admitted) != 1 || h.th.Table().Eligible() != 1 || h.th.Table().Contains(3) {
+		t.Fatalf("mid-stall arrival reached the auction: admitted=%v contenders=%d",
+			h.admitted, h.th.Table().Eligible())
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"speakup/internal/metrics"
 )
 
 // TestReconfigureSweepCadence checks a live SweepInterval change
@@ -95,13 +93,12 @@ func TestReconfigureInactivityTimeout(t *testing.T) {
 }
 
 // TestThinnerFeedsRegistry drives the thinner over virtual time — the
-// simulator configuration — and checks the metrics registry tracks
-// Stats exactly.
+// simulator configuration — and checks its registry, the thinner's
+// only tally, against the events driven: one direct admission, one
+// auction, timeouts, one brownout and one shed arrival.
 func TestThinnerFeedsRegistry(t *testing.T) {
 	clock := &fakeClock{}
-	reg := &metrics.Registry{}
 	th := NewThinner(clock, Config{OrphanTimeout: time.Second, SweepInterval: time.Second})
-	th.Metrics = reg
 	defer th.Stop()
 
 	th.RequestArrived(1) // direct admission
@@ -111,22 +108,29 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 	th.RequestArrived(3)
 	th.ServerDone() // auction: 2 wins at 500
 	th.PaymentReceived(4, 50)
-	clock.Advance(5 * time.Second) // orphan 4 and idle 3 time out
+	clock.Advance(5 * time.Second) // orphan 4 times out
+	th.SetOriginStalled(true)
+	th.RequestArrived(5) // shed
 
-	snap := reg.Snapshot()
-	stats := th.Stats()
-	if snap.Admitted != stats.Admitted || snap.AdmittedDirect != stats.AdmittedDirect ||
-		snap.Auctions != stats.Auctions || snap.Evicted != stats.Evicted ||
-		snap.PaidBytes != stats.PaidBytes || snap.WastedBytes != stats.WastedBytes {
-		t.Fatalf("registry diverged from stats:\nsnap  %+v\nstats %+v", snap, stats)
+	snap := th.Registry().Snapshot()
+	if snap.Admitted != 2 || snap.AdmittedDirect != 1 || snap.Auctions != 1 ||
+		snap.Evicted != 1 || snap.PaidBytes != 500 || snap.WastedBytes != 50 ||
+		snap.Shed != 1 || snap.Brownouts != 1 || snap.Health != int32(HealthStalled) {
+		t.Fatalf("registry missed an event: %+v", snap)
 	}
 	if snap.GoingPrice != 500 || snap.LastWinner != 2 {
 		t.Fatalf("auction gauges wrong: price=%d winner=%d", snap.GoingPrice, snap.LastWinner)
 	}
-	if th.LastWinner() != 2 {
-		t.Fatalf("LastWinner = %d", th.LastWinner())
+	want := Stats{Admitted: 2, AdmittedDirect: 1, Auctions: 1, Evicted: 1, Shed: 1, Brownouts: 1,
+		WastedBytes: 50, PaidBytes: 500}
+	if got := th.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
-	if snap.Evicted == 0 {
-		t.Fatal("expected timeouts to feed the registry")
+	if th.GoingRate() != 500 || th.LastWinner() != 2 || th.Health() != HealthStalled {
+		t.Fatalf("getters diverged from the registry: rate=%d winner=%d health=%v",
+			th.GoingRate(), th.LastWinner(), th.Health())
+	}
+	if th.Registry().Latency().AuctionLatency.Count() != 1 {
+		t.Fatal("the auction's settle latency was not observed")
 	}
 }

@@ -2,13 +2,14 @@
 //
 // The thinner is the front-end the paper places before a protected
 // server (§3). It performs *encouragement* — causing clients to send
-// payment bytes when the server is overloaded — and *proportional
-// allocation* — admitting, each time the server frees up, the
-// contending request that has paid the most (the virtual auction of
-// §3.3). The package also implements the random-drop/aggressive-retry
-// variant of §3.2, the no-defense pass-through baseline used by the
-// paper's "OFF" experiments, and the heterogeneous-request quantum
-// scheduler of §5. Both auctions keep their payments in one book, the
+// payment bytes when the server is overloaded, which the transports
+// carry out on the policy's behalf — and *proportional allocation* —
+// admitting, each time the server frees up, the contending request
+// that has paid the most (the virtual auction of §3.3). The package
+// also implements the random-drop/aggressive-retry variant of §3.2,
+// the no-defense pass-through baseline used by the paper's "OFF"
+// experiments, the §8.1 address profile, and the heterogeneous-request
+// quantum scheduler of §5. Both auctions keep their payments in one book, the
 // BidTable.
 //
 // The policies are transport-independent: the same state machines
@@ -124,22 +125,28 @@ func (h HealthState) String() string {
 // Thinner is the virtual-auction front-end of §3.3.
 //
 // Wiring: the application layer calls RequestArrived, PaymentReceived,
-// and ServerDone; the thinner invokes the callbacks to act. Control
-// methods (RequestArrived, ServerDone, Stop, and the sweep timer) must
-// be called from one goroutine (or under one lock); PaymentReceived —
-// and crediting directly through the bid table's channels — is safe
-// from any goroutine, which is what lets the live front sink payment
-// bytes on every core while the auction stays single-threaded.
+// and ServerDone; the thinner invokes the callbacks to act. It does
+// not encourage clients itself: a transport reads Busy and tells the
+// client to pay (the live front's 402, the simulator's please reply).
+// Control methods (RequestArrived, ServerDone, Stop, and the sweep
+// timer) must be called from one goroutine (or under one lock);
+// PaymentReceived — and crediting directly through the bid table's
+// channels — is safe from any goroutine, which is what lets the live
+// front sink payment bytes on every core while the auction stays
+// single-threaded.
 type Thinner struct {
-	clock      Clock
-	cfg        Config
-	table      *BidTable
-	busy       bool
-	stats      Stats
-	goingRate  int64     // winning bid of the most recent auction
-	lastWinner RequestID // id of the most recent auction winner
+	clock Clock
+	cfg   Config
+	table *BidTable
+	busy  bool
 
-	health    HealthState
+	// reg is the thinner's only tally: admissions, evictions, bytes
+	// charged, the going rate, the last winner and the health ladder's
+	// state. Stats, GoingRate, LastWinner and Health read it; the live
+	// front's /telemetry and /metrics stream it without the control
+	// lock.
+	reg metrics.Registry
+
 	holdUntil time.Duration // HealthRecovering: evictions held until here
 	lastSweep time.Duration // when the sweep chain last ticked (liveness probe)
 
@@ -147,23 +154,15 @@ type Thinner struct {
 	sweepGen  uint64      // invalidates fired-but-unrun sweep timers on Reconfigure
 	sweepIDs  []RequestID // reused eviction buffer; sweep is single-goroutine
 
-	// Metrics, if non-nil, receives every admission and eviction for
-	// telemetry. Set it before traffic, from the thinner's control
-	// goroutine. Nil skips all recording.
-	Metrics *metrics.Registry
-
 	// Trace, if non-nil, receives sampled request-lifecycle events
-	// (arrive, auction rounds, settle). Set it like Metrics: before
-	// traffic, from the control goroutine. Nil — the default — skips
-	// everything, including the clock reads the hooks would need.
+	// (arrive, auction rounds, settle). Set it before traffic, from the
+	// control goroutine. Nil — the default — skips everything,
+	// including the clock reads the hooks would need.
 	Trace *trace.Tracer
 
 	// Admit delivers a request to the server; paid is the winning bid
 	// in bytes (0 when the server was free — no auction needed).
 	Admit func(id RequestID, paid int64)
-	// Encourage tells a client to start (or keep) paying; sent when a
-	// request arrives and the server is busy.
-	Encourage func(id RequestID)
 	// Evict terminates a payment channel: the client should stop
 	// sending. Called for auction winners (stop paying, you're in) and
 	// for timed-out channels. wasted is true for timeouts.
@@ -191,8 +190,25 @@ func NewThinner(clock Clock, cfg Config) *Thinner {
 // the live-status endpoints, and the live front's payment hot path).
 func (t *Thinner) Table() *BidTable { return t.table }
 
-// Stats returns a copy of the activity counters.
-func (t *Thinner) Stats() Stats { return t.stats }
+// Registry exposes the thinner's tally. Every counter and gauge is an
+// atomic, so it may be read from any goroutine; the live front streams
+// it on /telemetry and /metrics and its wire listener records into it.
+func (t *Thinner) Registry() *metrics.Registry { return &t.reg }
+
+// Stats returns the activity counters, read from the registry.
+func (t *Thinner) Stats() Stats {
+	s := t.reg.Snapshot()
+	return Stats{
+		Admitted:       s.Admitted,
+		AdmittedDirect: s.AdmittedDirect,
+		Auctions:       s.Auctions,
+		Evicted:        s.Evicted,
+		Shed:           s.Shed,
+		Brownouts:      s.Brownouts,
+		WastedBytes:    s.WastedBytes,
+		PaidBytes:      s.PaidBytes,
+	}
+}
 
 // Busy reports whether the server is occupied.
 func (t *Thinner) Busy() bool { return t.busy }
@@ -200,11 +216,11 @@ func (t *Thinner) Busy() bool { return t.busy }
 // GoingRate returns the price of the most recent auction in bytes
 // (§3.3: "the going rate for access is the winning bid from the most
 // recent auction"). It is 0 before any auction.
-func (t *Thinner) GoingRate() int64 { return t.goingRate }
+func (t *Thinner) GoingRate() int64 { return t.reg.GoingPrice() }
 
 // LastWinner returns the id of the most recent auction winner (0
-// before any auction), read like GoingRate from the control path.
-func (t *Thinner) LastWinner() RequestID { return t.lastWinner }
+// before any auction).
+func (t *Thinner) LastWinner() RequestID { return RequestID(t.reg.LastWinner()) }
 
 // Config returns the thinner's effective configuration (defaults
 // applied, later Reconfigure calls included).
@@ -261,10 +277,10 @@ func (t *Thinner) Stop() {
 	}
 }
 
-// Health returns the origin-health brownout state. Read it, like the
-// other control-path accessors, from the control goroutine (or under
-// the control lock).
-func (t *Thinner) Health() HealthState { return t.health }
+// Health returns the origin-health brownout state. It only moves on the
+// control path, so a reader that must act on it consistently (shed an
+// arrival, refuse a reconfiguration) reads it under the control lock.
+func (t *Thinner) Health() HealthState { return HealthState(t.reg.Health()) }
 
 // LastSweepAge returns how long ago the timeout sweeper last ticked —
 // the /healthz liveness signal for the sweep chain.
@@ -278,24 +294,17 @@ func (t *Thinner) LastSweepAge() time.Duration { return t.clock.Now() - t.lastSw
 // Call it from the control path, like RequestArrived.
 func (t *Thinner) SetOriginStalled(stalled bool) {
 	if stalled {
-		if t.health == HealthStalled {
+		if t.Health() == HealthStalled {
 			return
 		}
-		t.health = HealthStalled
-		t.stats.Brownouts++
-		if t.Metrics != nil {
-			t.Metrics.RecordBrownout(int32(HealthStalled))
-		}
+		t.reg.RecordBrownout(int32(HealthStalled))
 		return
 	}
-	if t.health != HealthStalled {
+	if t.Health() != HealthStalled {
 		return
 	}
-	t.health = HealthRecovering
+	t.reg.RecordHealth(int32(HealthRecovering))
 	t.holdUntil = t.clock.Now() + t.cfg.OrphanTimeout
-	if t.Metrics != nil {
-		t.Metrics.RecordHealth(int32(HealthRecovering))
-	}
 	if !t.busy {
 		// The auction the brownout deferred: contenders kept paying
 		// into the held table; settle the backlog now.
@@ -307,10 +316,7 @@ func (t *Thinner) SetOriginStalled(stalled bool) {
 // front calls it directly (it answers the HTTP side itself);
 // RequestArrived uses it for the simulator path.
 func (t *Thinner) ShedArrival(id RequestID) {
-	t.stats.Shed++
-	if t.Metrics != nil {
-		t.Metrics.RecordShed(uint64(id))
-	}
+	t.reg.RecordShed(uint64(id))
 	if t.Trace != nil {
 		t.Trace.OnShed(uint64(id), t.clock.Now())
 	}
@@ -318,11 +324,11 @@ func (t *Thinner) ShedArrival(id RequestID) {
 
 // RequestArrived processes a client request message. If the server is
 // free it is admitted immediately; otherwise the client becomes an
-// eligible contender and is encouraged to pay. During an origin
-// brownout the request is shed instead: stranding it as a waiter
-// would just grow a queue the origin cannot drain.
+// eligible contender whose payments count toward the next auction.
+// During an origin brownout the request is shed instead: stranding it
+// as a waiter would just grow a queue the origin cannot drain.
 func (t *Thinner) RequestArrived(id RequestID) {
-	if t.health == HealthStalled {
+	if t.Health() == HealthStalled {
 		t.ShedArrival(id)
 		if t.Shed != nil {
 			t.Shed(id)
@@ -336,12 +342,7 @@ func (t *Thinner) RequestArrived(id RequestID) {
 		t.busy = true
 		// Any pre-paid bytes count as its price.
 		paid := t.table.Remove(id, ChanAdmitted)
-		t.stats.Admitted++
-		t.stats.AdmittedDirect++
-		t.stats.PaidBytes += paid
-		if t.Metrics != nil {
-			t.Metrics.RecordAdmit(uint64(id), paid, false)
-		}
+		t.reg.RecordAdmit(uint64(id), paid, false)
 		if t.Trace != nil {
 			t.Trace.OnAdmit(uint64(id), paid, t.clock.Now(), false)
 		}
@@ -351,9 +352,6 @@ func (t *Thinner) RequestArrived(id RequestID) {
 		return
 	}
 	t.table.MarkEligible(id, t.clock.Now())
-	if t.Encourage != nil {
-		t.Encourage(id)
-	}
 }
 
 // PaymentReceived credits bytes to id. Payment may arrive before the
@@ -372,34 +370,24 @@ func (t *Thinner) PaymentReceived(id RequestID, bytes int64) {
 // and the settle runs when SetOriginStalled(false) reopens the floor.
 func (t *Thinner) ServerDone() {
 	t.busy = false
-	if t.health == HealthStalled {
+	if t.Health() == HealthStalled {
 		return
 	}
 	t.auctionNext()
 }
 
 func (t *Thinner) auctionNext() {
-	var start time.Duration
-	if t.Metrics != nil {
-		start = t.clock.Now()
-	}
+	start := t.clock.Now()
 	id, _, ok := t.table.Winner()
 	if !ok {
 		return // no contenders; server idles until the next request
 	}
-	t.stats.Auctions++
 	// Remove's balance is the authoritative price: in live mode,
 	// payment chunks may land between the scan and the settle. (In the
 	// single-threaded simulator the two are always equal.)
 	paid := t.table.Remove(id, ChanAdmitted)
 	t.busy = true
-	t.goingRate = paid
-	t.lastWinner = id
-	t.stats.Admitted++
-	t.stats.PaidBytes += paid
-	if t.Metrics != nil {
-		t.Metrics.RecordAdmit(uint64(id), paid, true)
-	}
+	t.reg.RecordAdmit(uint64(id), paid, true)
 	if t.Trace != nil {
 		now := t.clock.Now()
 		t.Trace.OnAuction(uint64(id), now) // losers accrue a lost round
@@ -411,11 +399,9 @@ func (t *Thinner) auctionNext() {
 	if t.Admit != nil {
 		t.Admit(id, paid)
 	}
-	if t.Metrics != nil {
-		// Full settle cost: winner selection through the callbacks that
-		// release the admitted waiter.
-		t.Metrics.Latency().AuctionLatency.Observe(t.clock.Now() - start)
-	}
+	// Full settle cost: winner selection through the callbacks that
+	// release the admitted waiter.
+	t.reg.Latency().AuctionLatency.Observe(t.clock.Now() - start)
 }
 
 func (t *Thinner) scheduleSweep() {
@@ -440,7 +426,7 @@ func (t *Thinner) scheduleSweep() {
 func (t *Thinner) sweep() {
 	now := t.clock.Now()
 	t.lastSweep = now
-	switch t.health {
+	switch t.Health() {
 	case HealthStalled:
 		// Hold everything: the outage is the origin's fault, not the
 		// contenders'. Balances and waiters survive untouched.
@@ -449,10 +435,7 @@ func (t *Thinner) sweep() {
 		if now < t.holdUntil {
 			return // grace window: let payment streams re-establish
 		}
-		t.health = HealthOK
-		if t.Metrics != nil {
-			t.Metrics.RecordHealth(int32(HealthOK))
-		}
+		t.reg.RecordHealth(int32(HealthOK))
 	}
 	ids := t.sweepIDs[:0]
 	ids = t.table.DueOrphans(ids, now-t.cfg.OrphanTimeout)
@@ -462,11 +445,7 @@ func (t *Thinner) sweep() {
 	slices.Sort(ids[n:])
 	for _, id := range ids {
 		paid := t.table.Remove(id, ChanEvicted)
-		t.stats.Evicted++
-		t.stats.WastedBytes += paid
-		if t.Metrics != nil {
-			t.Metrics.RecordEvict(uint64(id), paid)
-		}
+		t.reg.RecordEvict(uint64(id), paid)
 		if t.Trace != nil {
 			t.Trace.OnEvict(uint64(id), paid, now)
 		}

@@ -7,13 +7,12 @@ import (
 
 // harness records thinner callback activity.
 type harness struct {
-	clock     *fakeClock
-	th        *Thinner
-	admitted  []RequestID
-	prices    []int64
-	encourage []RequestID
-	evicted   []RequestID
-	wasted    map[RequestID]int64
+	clock    *fakeClock
+	th       *Thinner
+	admitted []RequestID
+	prices   []int64
+	evicted  []RequestID
+	wasted   map[RequestID]int64
 }
 
 func newHarness(cfg Config) *harness {
@@ -23,7 +22,6 @@ func newHarness(cfg Config) *harness {
 		h.admitted = append(h.admitted, id)
 		h.prices = append(h.prices, paid)
 	}
-	h.th.Encourage = func(id RequestID) { h.encourage = append(h.encourage, id) }
 	h.th.Evict = func(id RequestID, paid int64, wasted bool) {
 		if wasted {
 			h.evicted = append(h.evicted, id)
@@ -39,8 +37,8 @@ func TestThinnerFreeServerAdmitsImmediately(t *testing.T) {
 	if len(h.admitted) != 1 || h.admitted[0] != 1 {
 		t.Fatalf("admitted = %v, want [1]", h.admitted)
 	}
-	if len(h.encourage) != 0 {
-		t.Fatal("free server must not encourage")
+	if h.th.Table().Eligible() != 0 {
+		t.Fatal("free server must not leave a contender to encourage")
 	}
 	if !h.th.Busy() {
 		t.Fatal("thinner must be busy after admit")
@@ -57,11 +55,8 @@ func TestThinnerBusyServerEncourages(t *testing.T) {
 	if len(h.admitted) != 1 {
 		t.Fatalf("admitted = %v, want only [1]", h.admitted)
 	}
-	if len(h.encourage) != 1 || h.encourage[0] != 2 {
-		t.Fatalf("encourage = %v, want [2]", h.encourage)
-	}
-	if h.th.Table().Eligible() != 1 {
-		t.Fatal("request 2 must be an eligible contender")
+	if h.th.Table().Eligible() != 1 || !h.th.Table().Contains(2) {
+		t.Fatal("request 2 must be the one eligible contender")
 	}
 }
 

@@ -27,4 +27,17 @@ const (
 	// ArriveShed: origin brownout — auctions are paused and the
 	// arrival is refused with a retry hint (HTTP 503 + Retry-After).
 	ArriveShed
+	// ArriveBusy: an initial (not yet paying) request found the origin
+	// occupied, so nothing was registered; the client should open a
+	// payment channel and re-issue (HTTP 402 + Speakup-Action: pay).
+	ArriveBusy
+)
+
+// The refusal messages every transport sends with a verdict — HTTP as
+// the error body, the wire front as the frame payload — declared once
+// so the two cannot drift.
+const (
+	EvictedMsg   = "evicted: payment channel timed out"
+	DuplicateMsg = "duplicate request id: a request with this id is already waiting"
+	ShedMsg      = "origin brownout: auctions paused, retry shortly"
 )

@@ -2,11 +2,10 @@ package metrics
 
 import "sync/atomic"
 
-// Registry accumulates thinner activity for telemetry. Both thinner
-// stacks feed the same registry type: the simulator's virtual-time
-// thinner and the live HTTP front attach one to core.Thinner (nil —
-// the default — costs nothing), and the live front's /telemetry
-// endpoint streams Snapshot lines from it.
+// Registry accumulates thinner activity for telemetry. It is the §3.3
+// thinner's only tally: every core.Thinner owns one — the simulator's
+// virtual-time thinner and the live front's alike — and the live
+// front's /stats, /telemetry and /metrics endpoints all read it.
 //
 // All fields are atomics: the recording side runs on the thinner's
 // control path while snapshots are taken from arbitrary telemetry
@@ -42,6 +41,17 @@ type Registry struct {
 // thinner core observes auction latency here; the trace layer
 // (internal/trace) feeds the sampled wait/credit-gap/evict ones.
 func (r *Registry) Latency() *LatencyHists { return &r.lat }
+
+// GoingPrice returns the winning bid of the most recent auction (0
+// before any auction).
+func (r *Registry) GoingPrice() int64 { return r.goingPrice.Load() }
+
+// LastWinner returns the id of the most recent auction winner (0
+// before any auction).
+func (r *Registry) LastWinner() uint64 { return r.lastWinner.Load() }
+
+// Health returns the health gauge (core.HealthState numbering).
+func (r *Registry) Health() int32 { return r.health.Load() }
 
 // RecordAdmit counts one admission. paid is the winning bid in bytes;
 // auctioned distinguishes auction wins from direct admissions to a

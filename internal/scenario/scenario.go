@@ -646,18 +646,7 @@ func Run(cfg Config) *Result {
 	if offeredGood > 0 {
 		res.FractionGoodServed = float64(res.ServedGood) / float64(offeredGood)
 	}
-	switch cfg.Mode {
-	case appsim.ModeAuction:
-		res.ThinnerStats = thApp.Auction().Stats()
-	case appsim.ModeOff:
-		res.ThinnerStats = thApp.Off().Stats()
-	case appsim.ModeHetero:
-		res.ThinnerStats = thApp.Hetero().Stats()
-	case appsim.ModeRandomDrop:
-		res.ThinnerStats = thApp.RandomDrop().Stats()
-	case appsim.ModeProfiling:
-		res.ThinnerStats = thApp.Profiler().Stats()
-	}
+	res.ThinnerStats = thApp.Stats()
 	res.ServerStats = srv.Stats()
 	if bystander != nil {
 		res.BystanderLatencies = &bystander.Latencies

@@ -2,7 +2,10 @@ package web
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +16,7 @@ import (
 	"time"
 
 	"speakup/internal/core"
+	"speakup/internal/metrics"
 	"speakup/internal/trace"
 )
 
@@ -329,5 +333,200 @@ func TestStatsObservabilityFields(t *testing.T) {
 	}
 	if st.GOMAXPROCS < 1 {
 		t.Errorf("gomaxprocs = %d, want >= 1", st.GOMAXPROCS)
+	}
+}
+
+// TestStatsTelemetryMetricsAgree drives one auction win, one eviction
+// and one shed during an origin stall, then checks that the three
+// read-outs of the thinner's registry — /stats, a /telemetry line and
+// /metrics — agree field for field once the front is quiet. It also
+// pins the key sets of /stats (with its nested thinner object) and
+// /telemetry.
+func TestStatsTelemetryMetricsAgree(t *testing.T) {
+	gate := make(chan struct{})
+	origin := OriginFunc(func(id core.RequestID) ([]byte, error) {
+		if id == 1 {
+			<-gate // the stalled call
+		}
+		return []byte(fmt.Sprintf("served %d", id)), nil
+	})
+	front := NewFront(origin, Config{
+		PayPollInterval:  5 * time.Millisecond,
+		OriginStallAfter: 300 * time.Millisecond,
+		Thinner: core.Config{
+			OrphanTimeout: 100 * time.Millisecond,
+			SweepInterval: 20 * time.Millisecond,
+		},
+	})
+	srv := httptest.NewServer(front)
+	t.Cleanup(func() {
+		srv.Close()
+		front.Close()
+	})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, front.Snapshot())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	pay := func(id, n int) {
+		t.Helper()
+		resp, err := http.Post(fmt.Sprintf("%s/pay?id=%d", srv.URL, id),
+			"application/octet-stream", strings.NewReader(strings.Repeat("x", n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	// One eviction: an orphan channel whose request never arrives.
+	pay(3, 500)
+	waitFor("the orphan eviction", func() bool { return front.Snapshot().ThinnerTotals.Evicted == 1 })
+
+	// A direct admission into the origin call that will stall, and a
+	// contender that pays while it runs.
+	codes := make(chan int, 2)
+	go func() { code, _, _ := tryGet(srv.URL + "/request?id=1"); codes <- code }()
+	waitFor("the direct admission", func() bool { return front.Snapshot().ThinnerTotals.Admitted == 1 })
+	if code, _ := get(t, srv.URL+"/request?id=2"); code != http.StatusPaymentRequired {
+		t.Fatalf("busy origin answered %d, want 402", code)
+	}
+	go func() { code, _, _ := tryGet(srv.URL + "/request?id=2&wait=1"); codes <- code }()
+	waitFor("the contender", func() bool { return front.Snapshot().Contenders == 1 })
+	pay(2, 1000)
+
+	// One shed arrival during the stall.
+	waitFor("the stall", func() bool { return front.Health().Origin == "stalled" })
+	code, body := get(t, srv.URL+"/request?id=4")
+	if code != http.StatusServiceUnavailable || strings.TrimSpace(body) != core.ShedMsg {
+		t.Fatalf("stalled arrival: %d %q, want 503 %q", code, body, core.ShedMsg)
+	}
+
+	// Thaw: id 1 is served, the deferred auction admits id 2 at its
+	// 1000-byte bid, and the ladder returns to ok after its grace.
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if c := <-codes; c != http.StatusOK {
+			t.Fatalf("held request answered %d, want 200", c)
+		}
+	}
+	waitFor("quiesce", func() bool {
+		s := front.Snapshot()
+		return s.Served == 2 && s.Health == "ok"
+	})
+
+	// /stats, with its key sets pinned.
+	_, statsBody := get(t, srv.URL+"/stats")
+	var statsKeys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(statsBody), &statsKeys); err != nil {
+		t.Fatalf("bad /stats JSON: %v", err)
+	}
+	var thinnerKeys map[string]json.RawMessage
+	if err := json.Unmarshal(statsKeys["thinner"], &thinnerKeys); err != nil {
+		t.Fatalf("bad /stats thinner object: %v", err)
+	}
+	assertKeys(t, "/stats", statsKeys, "uptime", "uptime_seconds", "gomaxprocs", "served",
+		"payment_bytes", "payment_mbps", "going_rate_bytes", "last_winner_id", "contenders",
+		"open_channels", "shards", "health", "config_hash", "wire_conns", "wire_frames",
+		"wire_ingest_bytes", "thinner")
+	assertKeys(t, "/stats thinner", thinnerKeys, "Admitted", "AdmittedDirect", "Auctions",
+		"Evicted", "Shed", "Brownouts", "WastedBytes", "PaidBytes")
+	var st Stats
+	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
+		t.Fatal(err)
+	}
+
+	// One /telemetry line, with its key set pinned.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/telemetry", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+	cancel()
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading /telemetry: %v", err)
+	}
+	var telKeys map[string]json.RawMessage
+	if err := json.Unmarshal(line, &telKeys); err != nil {
+		t.Fatalf("bad /telemetry line %q: %v", line, err)
+	}
+	assertKeys(t, "/telemetry", telKeys, "uptime_ms", "admitted", "admitted_direct", "auctions",
+		"evicted", "paid_bytes", "wasted_bytes", "going_price_bytes", "last_winner_id", "shed",
+		"brownouts", "health", "ingest_bytes", "ingest_mbps", "open_channels", "contenders",
+		"wire_conns", "wire_frames", "wire_ingest_bytes")
+	var tel metrics.Snapshot
+	if err := json.Unmarshal(line, &tel); err != nil {
+		t.Fatal(err)
+	}
+
+	// /metrics.
+	_, metricsBody := get(t, srv.URL+"/metrics")
+	_, _, samples := parseProm(t, metricsBody)
+	prom := map[string]float64{}
+	for _, s := range samples {
+		prom[s.name] = s.value
+	}
+
+	tot := st.ThinnerTotals
+	want := core.Stats{Admitted: 2, AdmittedDirect: 1, Auctions: 1, Evicted: 1, Shed: 1,
+		Brownouts: 1, WastedBytes: 500, PaidBytes: 1000}
+	if tot != want {
+		t.Fatalf("/stats thinner = %+v, want %+v", tot, want)
+	}
+	if st.GoingRate != 1000 || st.LastWinner != 2 || st.Health != "ok" {
+		t.Fatalf("/stats auction observables: going=%d winner=%d health=%q",
+			st.GoingRate, st.LastWinner, st.Health)
+	}
+	for _, c := range []struct {
+		name            string
+		stats, tel, met float64
+	}{
+		{"admitted", float64(tot.Admitted), float64(tel.Admitted), prom["speakup_admitted_total"]},
+		{"admitted_direct", float64(tot.AdmittedDirect), float64(tel.AdmittedDirect), prom["speakup_admitted_direct_total"]},
+		{"auctions", float64(tot.Auctions), float64(tel.Auctions), prom["speakup_auctions_total"]},
+		{"evicted", float64(tot.Evicted), float64(tel.Evicted), prom["speakup_evicted_total"]},
+		{"shed", float64(tot.Shed), float64(tel.Shed), prom["speakup_shed_total"]},
+		{"brownouts", float64(tot.Brownouts), float64(tel.Brownouts), prom["speakup_brownouts_total"]},
+		{"paid_bytes", float64(tot.PaidBytes), float64(tel.PaidBytes), prom["speakup_paid_bytes_total"]},
+		{"wasted_bytes", float64(tot.WastedBytes), float64(tel.WastedBytes), prom["speakup_wasted_bytes_total"]},
+		{"going_price", float64(st.GoingRate), float64(tel.GoingPrice), prom["speakup_going_price_bytes"]},
+		{"last_winner", float64(st.LastWinner), float64(tel.LastWinner), prom["speakup_last_winner_id"]},
+		{"health", float64(core.HealthOK), float64(tel.Health), prom["speakup_health"]},
+		{"ingest_bytes", float64(st.PaymentBytes), float64(tel.IngestBytes), prom["speakup_ingest_bytes_total"]},
+		{"open_channels", float64(st.OpenChannels), float64(tel.OpenChannels), prom["speakup_open_channels"]},
+		{"contenders", float64(st.Contenders), float64(tel.Contenders), prom["speakup_contenders"]},
+		{"wire_conns", float64(st.WireConns), float64(tel.WireConns), prom["speakup_wire_conns"]},
+		{"wire_frames", float64(st.WireFrames), float64(tel.WireFrames), prom["speakup_wire_frames_total"]},
+		{"wire_ingest_bytes", float64(st.WireIngestBytes), float64(tel.WireIngestBytes), prom["speakup_wire_ingest_bytes_total"]},
+	} {
+		if c.stats != c.tel || c.stats != c.met {
+			t.Errorf("%s disagrees: /stats %v, /telemetry %v, /metrics %v", c.name, c.stats, c.tel, c.met)
+		}
+	}
+	if st.PaymentBytes != 1500 {
+		t.Errorf("payment_bytes = %d, want 1500", st.PaymentBytes)
+	}
+}
+
+// assertKeys fails unless obj has exactly the keys want.
+func assertKeys(t *testing.T, what string, obj map[string]json.RawMessage, want ...string) {
+	t.Helper()
+	got := make([]string, 0, len(obj))
+	for k := range obj {
+		got = append(got, k)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("%s keys = %v, want %v", what, got, want)
 	}
 }

@@ -165,10 +165,6 @@ type Front struct {
 	th    *core.Thinner
 	table *core.BidTable
 
-	// reg receives every admission and eviction from the thinner core;
-	// /telemetry streams snapshots of it without taking ctl.
-	reg metrics.Registry
-
 	// tracer is the sampled request-lifecycle tracer (nil when
 	// disabled; every hook tolerates that). It is shared by the HTTP
 	// handlers, the thinner core, and any wire listener attached via
@@ -199,17 +195,17 @@ func NewFront(origin Origin, cfg Config) *Front {
 	// Construct and wire the thinner under ctl: its sweep timer runs
 	// callbacks under the same mutex, so holding it here makes the
 	// constructor's writes (timer handle, callbacks) visible to the
-	// first sweep no matter how soon it fires.
-	tc := f.cfg.Trace
-	tc.Hists = f.reg.Latency()
-	f.tracer = trace.New(tc)
+	// first sweep no matter how soon it fires. The tracer records its
+	// histograms into the thinner's registry, so it is built second.
 	clock := &ctlClock{epoch: f.started, mu: &f.ctl}
 	f.ctl.Lock()
 	f.th = core.NewThinner(clock, f.cfg.Thinner)
 	f.table = f.th.Table()
 	f.th.Admit = f.admit
 	f.th.Evict = f.evict
-	f.th.Metrics = &f.reg
+	tc := f.cfg.Trace
+	tc.Hists = f.th.Registry().Latency()
+	f.tracer = trace.New(tc)
 	f.th.Trace = f.tracer
 	f.ctl.Unlock()
 	return f
@@ -312,6 +308,14 @@ func (f *Front) evict(id core.RequestID, paid int64, wasted bool) {
 // to the thinner. The HTTP wait path and the wire front's OPEN both
 // land here, so the 503/409/held semantics cannot drift apart.
 func (f *Front) Arrive(id core.RequestID, w any) core.ArriveVerdict {
+	return f.arrive(id, w, false)
+}
+
+// arrive is Arrive with the HTTP initial leg folded in: an initial
+// request that finds the origin occupied gets ArriveBusy (the 402
+// "pay" reply) after the brownout check and before anything is
+// registered.
+func (f *Front) arrive(id core.RequestID, w any, initial bool) core.ArriveVerdict {
 	f.ctl.Lock()
 	defer f.ctl.Unlock()
 	if f.th.Health() == core.HealthStalled {
@@ -320,6 +324,9 @@ func (f *Front) Arrive(id core.RequestID, w any) core.ArriveVerdict {
 		// Contenders already holding channels keep their balances.
 		f.th.ShedArrival(id)
 		return core.ArriveShed
+	}
+	if initial && f.th.Busy() {
+		return core.ArriveBusy
 	}
 	if !f.table.SetWaiter(id, w) {
 		// A request with this id is already held. Overwriting would
@@ -344,9 +351,10 @@ func (f *Front) ReleaseWaiter(id core.RequestID, w any) {
 	f.table.DropWaiter(id, w)
 }
 
-// Registry exposes the front's telemetry registry so additional
-// transports record into the same /telemetry stream.
-func (f *Front) Registry() *metrics.Registry { return &f.reg }
+// Registry exposes the thinner's registry — the one tally /stats,
+// /telemetry and /metrics read — so additional transports record into
+// the same stream.
+func (f *Front) Registry() *metrics.Registry { return f.th.Registry() }
 
 // Tracer exposes the front's request-lifecycle tracer (nil when
 // tracing is disabled) so additional transports — the wire listener —
@@ -395,53 +403,27 @@ func (f *Front) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	wait := r.URL.Query().Get("wait") != ""
-
 	ch := make(chan []byte, 1)
-	var verdict core.ArriveVerdict
-	if wait {
-		verdict = f.Arrive(id, ch)
-	} else {
-		// The initial (non-waiting) request additionally probes whether
-		// the origin is busy — the 402 leg Arrive has no analog for —
-		// under the same lock, between the brownout check and the
-		// waiter registration.
-		f.ctl.Lock()
-		switch {
-		case f.th.Health() == core.HealthStalled:
-			f.th.ShedArrival(id)
-			verdict = core.ArriveShed
-		case f.th.Busy():
-			f.ctl.Unlock()
-			// The "JavaScript" reply: open a payment channel and re-issue.
-			w.Header().Set("Speakup-Action", "pay")
-			w.WriteHeader(http.StatusPaymentRequired)
-			fmt.Fprintln(w, "server busy: stream dummy bytes to /pay and re-issue with &wait=1")
-			return
-		case !f.table.SetWaiter(id, ch):
-			f.tracer.OnDuplicate(uint64(id), f.now())
-			verdict = core.ArriveDuplicate
-		default:
-			f.th.RequestArrived(id)
-			verdict = core.ArriveOK
-		}
-		f.ctl.Unlock()
-	}
-	switch verdict {
+	switch f.arrive(id, ch, r.URL.Query().Get("wait") == "") {
+	case core.ArriveBusy:
+		// The "JavaScript" reply: open a payment channel and re-issue.
+		w.Header().Set("Speakup-Action", "pay")
+		w.WriteHeader(http.StatusPaymentRequired)
+		fmt.Fprintln(w, "server busy: stream dummy bytes to /pay and re-issue with &wait=1")
+		return
 	case core.ArriveShed:
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, "origin brownout: auctions paused, retry shortly", http.StatusServiceUnavailable)
+		http.Error(w, core.ShedMsg, http.StatusServiceUnavailable)
 		return
 	case core.ArriveDuplicate:
-		http.Error(w, "duplicate request id: a request with this id is already waiting",
-			http.StatusConflict)
+		http.Error(w, core.DuplicateMsg, http.StatusConflict)
 		return
 	}
 
 	select {
 	case body := <-ch:
 		if body == nil {
-			http.Error(w, "evicted: payment channel timed out", http.StatusServiceUnavailable)
+			http.Error(w, core.EvictedMsg, http.StatusServiceUnavailable)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -594,7 +576,7 @@ func (f *Front) Snapshot() Stats {
 	cfgHash := config.HashThinner(config.ThinnerFromCore(f.th.Config()))
 	f.ctl.Unlock()
 	pay := f.table.TotalCredited()
-	snap := f.reg.Snapshot()
+	snap := f.Registry().Snapshot()
 	return Stats{
 		Uptime:          up.Truncate(time.Millisecond).String(),
 		UptimeSeconds:   up.Seconds(),
@@ -627,7 +609,7 @@ func (f *Front) handleStats(w http.ResponseWriter) {
 // never takes the control mutex.
 func (f *Front) handleMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := f.reg.WritePrometheus(w); err != nil {
+	if err := f.Registry().WritePrometheus(w); err != nil {
 		return
 	}
 	up := time.Since(f.started)
@@ -809,7 +791,7 @@ func (f *Front) handleControlConfig(w http.ResponseWriter, r *http.Request) {
 // never takes the control mutex, so streaming cannot contend with
 // auctions.
 func (f *Front) Telemetry() metrics.Snapshot {
-	s := f.reg.Snapshot()
+	s := f.Registry().Snapshot()
 	up := time.Since(f.started)
 	s.UptimeMS = up.Milliseconds()
 	s.IngestBytes = f.table.TotalCredited()

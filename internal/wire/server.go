@@ -38,25 +38,18 @@ type ServerConfig struct {
 	// the front's own tracer (web.Front.Tracer) so an id paying over
 	// both transports lands in one co-sampled lifecycle record.
 	Tracer *trace.Tracer
-	// ReadBuf is the per-connection read-buffer size. One socket Read
-	// into it drains many frames through the decoder. Default 256 KB.
-	ReadBuf int
-	// EventQueue bounds the per-connection server→client event queue.
-	// A client that stops draining events overflows it and is
-	// disconnected (events may be delivered from the thinner's control
-	// path, which must never block on a slow client). Default 256.
-	EventQueue int
 }
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.ReadBuf == 0 {
-		c.ReadBuf = 256 << 10
-	}
-	if c.EventQueue == 0 {
-		c.EventQueue = 256
-	}
-	return c
-}
+const (
+	// readBuf is the per-connection read-buffer size. One socket Read
+	// into it drains many frames through the decoder.
+	readBuf = 256 << 10
+	// eventQueue bounds the per-connection server→client event queue.
+	// A client that stops draining events overflows it and is
+	// disconnected (events may be delivered from the thinner's control
+	// path, which must never block on a slow client).
+	eventQueue = 256
+)
 
 // Server accepts wire-protocol connections and drives a Backend.
 type Server struct {
@@ -73,7 +66,7 @@ type Server struct {
 func NewServer(be Backend, cfg ServerConfig) *Server {
 	return &Server{
 		be:    be,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		conns: make(map[*conn]struct{}),
 		lns:   make(map[net.Listener]struct{}),
 	}
@@ -185,7 +178,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:    s,
 		nc:     nc,
-		out:    make(chan event, s.cfg.EventQueue),
+		out:    make(chan event, eventQueue),
 		closed: make(chan struct{}),
 		chans:  make(map[uint64]*connChan),
 	}
@@ -210,11 +203,12 @@ func (c *conn) send(op byte, ch uint64, payload []byte) {
 	}
 }
 
-// Canonical event payloads, mirroring the HTTP front's error bodies.
+// Canonical event payloads: the verdict messages the HTTP front sends
+// as its error bodies.
 var (
-	evictBody  = []byte("evicted: payment channel timed out")
-	rejectBody = []byte("duplicate request id: a request with this id is already waiting")
-	shedBody   = []byte("origin brownout: auctions paused, retry shortly")
+	evictBody  = []byte(core.EvictedMsg)
+	rejectBody = []byte(core.DuplicateMsg)
+	shedBody   = []byte(core.ShedMsg)
 )
 
 // connWaiter adapts a conn to core.Waiter for one channel id. Deliver
@@ -244,7 +238,7 @@ func (c *conn) serve() {
 	}
 	go c.writeLoop()
 
-	buf := make([]byte, c.srv.cfg.ReadBuf)
+	buf := make([]byte, readBuf)
 	dec := &Decoder{}
 	var lastFrames uint64
 	for {

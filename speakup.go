@@ -193,7 +193,10 @@ type (
 	RandomDropConfig = core.RandomDropConfig
 	// PassThrough is the no-defense baseline front-end.
 	PassThrough = core.PassThrough
-	// Profiler is the §8.1 detect-and-block baseline front-end.
+	// Profiler is the §8.1 address profile: per-address rate limits
+	// that run ahead of a PassThrough (Allow, then RequestArrived), so
+	// the detect-and-block baseline is the profile plus the no-defense
+	// pass-through.
 	Profiler = core.Profiler
 	// ProfilerConfig tunes a Profiler.
 	ProfilerConfig = core.ProfilerConfig
@@ -236,7 +239,8 @@ func NewRandomDrop(clock Clock, cfg RandomDropConfig) *RandomDrop {
 // NewPassThrough creates the no-defense baseline front-end.
 func NewPassThrough() *PassThrough { return core.NewPassThrough() }
 
-// NewProfiler creates the §8.1 detect-and-block baseline on a clock.
+// NewProfiler creates the §8.1 address profile on a clock; run it
+// ahead of a PassThrough.
 func NewProfiler(clock Clock, cfg ProfilerConfig) *Profiler { return core.NewProfiler(clock, cfg) }
 
 // NewBidTable creates a concurrent payment table with the given shard
