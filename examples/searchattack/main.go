@@ -41,18 +41,19 @@ func main() {
 	fmt.Println("bots send 10x-expensive queries at equal bandwidth")
 	fmt.Println()
 	for _, tc := range []struct {
-		label string
-		mode  speakup.Mode
+		label   string
+		mode    speakup.Mode
+		quantum time.Duration
 	}{
-		{"per-request auction (§3.3)", speakup.ModeAuction},
-		{"per-quantum auction (§5)  ", speakup.ModeHetero},
+		{"per-request auction (§3.3)", speakup.ModeAuction, 0},
+		{"per-quantum auction (§5)  ", speakup.ModeHetero, easy},
 	} {
 		res := speakup.Simulate(speakup.Scenario{
 			Seed:     7,
 			Duration: 60 * time.Second,
 			Capacity: 20, // easy requests per second
 			Mode:     tc.mode,
-			Hetero:   speakup.HeteroConfig{Tau: easy},
+			Thinner:  speakup.ThinnerConfig{Quantum: tc.quantum},
 			Groups:   groups,
 		})
 		good, bad := res.Groups[0], res.Groups[1]

@@ -86,8 +86,8 @@ func goldenConfigs() map[string]scenario.Config {
 		},
 		"hetero_quantum": {
 			Seed: 5, Duration: 20 * time.Second, Capacity: 20,
-			Mode:   appsim.ModeHetero,
-			Hetero: core.HeteroConfig{Tau: 50 * time.Millisecond},
+			Mode:    appsim.ModeHetero,
+			Thinner: core.Config{Quantum: 50 * time.Millisecond},
 			Groups: []scenario.ClientGroup{
 				{Count: 10, Good: true, Work: 50 * time.Millisecond},
 				{Count: 10, Good: false, Work: 500 * time.Millisecond},
@@ -96,8 +96,8 @@ func goldenConfigs() map[string]scenario.Config {
 		"hetero_abort": {
 			Seed: 6, Duration: 20 * time.Second, Capacity: 20,
 			Mode: appsim.ModeHetero,
-			Hetero: core.HeteroConfig{
-				Tau: 50 * time.Millisecond, AbortAfter: 2 * time.Second, OrphanTimeout: time.Second,
+			Thinner: core.Config{
+				Quantum: 50 * time.Millisecond, AbortAfter: 2 * time.Second, OrphanTimeout: time.Second,
 			},
 			Groups: []scenario.ClientGroup{
 				{Count: 6, Good: true, Work: 50 * time.Millisecond},
@@ -240,9 +240,11 @@ func TestGoldenTracingNoop(t *testing.T) {
 			if got != string(want) {
 				t.Errorf("tracing changed the model\n--- got ---\n%s--- want ---\n%s", got, want)
 			}
-			// ModeOff runs no thinner, so only auction configs can
-			// prove the tracer actually observed traffic.
-			if cfg.Mode == appsim.ModeAuction && tr.Completed() == 0 {
+			// The baselines run no thinner, so only the auction and
+			// §5 configs can prove the tracer actually observed
+			// traffic.
+			thinner := cfg.Mode == appsim.ModeAuction || cfg.Mode == appsim.ModeHetero
+			if thinner && tr.Completed() == 0 {
 				t.Error("tracer saw no settled requests; the noop assertion tested nothing")
 			}
 		})

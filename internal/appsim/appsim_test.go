@@ -310,8 +310,8 @@ func TestHeteroModeServesAndCharges(t *testing.T) {
 	srv := server.New(clock, server.Config{Capacity: 2, Seed: 5})
 	ts := tcpsim.NewStack(n, tn, tcpsim.Options{})
 	app := NewThinnerApp(ts, clock, srv, ThinnerConfig{
-		Mode:   ModeHetero,
-		Hetero: core.HeteroConfig{Tau: 100 * time.Millisecond},
+		Mode:    ModeHetero,
+		Thinner: core.Config{Quantum: 100 * time.Millisecond},
 	})
 	var admitted []core.RequestID
 	app.OnAdmit = func(id core.RequestID, paid int64) { admitted = append(admitted, id) }
@@ -334,5 +334,47 @@ func TestHeteroModeServesAndCharges(t *testing.T) {
 	}
 	if len(admitted) != served {
 		t.Fatalf("admissions %d != served %d", len(admitted), served)
+	}
+}
+
+// TestHeteroOrphanPaymentClosed opens a payment connection whose
+// request never arrives under the §5 scheduler: after OrphanTimeout
+// the sweep evicts the channel and closes the connection, so the
+// client stops paying instead of re-opening the channel with its next
+// chunk.
+func TestHeteroOrphanPaymentClosed(t *testing.T) {
+	loop := sim.NewLoop(13)
+	n := netsim.New(loop)
+	sw := n.AddNode("switch", nil)
+	tn := n.AddNode("thinner", nil)
+	n.Connect(sw, tn, 100e6, 250*time.Microsecond, 256*1500)
+	cn := n.AddNode("client", nil)
+	n.Connect(cn, sw, 2e6, 250*time.Microsecond, 50*1500)
+	n.ComputeRoutes()
+
+	clock := simclock.New(loop)
+	srv := server.New(clock, server.Config{Capacity: 2, Seed: 5})
+	app := NewThinnerApp(tcpsim.NewStack(n, tn, tcpsim.Options{}), clock, srv, ThinnerConfig{
+		Mode:    ModeHetero,
+		Thinner: core.Config{Quantum: 100 * time.Millisecond, OrphanTimeout: time.Second},
+	})
+	var closedAt time.Duration
+	conn := tcpsim.NewStack(n, cn, tcpsim.Options{}).Dial(tn, nil)
+	conn.OnClose = func() { closedAt = loop.Now() }
+	conn.Write(10_000_000, &msg{kind: kindPost, id: 77}) // a 40 s POST at 2 Mbit/s
+	loop.Run(5 * time.Second)
+
+	if closedAt == 0 {
+		t.Fatal("the orphaned payment connection was never closed")
+	}
+	if closedAt < time.Second || closedAt > 1500*time.Millisecond {
+		t.Fatalf("closed at %v, want just after the 1s orphan timeout", closedAt)
+	}
+	st := app.Stats()
+	if st.Evicted != 1 || st.WastedBytes <= 0 {
+		t.Fatalf("stats = %+v, want one eviction with its bytes wasted", st)
+	}
+	if app.Auction().Table().Contains(77) {
+		t.Fatal("the evicted channel came back")
 	}
 }

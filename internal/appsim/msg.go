@@ -71,6 +71,3 @@ func (s Sizes) withDefaults() Sizes {
 	def(&s.Retry, 150)
 	return s
 }
-
-// DefaultSizes returns the paper-default message sizes.
-func DefaultSizes() Sizes { return Sizes{}.withDefaults() }

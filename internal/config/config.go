@@ -170,7 +170,8 @@ type Sizes struct {
 	Retry    int `json:"retry,omitempty"`
 }
 
-// Thinner mirrors core.Config — the auction policy's knobs. It doubles
+// Thinner mirrors core.Config — the auction policy's knobs; the §5
+// ones (Quantum, AbortAfter) are the hetero section's. It doubles
 // as the body of thinnerd's /control/config endpoint, where zero
 // fields mean "leave unchanged" and a Shards change is rejected (the
 // bid table is built around its shard count at startup).
@@ -221,7 +222,8 @@ func (t Thinner) Core() core.Config {
 	}
 }
 
-// Hetero mirrors core.HeteroConfig.
+// Hetero is the §5 section: tau sets core.Config's Quantum, and the
+// other two its same-named fields (over the thinner section's).
 type Hetero struct {
 	Tau           Duration `json:"tau"`
 	AbortAfter    Duration `json:"abort_after,omitempty"`
@@ -248,17 +250,13 @@ type Profiler struct {
 // ParseMode maps a schema mode string to the front-end policy. The
 // empty string selects ModeOff, matching scenario.Config's zero value.
 func ParseMode(s string) (appsim.Mode, error) {
-	switch s {
-	case "", "off":
+	if s == "" {
 		return appsim.ModeOff, nil
-	case "auction":
-		return appsim.ModeAuction, nil
-	case "random-drop":
-		return appsim.ModeRandomDrop, nil
-	case "hetero":
-		return appsim.ModeHetero, nil
-	case "profiling":
-		return appsim.ModeProfiling, nil
+	}
+	for m := appsim.ModeOff; m <= appsim.ModeProfiling; m++ {
+		if m.String() == s {
+			return m, nil
+		}
 	}
 	return 0, fmt.Errorf("config: unknown mode %q (have off, auction, random-drop, hetero, profiling)", s)
 }
@@ -331,20 +329,11 @@ func FromScenario(sc scenario.Config) Scenario {
 			Busy: sc.Sizes.Busy, Retry: sc.Sizes.Retry,
 		}
 	}
-	if sc.Thinner != (core.Config{}) {
-		s.Thinner = &Thinner{
-			OrphanTimeout:     Duration(sc.Thinner.OrphanTimeout),
-			InactivityTimeout: Duration(sc.Thinner.InactivityTimeout),
-			SweepInterval:     Duration(sc.Thinner.SweepInterval),
-			Shards:            sc.Thinner.Shards,
-		}
+	if t := ThinnerFromCore(sc.Thinner); t != (Thinner{}) {
+		s.Thinner = &t
 	}
-	if sc.Hetero != (core.HeteroConfig{}) {
-		s.Hetero = &Hetero{
-			Tau:           Duration(sc.Hetero.Tau),
-			AbortAfter:    Duration(sc.Hetero.AbortAfter),
-			OrphanTimeout: Duration(sc.Hetero.OrphanTimeout),
-		}
+	if sc.Thinner.Quantum != 0 || sc.Thinner.AbortAfter != 0 {
+		s.Hetero = &Hetero{Tau: Duration(sc.Thinner.Quantum), AbortAfter: Duration(sc.Thinner.AbortAfter)}
 	}
 	if sc.RandomDrop != (core.RandomDropConfig{}) {
 		s.RandomDrop = &RandomDrop{
@@ -444,11 +433,10 @@ func (s Scenario) Config() (scenario.Config, error) {
 	if s.Thinner != nil {
 		sc.Thinner = s.Thinner.Core()
 	}
-	if s.Hetero != nil {
-		sc.Hetero = core.HeteroConfig{
-			Tau:           s.Hetero.Tau.D(),
-			AbortAfter:    s.Hetero.AbortAfter.D(),
-			OrphanTimeout: s.Hetero.OrphanTimeout.D(),
+	if h := s.Hetero; h != nil {
+		sc.Thinner.Quantum, sc.Thinner.AbortAfter = h.Tau.D(), h.AbortAfter.D()
+		if h.OrphanTimeout != 0 {
+			sc.Thinner.OrphanTimeout = h.OrphanTimeout.D()
 		}
 	}
 	if s.RandomDrop != nil {

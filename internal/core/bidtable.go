@@ -9,8 +9,8 @@ import (
 )
 
 // This file implements the BidTable: the concurrent payment ledger
-// behind both auction policies (the §3.3 Thinner and the §5
-// HeteroThinner) and the live thinner's hot path.
+// behind the Thinner's auction (§3.3, and §5's per-quantum charges)
+// and the live thinner's hot path.
 //
 // Speak-up's defining asymmetry is that the thinner must *ingest* far
 // more traffic than the origin ever serves — payment bytes dwarf
@@ -55,7 +55,7 @@ import (
 //     on the once-per-request path, not the per-chunk path.
 //   - MarkEligible, Remove, Winner, DueOrphans, and DueInactive are
 //     the auctioneer's structural operations: they are individually
-//     consistent, but the auction policy (Thinner or HeteroThinner)
+//     consistent, but the auctioneer (the Thinner, Charge included)
 //     must run them from one goroutine to keep its single-threaded
 //     semantics — in particular, the tournament tree is owned by the
 //     Winner caller.
@@ -106,6 +106,7 @@ type PayChan struct {
 	created time.Duration // clock reading at creation; immutable
 
 	paid     atomic.Int64 // bytes credited, with closedBit once settled
+	charged  int64        // bytes Charge settled earlier; auctioneer-owned
 	lastPay  atomic.Int64 // clock reading (ns) of the last credit
 	state    atomic.Int32 // ChanState word
 	eligible atomic.Bool  // request message has arrived
@@ -138,7 +139,7 @@ func (c *PayChan) ID() RequestID { return c.id }
 // settled price or out of every tally, never in one and not the other.
 const closedBit = math.MinInt64
 
-// Paid returns the bytes credited so far.
+// Paid returns the bytes credited so far (since the last Charge).
 func (c *PayChan) Paid() int64 { return c.paid.Load() &^ closedBit }
 
 // State returns the channel's lifecycle word. Payment loops poll this
@@ -568,8 +569,8 @@ func (t *BidTable) MarkEligible(id RequestID, now time.Duration) {
 
 // Remove settles id's channel: deletes it from the table and all
 // indexes, publishes final as its state word (the first settle wins;
-// later ones are no-ops), and returns its final balance. Unknown ids
-// return 0.
+// later ones are no-ops), and returns its price: the final balance
+// plus whatever Charge settled earlier. Unknown ids return 0.
 func (t *BidTable) Remove(id RequestID, final ChanState) int64 {
 	s := t.shard(id)
 	s.mu.Lock()
@@ -579,6 +580,36 @@ func (t *BidTable) Remove(id RequestID, final ChanState) int64 {
 		return 0
 	}
 	delete(s.chans, id)
+	s.unindexLocked(c)
+	s.mu.Unlock()
+	// Publish the verdict before closing the balance, so a payer whose
+	// credit is refused already reads a final state.
+	c.state.CompareAndSwap(int32(ChanActive), int32(final))
+	paid := c.paid.Or(closedBit)
+	s.removed.Add(paid)
+	return c.charged + paid
+}
+
+// Charge settles and returns what id paid since its last charge but
+// keeps the channel open, out of the auction and the expiry indexes
+// until MarkEligible (§5: the request holding the server pays for each
+// quantum). The bytes count as removed, and Remove adds them to the
+// channel's price. Auctioneer goroutine only.
+func (t *BidTable) Charge(id RequestID, now time.Duration) int64 {
+	c := t.Channel(id, now)
+	s := c.shard
+	s.mu.Lock()
+	s.unindexLocked(c)
+	s.mu.Unlock()
+	paid := c.paid.Swap(0)
+	c.charged += paid
+	s.removed.Add(paid)
+	return paid
+}
+
+// unindexLocked (shard mutex held) takes c out of the auction and the
+// expiry indexes.
+func (s *bidShard) unindexLocked(c *PayChan) {
 	if c.expList != nil {
 		c.expList.unlink(c)
 	}
@@ -588,13 +619,6 @@ func (t *BidTable) Remove(id RequestID, final ChanState) int64 {
 		s.heapRemove(int(c.heapIdx))
 		s.touched.Store(true)
 	}
-	s.mu.Unlock()
-	// Publish the verdict before closing the balance, so a payer whose
-	// credit is refused already reads a final state.
-	c.state.CompareAndSwap(int32(ChanActive), int32(final))
-	paid := c.paid.Or(closedBit)
-	s.removed.Add(paid)
-	return paid
 }
 
 // refreshLeaf drains shard i's dirty stack, repairs its heap, and

@@ -12,7 +12,7 @@ func TestBrownoutLadder(t *testing.T) {
 	h := newHarness(Config{})
 	cfg := h.th.Config()
 	var shed []RequestID
-	h.th.Shed = func(id RequestID) { shed = append(shed, id) }
+	h.th.Refuse = func(id RequestID) { shed = append(shed, id) }
 
 	h.th.RequestArrived(1) // occupies the server
 	h.th.RequestArrived(2) // contender
@@ -38,7 +38,7 @@ func TestBrownoutLadder(t *testing.T) {
 
 	// The origin failing its request mid-stall must not trigger an
 	// auction: the floor is closed.
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	if len(h.admitted) != 1 {
 		t.Fatalf("auction ran during brownout: admitted = %v", h.admitted)
 	}
@@ -89,7 +89,7 @@ func TestBrownoutRecoveryNoAuctionWhileBusy(t *testing.T) {
 	if len(h.admitted) != 1 {
 		t.Fatalf("recovery auctioned while busy: admitted = %v", h.admitted)
 	}
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	if len(h.admitted) != 2 || h.admitted[1] != 2 {
 		t.Fatalf("admitted = %v, want [1 2]", h.admitted)
 	}

@@ -5,31 +5,56 @@ import (
 	"time"
 )
 
-// hetHarness wires a HeteroThinner to a scripted fake server.
+// hetHarness wires a §5 thinner (a Thinner with a Quantum) to a
+// scripted fake server. Like the simulator's server, it resumes an
+// admitted request it holds suspended and starts any other; a wasted
+// eviction of a suspended request is its abort.
 type hetHarness struct {
-	clock    *fakeClock
-	th       *HeteroThinner
-	starts   []RequestID
-	suspends []RequestID
-	resumes  []RequestID
-	aborts   []RequestID
-	done     []RequestID
-	donePaid map[RequestID]int64
+	clock     *fakeClock
+	th        *Thinner
+	active    RequestID
+	hasActive bool
+	suspended map[RequestID]bool
+	starts    []RequestID
+	suspends  []RequestID
+	resumes   []RequestID
+	aborts    []RequestID
+	done      []RequestID
+	donePaid  map[RequestID]int64
 }
 
 func newHetHarness(tau time.Duration) *hetHarness {
 	h := &hetHarness{
-		clock:    &fakeClock{},
-		donePaid: make(map[RequestID]int64),
+		clock:     &fakeClock{},
+		suspended: make(map[RequestID]bool),
+		donePaid:  make(map[RequestID]int64),
 	}
-	h.th = NewHeteroThinner(h.clock, HeteroConfig{Tau: tau})
-	h.th.Start = func(id RequestID) { h.starts = append(h.starts, id) }
-	h.th.Suspend = func(id RequestID) { h.suspends = append(h.suspends, id) }
-	h.th.Resume = func(id RequestID) { h.resumes = append(h.resumes, id) }
-	h.th.Abort = func(id RequestID) { h.aborts = append(h.aborts, id) }
-	h.th.Done = func(id RequestID, paid int64) {
-		h.done = append(h.done, id)
-		h.donePaid[id] = paid
+	h.th = NewThinner(h.clock, Config{Quantum: tau})
+	h.th.Admit = func(id RequestID, _ int64) {
+		h.active, h.hasActive = id, true
+		if h.suspended[id] {
+			delete(h.suspended, id)
+			h.resumes = append(h.resumes, id)
+			return
+		}
+		h.starts = append(h.starts, id)
+	}
+	h.th.Suspend = func(id RequestID) {
+		h.hasActive = false
+		h.suspended[id] = true
+		h.suspends = append(h.suspends, id)
+	}
+	h.th.Evict = func(id RequestID, paid int64, wasted bool) {
+		if !wasted {
+			h.hasActive = false
+			h.done = append(h.done, id)
+			h.donePaid[id] = paid
+			return
+		}
+		if h.suspended[id] {
+			delete(h.suspended, id)
+			h.aborts = append(h.aborts, id)
+		}
 	}
 	return h
 }
@@ -172,14 +197,12 @@ func TestHeteroHardRequestsPayProportionally(t *testing.T) {
 	h.th.RequestArrived(2)
 	quanta1, quanta2 := 2, 10
 	var served1, served2 int
-	h.th.Start = func(id RequestID) {}
-	h.th.Resume = func(id RequestID) {}
 	// Both pay the same rate every quantum.
 	for i := 0; i < 60; i++ {
 		h.th.PaymentReceived(1, 100)
 		h.th.PaymentReceived(2, 100)
 		h.clock.Advance(100 * time.Millisecond)
-		if id, ok := h.th.Active(); ok {
+		if id, ok := h.active, h.hasActive; ok {
 			switch id {
 			case 1:
 				served1++

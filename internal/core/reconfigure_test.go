@@ -106,7 +106,7 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 	th.RequestArrived(2)
 	th.PaymentReceived(3, 200)
 	th.RequestArrived(3)
-	th.ServerDone() // auction: 2 wins at 500
+	th.ServerDone(1) // auction: 2 wins at 500
 	th.PaymentReceived(4, 50)
 	clock.Advance(5 * time.Second) // orphan 4 times out
 	th.SetOriginStalled(true)
@@ -130,7 +130,9 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 		t.Fatalf("getters diverged from the registry: rate=%d winner=%d health=%v",
 			th.GoingRate(), th.LastWinner(), th.Health())
 	}
-	if th.Registry().Latency().AuctionLatency.Count() != 1 {
-		t.Fatal("the auction's settle latency was not observed")
+	if lat := &th.Registry().Latency().AuctionLatency; lat.Count() != 1 || lat.Sum() <= 0 {
+		// The fake clock never moves inside the settle: a zero sum
+		// means the latency was read off the thinner's clock.
+		t.Fatalf("the auction's settle latency was not observed: count=%d sum=%v", lat.Count(), lat.Sum())
 	}
 }

@@ -5,16 +5,18 @@
 // payment bytes when the server is overloaded, which the transports
 // carry out on the policy's behalf — and *proportional allocation* —
 // admitting, each time the server frees up, the contending request
-// that has paid the most (the virtual auction of §3.3). The package
-// also implements the random-drop/aggressive-retry variant of §3.2,
-// the no-defense pass-through baseline used by the paper's "OFF"
-// experiments, the §8.1 address profile, and the heterogeneous-request
-// quantum scheduler of §5. Both auctions keep their payments in one book, the
-// BidTable.
+// that has paid the most (the virtual auction of §3.3). Given a
+// quantum, the same Thinner is the §5 scheduler for unequal requests,
+// which runs that auction once per quantum; both keep their payments
+// in one book, the BidTable. The package also implements the
+// random-drop/aggressive-retry variant of §3.2, the no-defense
+// pass-through baseline used by the paper's "OFF" experiments, and the
+// §8.1 address profile.
 //
-// The policies are transport-independent: the same state machines
-// drive the discrete-event simulation (internal/scenario) and the
-// real-socket front-ends (internal/web, internal/wire). Only payment
+// The three admission policies share one Policy interface and one set
+// of Callbacks. They are transport-independent: the same state
+// machines drive the discrete-event simulation (internal/scenario) and
+// the real-socket front-ends (internal/web, internal/wire). Only payment
 // runs concurrently: transports credit chunks through a cached PayChan
 // from any goroutine, with no lock. A policy's arrivals, auctions,
 // admissions and sweeps must be serialized by the caller; the live
@@ -45,6 +47,61 @@ type Clock interface {
 	After(d time.Duration, fn func()) (cancel func())
 }
 
+// Policy is an admission policy: the Thinner (§3.3, or §5 with a
+// Quantum), RandomDrop (§3.2) or PassThrough (no defense). A transport
+// feeds it arrivals, payment and completions, and acts on its
+// Callbacks. PaymentReceived may run on any goroutine; the other
+// methods must be serialized by the caller.
+type Policy interface {
+	// RequestArrived offers a request to the policy.
+	RequestArrived(id RequestID)
+	// PaymentReceived credits payment bytes to id.
+	PaymentReceived(id RequestID, bytes int64)
+	// ServerDone reports that the server finished (or lost) id.
+	ServerDone(id RequestID)
+	// Busy reports whether an arriving request should be told to pay
+	// instead of being offered to RequestArrived.
+	Busy() bool
+	// Stats returns the activity counters.
+	Stats() Stats
+	// Stop cancels the policy's timers.
+	Stop()
+}
+
+// Callbacks are how a Policy acts. Nil callbacks are skipped.
+type Callbacks struct {
+	// Admit hands id to the server: start it, or resume it if the
+	// server holds suspended work for it (§5). paid is the bid that
+	// won it (0 when the server was free).
+	Admit func(id RequestID, paid int64)
+	// Evict ends id's payment: the client should stop sending. paid is
+	// its price; wasted is true when it will not be served (a timeout
+	// or a §5 abort). A served request's payment ends at admission, or
+	// under §5, which charges it every quantum, at completion.
+	Evict func(id RequestID, paid int64, wasted bool)
+	// Suspend pauses the request holding the server so a higher bid
+	// can take it (§5).
+	Suspend func(id RequestID)
+	// Done delivers id's response. ServerDone calls it after settling
+	// id's price and before admitting the next request.
+	Done func(id RequestID)
+	// Refuse turns an arrival away: shed during an origin brownout,
+	// dropped by a busy pass-through, or told to retry by random drop.
+	Refuse func(id RequestID)
+}
+
+func (c *Callbacks) done(id RequestID) {
+	if c.Done != nil {
+		c.Done(id)
+	}
+}
+
+func (c *Callbacks) refuse(id RequestID) {
+	if c.Refuse != nil {
+		c.Refuse(id)
+	}
+}
+
 // Config tunes a Thinner. The zero value selects the paper's settings.
 type Config struct {
 	// OrphanTimeout evicts payment channels whose request message has
@@ -61,6 +118,12 @@ type Config struct {
 	// tunes live-path concurrency only — auction outcomes, and hence
 	// the deterministic simulation, are identical for any setting.
 	Shards int
+	// Quantum, if positive, makes the thinner the §5 scheduler, with
+	// the sweep and its auction run every Quantum (the paper's τ)
+	// instead of every SweepInterval. Fixed at construction.
+	Quantum time.Duration
+	// AbortAfter aborts §5 requests suspended this long. Default 30s.
+	AbortAfter time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -72,6 +135,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = time.Second
+	}
+	if c.AbortAfter == 0 {
+		c.AbortAfter = 30 * time.Second
 	}
 	return c
 }
@@ -122,7 +188,8 @@ func (h HealthState) String() string {
 	return fmt.Sprintf("HealthState(%d)", int32(h))
 }
 
-// Thinner is the virtual-auction front-end of §3.3.
+// Thinner is the virtual-auction front-end of §3.3 and, with a
+// Config.Quantum, the §5 scheduler for unequal requests.
 //
 // Wiring: the application layer calls RequestArrived, PaymentReceived,
 // and ServerDone; the thinner invokes the callbacks to act. It does
@@ -133,12 +200,20 @@ func (h HealthState) String() string {
 // PaymentReceived — and crediting directly through the bid table's
 // channels — is safe from any goroutine, which is what lets the live
 // front sink payment bytes on every core while the auction stays
-// single-threaded.
+// single-threaded. Under §5 the sweep runs the auction every quantum
+// and also aborts requests suspended longer than AbortAfter.
 type Thinner struct {
-	clock Clock
-	cfg   Config
-	table *BidTable
-	busy  bool
+	Callbacks
+
+	clock  Clock
+	cfg    Config
+	table  *BidTable
+	busy   bool
+	active RequestID // §5: the request holding the server, while busy
+
+	// suspended lists the §5 requests the server holds suspended,
+	// oldest first, so the sweep's aborts are a prefix.
+	suspended []suspension
 
 	// reg is the thinner's only tally: admissions, evictions, bytes
 	// charged, the going rate, the last winner and the health ladder's
@@ -159,18 +234,11 @@ type Thinner struct {
 	// control goroutine. Nil — the default — skips everything,
 	// including the clock reads the hooks would need.
 	Trace *trace.Tracer
+}
 
-	// Admit delivers a request to the server; paid is the winning bid
-	// in bytes (0 when the server was free — no auction needed).
-	Admit func(id RequestID, paid int64)
-	// Evict terminates a payment channel: the client should stop
-	// sending. Called for auction winners (stop paying, you're in) and
-	// for timed-out channels. wasted is true for timeouts.
-	Evict func(id RequestID, paid int64, wasted bool)
-	// Shed, if set, is told about requests refused during an origin
-	// brownout (HealthStalled) so the application can answer
-	// retry-later instead of leaving the client waiting.
-	Shed func(id RequestID)
+type suspension struct {
+	id RequestID
+	at time.Duration
 }
 
 // NewThinner creates a virtual-auction thinner and starts its timeout
@@ -210,8 +278,10 @@ func (t *Thinner) Stats() Stats {
 	}
 }
 
-// Busy reports whether the server is occupied.
-func (t *Thinner) Busy() bool { return t.busy }
+// Busy reports whether an arrival must pay: the server is occupied,
+// or the thinner runs §5, where every request wins its quanta by
+// auction and none reaches the server for free.
+func (t *Thinner) Busy() bool { return t.busy || t.cfg.Quantum > 0 }
 
 // GoingRate returns the price of the most recent auction in bytes
 // (§3.3: "the going rate for access is the winning bid from the most
@@ -229,9 +299,9 @@ func (t *Thinner) Config() Config { return t.cfg }
 // Reconfigure applies safe live configuration changes from the
 // control goroutine: the two eviction timeouts and the sweep cadence.
 // Zero fields keep their current value; negative ones are rejected. A
-// Shards change is rejected — the bid table's shard count is fixed at
-// construction (restart to change it) — except as a no-op restating
-// the current count. The call is atomic: on error nothing changes.
+// Shards, Quantum or AbortAfter change is rejected — they are fixed at
+// construction (restart to change them) — except as a no-op restating
+// the current value. The call is atomic: on error nothing changes.
 //
 // A shrunk InactivityTimeout takes full effect lazily: channels
 // already scheduled on the inactivity wheel fire at their old
@@ -241,6 +311,9 @@ func (t *Thinner) Reconfigure(cfg Config) error {
 	next := t.cfg
 	if cfg.OrphanTimeout < 0 || cfg.InactivityTimeout < 0 || cfg.SweepInterval < 0 {
 		return fmt.Errorf("core: negative timeouts are invalid: %+v", cfg)
+	}
+	if (cfg.Quantum != 0 && cfg.Quantum != t.cfg.Quantum) || (cfg.AbortAfter != 0 && cfg.AbortAfter != t.cfg.AbortAfter) {
+		return fmt.Errorf("core: the §5 quantum and abort timeout are fixed at construction: %+v", cfg)
 	}
 	if cfg.Shards != 0 && cfg.Shards != t.table.Shards() {
 		return fmt.Errorf("core: shard count is fixed at construction (have %d, asked %d); restart the thinner to resize the bid table",
@@ -308,13 +381,13 @@ func (t *Thinner) SetOriginStalled(stalled bool) {
 	if !t.busy {
 		// The auction the brownout deferred: contenders kept paying
 		// into the held table; settle the backlog now.
-		t.auctionNext()
+		t.reopen()
 	}
 }
 
 // ShedArrival records one refused-during-brownout arrival. The live
 // front calls it directly (it answers the HTTP side itself);
-// RequestArrived uses it for the simulator path.
+// RequestArrived uses it, then Refuse, for the simulator path.
 func (t *Thinner) ShedArrival(id RequestID) {
 	t.reg.RecordShed(uint64(id))
 	if t.Trace != nil {
@@ -330,19 +403,15 @@ func (t *Thinner) ShedArrival(id RequestID) {
 func (t *Thinner) RequestArrived(id RequestID) {
 	if t.Health() == HealthStalled {
 		t.ShedArrival(id)
-		if t.Shed != nil {
-			t.Shed(id)
-		}
+		t.refuse(id)
 		return
 	}
 	if t.Trace != nil {
 		t.Trace.OnArrive(uint64(id), t.clock.Now())
 	}
-	if !t.busy {
-		t.busy = true
-		// Any pre-paid bytes count as its price.
-		paid := t.table.Remove(id, ChanAdmitted)
-		t.reg.RecordAdmit(uint64(id), paid, false)
+	if !t.Busy() {
+		t.busy, t.active = true, id
+		paid := t.settle(id, true) // any pre-paid bytes count as its price
 		if t.Trace != nil {
 			t.Trace.OnAdmit(uint64(id), paid, t.clock.Now(), false)
 		}
@@ -363,50 +432,107 @@ func (t *Thinner) PaymentReceived(id RequestID, bytes int64) {
 	t.Trace.OnCredit(uint64(id), bytes, now, trace.TransportSim)
 }
 
-// ServerDone signals that the server finished a request. The thinner
-// holds the virtual auction: the highest-paid eligible contender is
-// admitted and its payment channel terminated. During an origin
-// brownout the auction is deferred — contenders keep their balances
-// and the settle runs when SetOriginStalled(false) reopens the floor.
-func (t *Thinner) ServerDone() {
+// ServerDone signals that the server finished id. Under §5 the thinner
+// first settles id's lifetime price. Then it reopens the floor: the
+// highest-paid eligible contender is admitted. During an origin
+// brownout that is deferred — contenders keep their balances and the
+// settle runs when SetOriginStalled(false) reopens the floor.
+func (t *Thinner) ServerDone(id RequestID) {
+	if t.cfg.Quantum > 0 {
+		if !t.busy || t.active != id {
+			return
+		}
+		paid := t.settle(id, false)
+		if t.Trace != nil { // settle the trace slot its charged payment opened
+			t.Trace.OnAdmit(uint64(id), paid, t.clock.Now(), true)
+		}
+	}
 	t.busy = false
+	t.done(id)
 	if t.Health() == HealthStalled {
 		return
 	}
-	t.auctionNext()
+	t.reopen()
 }
 
-func (t *Thinner) auctionNext() {
-	start := t.clock.Now()
-	id, _, ok := t.table.Winner()
-	if !ok {
-		return // no contenders; server idles until the next request
+// reopen fills a free server: §3.3 holds the auction now; §5 runs its
+// quantum procedure at once rather than idle until the next tick.
+func (t *Thinner) reopen() {
+	if t.cfg.Quantum > 0 {
+		t.sweep()
+		return
 	}
-	// Remove's balance is the authoritative price: in live mode,
-	// payment chunks may land between the scan and the settle. (In the
-	// single-threaded simulator the two are always equal.)
+	t.auction(t.clock.Now())
+}
+
+// settle ends served request id's payment. Remove's balance is the
+// authoritative price: live payment chunks may land between the
+// auction's scan and the settle (in the simulator the two are equal).
+func (t *Thinner) settle(id RequestID, direct bool) int64 {
 	paid := t.table.Remove(id, ChanAdmitted)
-	t.busy = true
-	t.reg.RecordAdmit(uint64(id), paid, true)
-	if t.Trace != nil {
-		now := t.clock.Now()
-		t.Trace.OnAuction(uint64(id), now) // losers accrue a lost round
-		t.Trace.OnAdmit(uint64(id), paid, now, true)
-	}
+	t.reg.RecordAdmit(paid, direct)
 	if t.Evict != nil {
 		t.Evict(id, paid, false)
 	}
+	return paid
+}
+
+// auction admits the top contender u: under §3.3 when the server frees
+// up, settling u's payment; under §5 every quantum, charging u, which
+// pays on until its service completes. A §5 request v holding the
+// server loses it only to a bid above what v paid since its last
+// charge: v is then suspended and bids with that payment; otherwise
+// it is charged for the next quantum (for free if nobody contends).
+func (t *Thinner) auction(now time.Duration) {
+	// The settle is timed on the wall clock: in the simulator the
+	// thinner's clock is virtual and does not move inside a callback.
+	// Nothing but the latency histogram reads the measurement.
+	start := time.Now()
+	u, uPaid, ok := t.table.Winner()
+	if !ok {
+		return // no contenders; server idles until the next request
+	}
+	if t.busy { // §5 only: §3.3 auctions a free server
+		v := t.active
+		if uPaid <= t.table.Balance(v) {
+			t.table.Charge(v, now)
+			return
+		}
+		t.busy = false
+		t.suspended = append(t.suspended, suspension{v, now})
+		t.table.MarkEligible(v, now)
+		if t.Suspend != nil {
+			t.Suspend(v)
+		}
+	}
+	var paid int64
+	if t.cfg.Quantum > 0 {
+		paid = t.table.Charge(u, now)
+	} else {
+		paid = t.settle(u, false)
+	}
+	t.busy, t.active = true, u
+	t.unsuspend(u)
+	t.reg.RecordAuction(uint64(u), paid)
+	if t.Trace != nil {
+		t.Trace.OnAuction(uint64(u), now) // losers accrue a lost round
+		t.Trace.OnAdmit(uint64(u), paid, now, true)
+	}
 	if t.Admit != nil {
-		t.Admit(id, paid)
+		t.Admit(u, paid)
 	}
 	// Full settle cost: winner selection through the callbacks that
 	// release the admitted waiter.
-	t.reg.Latency().AuctionLatency.Observe(t.clock.Now() - start)
+	t.reg.Latency().AuctionLatency.Observe(time.Since(start))
 }
 
 func (t *Thinner) scheduleSweep() {
 	gen := t.sweepGen
-	t.stopSweep = t.clock.After(t.cfg.SweepInterval, func() {
+	every := t.cfg.SweepInterval
+	if t.cfg.Quantum > 0 {
+		every = t.cfg.Quantum
+	}
+	t.stopSweep = t.clock.After(every, func() {
 		if t.sweepGen != gen {
 			return // Reconfigure restarted the chain after this timer fired
 		}
@@ -415,35 +541,62 @@ func (t *Thinner) scheduleSweep() {
 	})
 }
 
-// sweep evicts orphaned payment channels and inactive contenders. The
-// table's expiry indexes (creation-ordered orphan lists, inactivity
-// timing wheel) surface only the channels actually due, so a tick
-// costs O(due), not O(table). The shard collection order is
-// arbitrary, so each class is sorted by id to keep eviction order —
-// and everything the Evict callbacks schedule — deterministic across
-// runs. The id buffer is reused tick to tick: steady-state sweeps
-// allocate nothing.
+// sweep evicts orphaned payment channels and inactive contenders and,
+// under §5, aborts requests suspended for AbortAfter and then runs the
+// quantum's auction. The table's expiry indexes (creation-ordered
+// orphan lists, inactivity timing wheel) surface only the channels
+// actually due, so a tick costs O(due), not O(table). The shard
+// collection order is arbitrary, so each class is sorted by id to keep
+// eviction order — and everything the Evict callbacks schedule —
+// deterministic across runs. The id buffer is reused tick to tick:
+// steady-state sweeps allocate nothing.
 func (t *Thinner) sweep() {
 	now := t.clock.Now()
 	t.lastSweep = now
 	switch t.Health() {
 	case HealthStalled:
 		// Hold everything: the outage is the origin's fault, not the
-		// contenders'. Balances and waiters survive untouched.
+		// contenders'. Balances and waiters survive untouched, and no
+		// quantum is admitted into a black hole.
 		return
 	case HealthRecovering:
 		if now < t.holdUntil {
-			return // grace window: let payment streams re-establish
+			// Grace window: let payment streams re-establish.
+			if t.cfg.Quantum > 0 {
+				t.auction(now)
+			}
+			return
 		}
 		t.reg.RecordHealth(int32(HealthOK))
 	}
 	ids := t.sweepIDs[:0]
-	ids = t.table.DueOrphans(ids, now-t.cfg.OrphanTimeout)
+	for _, s := range t.suspended {
+		if now-s.at < t.cfg.AbortAfter {
+			break
+		}
+		ids = append(ids, s.id)
+	}
+	// Aborts go first: evicting them unlinks their channels, so the
+	// inactivity wheel below cannot return them a second time.
+	slices.Sort(ids)
+	t.evict(ids, now)
+	ids = t.table.DueOrphans(ids[:0], now-t.cfg.OrphanTimeout)
 	n := len(ids)
 	slices.Sort(ids[:n])
 	ids = t.table.DueInactive(ids, now, now-t.cfg.InactivityTimeout)
 	slices.Sort(ids[n:])
+	t.evict(ids, now)
+	t.sweepIDs = ids[:0]
+	if t.cfg.Quantum > 0 {
+		t.auction(now)
+	}
+}
+
+// evict times out each of ids. A suspended request's eviction is its
+// §5 abort, and its price includes every quantum it was charged.
+func (t *Thinner) evict(ids []RequestID, now time.Duration) {
 	for _, id := range ids {
+		t.unsuspend(id)
 		paid := t.table.Remove(id, ChanEvicted)
 		t.reg.RecordEvict(uint64(id), paid)
 		if t.Trace != nil {
@@ -453,5 +606,8 @@ func (t *Thinner) sweep() {
 			t.Evict(id, paid, true)
 		}
 	}
-	t.sweepIDs = ids[:0]
+}
+
+func (t *Thinner) unsuspend(id RequestID) {
+	t.suspended = slices.DeleteFunc(t.suspended, func(s suspension) bool { return s.id == id })
 }

@@ -67,7 +67,7 @@ func TestThinnerAuctionPicksTopPayer(t *testing.T) {
 	h.th.RequestArrived(3)
 	h.th.PaymentReceived(2, 1000)
 	h.th.PaymentReceived(3, 5000)
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	if len(h.admitted) != 2 || h.admitted[1] != 3 {
 		t.Fatalf("admitted = %v, want [1 3]", h.admitted)
 	}
@@ -86,7 +86,7 @@ func TestThinnerAuctionPicksTopPayer(t *testing.T) {
 func TestThinnerServerIdlesWithNoContenders(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1)
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	if h.th.Busy() {
 		t.Fatal("server must be free with no contenders")
 	}
@@ -101,7 +101,7 @@ func TestThinnerPaymentBeforeRequest(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1) // busy
 	h.th.PaymentReceived(2, 9000)
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	if h.th.Busy() {
 		t.Fatal("payment-only entry must not win (not eligible)")
 	}
@@ -186,9 +186,11 @@ func TestThinnerWinnerChannelTerminated(t *testing.T) {
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
 	h.th.PaymentReceived(2, 100)
-	h.th.ServerDone()
-	if len(stopped) != 1 || stopped[0] != 2 {
-		t.Fatalf("winner channel not terminated: %v", stopped)
+	h.th.ServerDone(1)
+	// Every admission ends the request's payment: 1's at its direct
+	// admission, winner 2's at the auction.
+	if len(stopped) != 2 || stopped[0] != 1 || stopped[1] != 2 {
+		t.Fatalf("winner channel not terminated: %v, want [1 2]", stopped)
 	}
 }
 
@@ -197,7 +199,7 @@ func TestThinnerStatsAccounting(t *testing.T) {
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
 	h.th.PaymentReceived(2, 500)
-	h.th.ServerDone()
+	h.th.ServerDone(1)
 	s := h.th.Stats()
 	if s.Admitted != 2 || s.AdmittedDirect != 1 || s.Auctions != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -223,10 +225,10 @@ func TestThinnerGoingRateTracksLastAuction(t *testing.T) {
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
 	h.th.PaymentReceived(2, 100)
-	h.th.ServerDone() // 2 wins at 100
+	h.th.ServerDone(1) // 2 wins at 100
 	h.th.RequestArrived(3)
 	h.th.PaymentReceived(3, 700)
-	h.th.ServerDone() // 3 wins at 700
+	h.th.ServerDone(2) // 3 wins at 700
 	if h.th.GoingRate() != 700 {
 		t.Fatalf("going rate = %d, want 700", h.th.GoingRate())
 	}
@@ -235,12 +237,12 @@ func TestThinnerGoingRateTracksLastAuction(t *testing.T) {
 func TestPassThroughDropsWhenBusy(t *testing.T) {
 	p := NewPassThrough()
 	var admitted, dropped []RequestID
-	p.Admit = func(id RequestID) { admitted = append(admitted, id) }
-	p.Drop = func(id RequestID) { dropped = append(dropped, id) }
+	p.Admit = func(id RequestID, _ int64) { admitted = append(admitted, id) }
+	p.Refuse = func(id RequestID) { dropped = append(dropped, id) }
 	p.RequestArrived(1)
 	p.RequestArrived(2)
 	p.RequestArrived(3)
-	p.ServerDone()
+	p.ServerDone(1)
 	p.RequestArrived(4)
 	if len(admitted) != 2 || admitted[0] != 1 || admitted[1] != 4 {
 		t.Fatalf("admitted = %v, want [1 4]", admitted)
@@ -253,13 +255,13 @@ func TestPassThroughDropsWhenBusy(t *testing.T) {
 func TestRandomDropAdaptsProbability(t *testing.T) {
 	clock := &fakeClock{}
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 10, Seed: 1})
-	rd.Admit = func(id RequestID) {}
-	rd.Retry = func(id RequestID) {}
+	rd.Admit = func(id RequestID, _ int64) {}
+	rd.Refuse = func(id RequestID) {}
 	// 100 requests in 1s against capacity 10 -> p should become 0.1.
 	for i := 0; i < 100; i++ {
 		rd.RequestArrived(RequestID(i))
 		if rd.busy {
-			rd.ServerDone()
+			rd.ServerDone(RequestID(i))
 		}
 	}
 	clock.Advance(time.Second)
@@ -278,8 +280,8 @@ func TestRandomDropAdmissionRateTracksCapacity(t *testing.T) {
 	clock := &fakeClock{}
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 10, Seed: 7})
 	served := 0
-	rd.Admit = func(id RequestID) { served++ }
-	rd.Retry = func(id RequestID) {}
+	rd.Admit = func(id RequestID, _ int64) { served++ }
+	rd.Refuse = func(id RequestID) {}
 	// Steady overload: 200 req/s for 20 simulated seconds.
 	id := RequestID(0)
 	for sec := 0; sec < 20; sec++ {
@@ -287,7 +289,7 @@ func TestRandomDropAdmissionRateTracksCapacity(t *testing.T) {
 			rd.RequestArrived(id)
 			id++
 			if rd.busy {
-				rd.ServerDone() // server keeps pace in this test
+				rd.ServerDone(id - 1) // server keeps pace in this test
 			}
 		}
 		clock.Advance(time.Second)
@@ -303,8 +305,8 @@ func TestRandomDropQueueBound(t *testing.T) {
 	clock := &fakeClock{}
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 1000, MaxQueue: 2, Seed: 1})
 	var admitted, retried int
-	rd.Admit = func(id RequestID) { admitted++ }
-	rd.Retry = func(id RequestID) { retried++ }
+	rd.Admit = func(id RequestID, _ int64) { admitted++ }
+	rd.Refuse = func(id RequestID) { retried++ }
 	// p=1: everything admitted until the queue fills (1 busy + 2 queued).
 	for i := 0; i < 10; i++ {
 		rd.RequestArrived(RequestID(i))
@@ -312,9 +314,9 @@ func TestRandomDropQueueBound(t *testing.T) {
 	if admitted != 1 || retried != 7 {
 		t.Fatalf("admitted=%d retried=%d, want 1/7", admitted, retried)
 	}
-	rd.ServerDone()
-	rd.ServerDone()
-	rd.ServerDone()
+	rd.ServerDone(0)
+	rd.ServerDone(1)
+	rd.ServerDone(2)
 	if admitted != 3 {
 		t.Fatalf("queued requests not drained: admitted=%d", admitted)
 	}

@@ -5,50 +5,65 @@ import (
 	"time"
 )
 
+// baseline is what the two payment-free policies share: callbacks, the
+// server's busy latch and the counters.
+type baseline struct {
+	Callbacks
+	busy  bool
+	stats Stats
+}
+
+// Busy is always false: the baselines ask no one to pay.
+func (b *baseline) Busy() bool { return false }
+
+// PaymentReceived ignores payment bytes: the baselines take none.
+func (b *baseline) PaymentReceived(RequestID, int64) {}
+
+// Stats returns a copy of the activity counters.
+func (b *baseline) Stats() Stats { return b.stats }
+
+// admit ends id's (empty) payment and hands it to the server.
+func (b *baseline) admit(id RequestID) {
+	if b.Evict != nil {
+		b.Evict(id, 0, false)
+	}
+	if b.Admit != nil {
+		b.Admit(id, 0)
+	}
+}
+
 // PassThrough is the no-defense baseline the paper's "OFF" experiments
 // use (§3 illustration, §7.2): when the server is free, the next
 // arriving request is served; requests arriving while it is busy are
-// dropped. Over Poisson arrivals this allocates the server in
-// proportion to request rates — which is exactly why attackers win
-// without speak-up.
-type PassThrough struct {
-	busy  bool
-	stats Stats
-
-	// Admit delivers a request to the server.
-	Admit func(id RequestID)
-	// Drop rejects a request (the thinner replies "busy" immediately).
-	Drop func(id RequestID)
-}
+// refused (the thinner replies "busy" at once). Over Poisson arrivals
+// this allocates the server in proportion to request rates — which is
+// exactly why attackers win without speak-up.
+type PassThrough struct{ baseline }
 
 // NewPassThrough returns the OFF-mode front-end.
 func NewPassThrough() *PassThrough { return &PassThrough{} }
 
-// Stats returns a copy of the activity counters.
-func (p *PassThrough) Stats() Stats { return p.stats }
-
-// Busy reports whether the server is occupied.
-func (p *PassThrough) Busy() bool { return p.busy }
+// Stop is a no-op: the baseline runs no timers.
+func (p *PassThrough) Stop() {}
 
 // RequestArrived admits the request if the server is free, else drops it.
 func (p *PassThrough) RequestArrived(id RequestID) {
 	if p.busy {
 		p.stats.Evicted++
-		if p.Drop != nil {
-			p.Drop(id)
-		}
+		p.refuse(id)
 		return
 	}
 	p.busy = true
 	p.stats.Admitted++
 	p.stats.AdmittedDirect++
-	if p.Admit != nil {
-		p.Admit(id)
-	}
+	p.admit(id)
 }
 
-// ServerDone signals that the server finished a request.
-func (p *PassThrough) ServerDone() { p.busy = false }
+// ServerDone signals that the server finished id.
+func (p *PassThrough) ServerDone(id RequestID) {
+	p.busy = false
+	p.done(id)
+}
 
 // RandomDrop is the §3.2 speak-up variant: the thinner admits each
 // incoming request with probability prob and asks the client to retry
@@ -59,24 +74,19 @@ func (p *PassThrough) ServerDone() { p.busy = false }
 //
 // The price (retries per service) emerges as 1/prob = (B+G)/c, giving
 // the same bandwidth-proportional allocation as the auction (§3.2).
+// Dropped requests are refused with a please-retry signal (with
+// pipelined clients it is informational).
 type RandomDrop struct {
+	baseline
+
 	clock Clock
 	rng   *rand.Rand
 	cfg   RandomDropConfig
 
 	prob     float64
 	arrived  int // requests in the current adaptation interval
-	stats    Stats
 	stopTick func()
-
-	queue []RequestID // admitted, waiting for the server
-	busy  bool
-
-	// Admit delivers a request to the server.
-	Admit func(id RequestID)
-	// Retry asks the client to retry now (the synchronous please-retry
-	// signal; with pipelined clients it is informational).
-	Retry func(id RequestID)
+	queue    []RequestID // admitted, waiting for the server
 }
 
 // RandomDropConfig tunes a RandomDrop front-end.
@@ -120,9 +130,6 @@ func NewRandomDrop(clock Clock, cfg RandomDropConfig) *RandomDrop {
 	return r
 }
 
-// Stats returns a copy of the activity counters.
-func (r *RandomDrop) Stats() Stats { return r.stats }
-
 // Prob returns the current admission probability (the price is 1/Prob).
 func (r *RandomDrop) Prob() float64 { return r.prob }
 
@@ -153,9 +160,7 @@ func (r *RandomDrop) RequestArrived(id RequestID) {
 	r.arrived++
 	if r.rng.Float64() >= r.prob || len(r.queue) >= r.cfg.MaxQueue {
 		r.stats.Evicted++
-		if r.Retry != nil {
-			r.Retry(id)
-		}
+		r.refuse(id)
 		return
 	}
 	if r.busy {
@@ -164,23 +169,20 @@ func (r *RandomDrop) RequestArrived(id RequestID) {
 	}
 	r.busy = true
 	r.stats.Admitted++
-	if r.Admit != nil {
-		r.Admit(id)
-	}
+	r.admit(id)
 }
 
-// ServerDone signals request completion; the next queued admitted
-// request (if any) starts.
-func (r *RandomDrop) ServerDone() {
+// ServerDone signals that the server finished id; the next queued
+// admitted request (if any) starts.
+func (r *RandomDrop) ServerDone(id RequestID) {
 	r.busy = false
+	r.done(id)
 	if len(r.queue) == 0 {
 		return
 	}
-	id := r.queue[0]
+	next := r.queue[0]
 	r.queue = r.queue[1:]
 	r.busy = true
 	r.stats.Admitted++
-	if r.Admit != nil {
-		r.Admit(id)
-	}
+	r.admit(next)
 }

@@ -6,7 +6,6 @@ import (
 
 	"speakup/internal/appsim"
 	"speakup/internal/auction"
-	"speakup/internal/core"
 	"speakup/internal/metrics"
 	"speakup/internal/scenario"
 	"speakup/internal/sweep"
@@ -141,7 +140,7 @@ func Hetero(o Opts) *HeteroResult {
 	g.Add("hetero/naive", base)
 	g.Add("hetero/quantum", cell(base, func(c *scenario.Config) {
 		c.Mode = appsim.ModeHetero
-		c.Hetero = core.HeteroConfig{Tau: easy}
+		c.Thinner.Quantum = easy
 	}))
 	rs := o.sweepGrid(&g)
 	naive, quantum := rs[0].Result, rs[1].Result

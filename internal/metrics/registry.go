@@ -2,7 +2,7 @@ package metrics
 
 import "sync/atomic"
 
-// Registry accumulates thinner activity for telemetry. It is the §3.3
+// Registry accumulates thinner activity for telemetry. It is the
 // thinner's only tally: every core.Thinner owns one — the simulator's
 // virtual-time thinner and the live front's alike — and the live
 // front's /stats, /telemetry and /metrics endpoints all read it.
@@ -53,17 +53,21 @@ func (r *Registry) LastWinner() uint64 { return r.lastWinner.Load() }
 // Health returns the health gauge (core.HealthState numbering).
 func (r *Registry) Health() int32 { return r.health.Load() }
 
-// RecordAdmit counts one admission. paid is the winning bid in bytes;
-// auctioned distinguishes auction wins from direct admissions to a
-// free origin (which carry no auction and usually no payment).
-func (r *Registry) RecordAdmit(id uint64, paid int64, auctioned bool) {
+// RecordAuction counts one auction won by id with a bid of paid bytes
+// (under §5, one quantum's auction that gave id the server).
+func (r *Registry) RecordAuction(id uint64, paid int64) {
+	r.auctions.Add(1)
+	r.goingPrice.Store(paid)
+	r.lastWinner.Store(id)
+}
+
+// RecordAdmit counts one admission at a price of paid bytes. direct
+// marks an admission to a free origin, with no auction and usually no
+// payment.
+func (r *Registry) RecordAdmit(paid int64, direct bool) {
 	r.admitted.Add(1)
 	r.paidBytes.Add(paid)
-	if auctioned {
-		r.auctions.Add(1)
-		r.goingPrice.Store(paid)
-		r.lastWinner.Store(id)
-	} else {
+	if direct {
 		r.admittedDirect.Add(1)
 	}
 }

@@ -43,6 +43,10 @@ func (t faultTargets) resolve(target string) []*netsim.Link {
 // (scenario seed, event index, event seed). Overlapping windows on
 // the same link are last-writer-wins; each revert clears the link.
 func scheduleFaults(loop *sim.Loop, cfg Config, t faultTargets, srv *server.Server, thApp *appsim.ThinnerApp) {
+	stalled := func(bool) {} // the baselines have no brownout ladder
+	if th := thApp.Auction(); th != nil {
+		stalled = th.SetOriginStalled
+	}
 	for i, ev := range cfg.Faults {
 		ev := ev
 		seed := cfg.Seed ^ (int64(i+1) * 0x6a09e667f3bcc909) ^ ev.Seed
@@ -71,30 +75,18 @@ func scheduleFaults(loop *sim.Loop, cfg Config, t faultTargets, srv *server.Serv
 		case faults.OriginStall:
 			loop.Schedule(ev.At, func() {
 				srv.Stall(ev.Duration)
-				if th := thApp.Auction(); th != nil {
-					th.SetOriginStalled(true)
-				}
+				stalled(true)
 			})
-			loop.Schedule(ev.At+ev.Duration, func() {
-				if th := thApp.Auction(); th != nil {
-					th.SetOriginStalled(false)
-				}
-			})
+			loop.Schedule(ev.At+ev.Duration, func() { stalled(false) })
 		case faults.OriginCrash:
 			loop.Schedule(ev.At, func() {
 				// Brown out first: Crash fires srv.Failed, whose
 				// ServerDone must see HealthStalled and defer the
 				// auction until the origin restarts.
-				if th := thApp.Auction(); th != nil {
-					th.SetOriginStalled(true)
-				}
+				stalled(true)
 				srv.Crash(ev.Duration)
 			})
-			loop.Schedule(ev.At+ev.Duration, func() {
-				if th := thApp.Auction(); th != nil {
-					th.SetOriginStalled(false)
-				}
-			})
+			loop.Schedule(ev.At+ev.Duration, func() { stalled(false) })
 		}
 	}
 }

@@ -175,10 +175,10 @@ type Config struct {
 	AccessQueue int
 
 	Sizes appsim.Sizes
-	// Thinner tunes the auction policy; Hetero, RandomDrop, and
-	// Profiler tune their modes.
+	// Thinner tunes the auction policy, and with a Quantum the §5
+	// scheduler of ModeHetero; RandomDrop and Profiler tune their
+	// modes.
 	Thinner    core.Config
-	Hetero     core.HeteroConfig
 	RandomDrop core.RandomDropConfig
 	Profiler   core.ProfilerConfig
 
@@ -251,6 +251,9 @@ func (c Config) withDefaults() Config {
 func (c Config) Validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("scenario: Capacity must be positive, got %g", c.Capacity)
+	}
+	if (c.Mode == appsim.ModeHetero) != (c.Thinner.Quantum > 0) {
+		return fmt.Errorf("scenario: mode %s with a thinner quantum of %v: hetero mode and a positive quantum (the hetero section's tau) go together", c.Mode, c.Thinner.Quantum)
 	}
 	switch c.Transport {
 	case "", "http", "wire":
@@ -494,7 +497,6 @@ func Run(cfg Config) *Result {
 		Sizes:      cfg.Sizes,
 		Thinner:    cfg.Thinner,
 		RandomDrop: rdCfg,
-		Hetero:     cfg.Hetero,
 		Profiler:   cfg.Profiler,
 		Trace:      cfg.Trace,
 	})

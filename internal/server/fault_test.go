@@ -128,8 +128,8 @@ func TestCrashSparesSuspended(t *testing.T) {
 	loop.Run(30 * time.Millisecond)
 	s.Suspend(1)
 	s.Crash(500 * time.Millisecond)
-	if s.SuspendedCount() != 1 {
-		t.Fatalf("suspended count = %d after crash, want 1", s.SuspendedCount())
+	if !s.Suspended(1) {
+		t.Fatal("suspended request lost in the crash")
 	}
 	s.Resume(1)
 	loop.RunAll()

@@ -105,9 +105,6 @@ func New(clock core.Clock, cfg Config) *Server {
 // Busy reports whether a request is in service.
 func (s *Server) Busy() bool { return s.busy }
 
-// Current returns the request in service, if any.
-func (s *Server) Current() (core.RequestID, bool) { return s.current, s.busy }
-
 // Stats returns a copy of the activity counters.
 func (s *Server) Stats() Stats { return s.stats }
 
@@ -220,8 +217,11 @@ func (s *Server) Abort(id core.RequestID) {
 	}
 }
 
-// SuspendedCount returns how many requests are parked.
-func (s *Server) SuspendedCount() int { return len(s.suspended) }
+// Suspended reports whether the server holds suspended work for id.
+func (s *Server) Suspended(id core.RequestID) bool {
+	_, ok := s.suspended[id]
+	return ok
+}
 
 // Stalled reports whether the origin is currently frozen by an
 // injected stall or crash-restart window.

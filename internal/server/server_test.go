@@ -99,7 +99,7 @@ func TestAbortDiscardsSuspended(t *testing.T) {
 	if served != 0 {
 		t.Fatal("aborted request completed")
 	}
-	if s.SuspendedCount() != 0 {
+	if s.Suspended(1) {
 		t.Fatal("suspended table not cleaned")
 	}
 	if s.Stats().Aborted != 1 {

@@ -111,8 +111,9 @@ func (o *EmulatedOrigin) Serve(id core.RequestID) ([]byte, error) {
 
 // Config tunes a Front.
 type Config struct {
-	// Thinner configures the auction core (timeouts, bid-table shard
-	// count — Shards defaults to GOMAXPROCS-scaled).
+	// Thinner configures the §3.3 auction core (timeouts, bid-table
+	// shard count — Shards defaults to GOMAXPROCS-scaled). Quantum
+	// must stay 0: an origin here cannot suspend a request for §5.
 	Thinner core.Config
 	// PayChunk is the read-buffer size for payment bodies. Default 16 KB.
 	PayChunk int
@@ -286,7 +287,7 @@ func (f *Front) admit(id core.RequestID, paid int64) {
 		// auction floor (with an eviction grace window) before
 		// ServerDone settles the next winner.
 		f.th.SetOriginStalled(false)
-		f.th.ServerDone()
+		f.th.ServerDone(id)
 		f.ctl.Unlock()
 	}()
 }

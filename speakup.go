@@ -23,10 +23,10 @@
 //     like the paper's §6 prototype. [NewEmulatedOrigin] provides the
 //     paper's emulated server.
 //
-//   - Core building blocks: [NewThinner] (the §3.3 virtual auction),
-//     [NewHeteroThinner] (the §5 quantum scheduler for unequal
-//     requests), [NewRandomDrop] (§3.2), and [NewPassThrough] (the
-//     no-defense baseline) — all transport-independent.
+//   - Core building blocks: [NewThinner] (the §3.3 virtual auction,
+//     and with a Quantum the §5 scheduler for unequal requests) and
+//     [NewPassThrough] (the no-defense baseline), both transport-
+//     independent admission policies, over a [BidTable].
 package speakup
 
 import (
@@ -179,29 +179,20 @@ type (
 	RequestID = core.RequestID
 	// Clock abstracts time for the core state machines.
 	Clock = core.Clock
-	// Thinner is the §3.3 virtual-auction front-end state machine.
+	// Thinner is the §3.3 virtual-auction front-end state machine and,
+	// with a Quantum, the §5 quantum scheduler.
 	Thinner = core.Thinner
 	// ThinnerConfig tunes a Thinner.
 	ThinnerConfig = core.Config
-	// HeteroThinner is the §5 quantum scheduler.
-	HeteroThinner = core.HeteroThinner
-	// HeteroConfig tunes a HeteroThinner.
-	HeteroConfig = core.HeteroConfig
-	// RandomDrop is the §3.2 front-end.
-	RandomDrop = core.RandomDrop
-	// RandomDropConfig tunes a RandomDrop.
+	// RandomDropConfig tunes the §3.2 random-drop front-end
+	// (ModeRandomDrop).
 	RandomDropConfig = core.RandomDropConfig
 	// PassThrough is the no-defense baseline front-end.
 	PassThrough = core.PassThrough
-	// Profiler is the §8.1 address profile: per-address rate limits
-	// that run ahead of a PassThrough (Allow, then RequestArrived), so
-	// the detect-and-block baseline is the profile plus the no-defense
-	// pass-through.
-	Profiler = core.Profiler
-	// ProfilerConfig tunes a Profiler.
+	// ProfilerConfig tunes the §8.1 address profile: per-address rate
+	// limits that run ahead of the no-defense pass-through
+	// (ModeProfiling).
 	ProfilerConfig = core.ProfilerConfig
-	// Address identifies a client for detect-and-block purposes.
-	Address = core.Address
 	// BidTable is the concurrent sharded payment table behind both
 	// auction policies: lock-free per-chunk crediting, per-shard maxima
 	// for the auction scan.
@@ -223,25 +214,12 @@ const (
 	ChanEvicted = core.ChanEvicted
 )
 
-// NewThinner creates the §3.3 virtual-auction thinner on a clock.
+// NewThinner creates the §3.3 virtual-auction thinner (the §5
+// scheduler if cfg.Quantum is set) on a clock.
 func NewThinner(clock Clock, cfg ThinnerConfig) *Thinner { return core.NewThinner(clock, cfg) }
-
-// NewHeteroThinner creates the §5 quantum scheduler on a clock.
-func NewHeteroThinner(clock Clock, cfg HeteroConfig) *HeteroThinner {
-	return core.NewHeteroThinner(clock, cfg)
-}
-
-// NewRandomDrop creates the §3.2 front-end on a clock.
-func NewRandomDrop(clock Clock, cfg RandomDropConfig) *RandomDrop {
-	return core.NewRandomDrop(clock, cfg)
-}
 
 // NewPassThrough creates the no-defense baseline front-end.
 func NewPassThrough() *PassThrough { return core.NewPassThrough() }
-
-// NewProfiler creates the §8.1 address profile on a clock; run it
-// ahead of a PassThrough.
-func NewProfiler(clock Clock, cfg ProfilerConfig) *Profiler { return core.NewProfiler(clock, cfg) }
 
 // NewBidTable creates a concurrent payment table with the given shard
 // count (rounded up to a power of two; <= 0 selects a GOMAXPROCS-

@@ -95,7 +95,7 @@ func TestCoreBuildingBlocksPublicAPI(t *testing.T) {
 	}
 	pt := NewPassThrough()
 	admitted := false
-	pt.Admit = func(id RequestID) { admitted = true }
+	pt.Admit = func(id RequestID, _ int64) { admitted = true }
 	pt.RequestArrived(9)
 	if !admitted {
 		t.Fatal("pass-through did not admit")
