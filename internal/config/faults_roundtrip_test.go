@@ -118,9 +118,8 @@ func TestFaultsSectionRoundTrip(t *testing.T) {
 }
 
 // TestFaultsValidateRejects checks scenario-shape errors surface
-// through the document layer: bad targets, bad magnitudes, and origin
-// faults under the hetero mode (whose suspend accounting assumes an
-// unfrozen origin).
+// through the document layer: bad targets, bad magnitudes and unknown
+// kinds.
 func TestFaultsValidateRejects(t *testing.T) {
 	base := `{
   "version": 1,
@@ -144,7 +143,6 @@ func TestFaultsValidateRejects(t *testing.T) {
 		{"auction", `{"kind": "link-loss", "target": "access:nobody", "duration": "1s", "magnitude": 0.5}`, "no client group"},
 		{"auction", `{"kind": "link-loss", "target": "trunk", "duration": "1s", "magnitude": 2}`, "drop probability"},
 		{"auction", `{"kind": "sharknado", "duration": "1s"}`, "unknown kind"},
-		{"hetero", `{"kind": "origin-stall", "duration": "1s"}`, "hetero"},
 	}
 	for i, tc := range cases {
 		src := strings.NewReader(strings.ReplaceAll(

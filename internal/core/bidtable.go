@@ -232,7 +232,7 @@ const (
 type bidShard struct {
 	mu      sync.RWMutex
 	chans   map[RequestID]*PayChan
-	waiters map[RequestID]any
+	waiters map[RequestID]Waiter
 
 	// elig is the intrusive max-heap of eligible channels ordered by
 	// (hkey desc, id asc); hkey is each channel's paid snapshot from
@@ -421,7 +421,7 @@ func NewBidTable(shards int) *BidTable {
 	}
 	for i := range t.shards {
 		t.shards[i].chans = make(map[RequestID]*PayChan)
-		t.shards[i].waiters = make(map[RequestID]any)
+		t.shards[i].waiters = make(map[RequestID]Waiter)
 	}
 	t.SetInactivityTimeout(30 * time.Second)
 	return t
@@ -836,7 +836,7 @@ func (t *BidTable) TotalRemoved() int64 {
 // SetWaiter registers w as id's transport waiter. It reports false —
 // registering nothing — if a waiter is already present, which the
 // front surfaces as a duplicate-request error.
-func (t *BidTable) SetWaiter(id RequestID, w any) bool {
+func (t *BidTable) SetWaiter(id RequestID, w Waiter) bool {
 	s := t.shard(id)
 	s.mu.Lock()
 	if _, dup := s.waiters[id]; dup {
@@ -849,24 +849,19 @@ func (t *BidTable) SetWaiter(id RequestID, w any) bool {
 }
 
 // TakeWaiter removes and returns id's waiter, or nil if none.
-func (t *BidTable) TakeWaiter(id RequestID) any {
+func (t *BidTable) TakeWaiter(id RequestID) Waiter {
 	s := t.shard(id)
 	s.mu.Lock()
-	w, ok := s.waiters[id]
-	if ok {
-		delete(s.waiters, id)
-	}
+	w := s.waiters[id]
+	delete(s.waiters, id)
 	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
 	return w
 }
 
 // DropWaiter removes id's waiter only if it is still w (the caller's
 // own registration) — the disconnect/timeout path, which must not
 // clobber a successor's registration.
-func (t *BidTable) DropWaiter(id RequestID, w any) {
+func (t *BidTable) DropWaiter(id RequestID, w Waiter) {
 	s := t.shard(id)
 	s.mu.Lock()
 	if cur, ok := s.waiters[id]; ok && cur == w {

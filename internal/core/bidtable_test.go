@@ -138,9 +138,14 @@ func TestBidTableTotals(t *testing.T) {
 	}
 }
 
+// chanWaiter is a Waiter over a buffered channel.
+type chanWaiter chan []byte
+
+func (w chanWaiter) Deliver(body []byte) { w <- body }
+
 func TestBidTableWaiters(t *testing.T) {
 	bt := NewBidTable(4)
-	w1, w2 := make(chan []byte, 1), make(chan []byte, 1)
+	w1, w2 := make(chanWaiter, 1), make(chanWaiter, 1)
 	if !bt.SetWaiter(5, w1) {
 		t.Fatal("first registration refused")
 	}
@@ -152,7 +157,7 @@ func TestBidTableWaiters(t *testing.T) {
 	if bt.Waiters() != 1 {
 		t.Fatal("foreign drop removed the waiter")
 	}
-	if got := bt.TakeWaiter(5); got != any(w1) {
+	if got := bt.TakeWaiter(5); got != Waiter(w1) {
 		t.Fatalf("took %v, want w1", got)
 	}
 	if bt.TakeWaiter(5) != nil || bt.Waiters() != 0 {

@@ -142,17 +142,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts thinner activity for the evaluation harness.
-type Stats struct {
-	Admitted       uint64 // requests handed to the server
-	AdmittedDirect uint64 // of those, admitted with no auction (server free)
-	Auctions       uint64 // auctions held
-	Evicted        uint64 // payment channels terminated by timeout
-	Shed           uint64 // arrivals refused during an origin brownout
-	Brownouts      uint64 // times the origin-health ladder left HealthOK
-	WastedBytes    int64  // payment bytes of evicted channels
-	PaidBytes      int64  // payment bytes of auction winners (the prices)
-}
+// Stats counts an admission policy's activity: the counters declared
+// in internal/metrics, read from the policy's registry.
+type Stats = metrics.Counters
 
 // HealthState is the origin-health brownout ladder. The thinner's job
 // during an origin outage is to keep its constituency intact: paying
@@ -264,33 +256,12 @@ func (t *Thinner) Table() *BidTable { return t.table }
 func (t *Thinner) Registry() *metrics.Registry { return &t.reg }
 
 // Stats returns the activity counters, read from the registry.
-func (t *Thinner) Stats() Stats {
-	s := t.reg.Snapshot()
-	return Stats{
-		Admitted:       s.Admitted,
-		AdmittedDirect: s.AdmittedDirect,
-		Auctions:       s.Auctions,
-		Evicted:        s.Evicted,
-		Shed:           s.Shed,
-		Brownouts:      s.Brownouts,
-		WastedBytes:    s.WastedBytes,
-		PaidBytes:      s.PaidBytes,
-	}
-}
+func (t *Thinner) Stats() Stats { return t.reg.Snapshot().Counters }
 
 // Busy reports whether an arrival must pay: the server is occupied,
 // or the thinner runs §5, where every request wins its quanta by
 // auction and none reaches the server for free.
 func (t *Thinner) Busy() bool { return t.busy || t.cfg.Quantum > 0 }
-
-// GoingRate returns the price of the most recent auction in bytes
-// (§3.3: "the going rate for access is the winning bid from the most
-// recent auction"). It is 0 before any auction.
-func (t *Thinner) GoingRate() int64 { return t.reg.GoingPrice() }
-
-// LastWinner returns the id of the most recent auction winner (0
-// before any auction).
-func (t *Thinner) LastWinner() RequestID { return RequestID(t.reg.LastWinner()) }
 
 // Config returns the thinner's effective configuration (defaults
 // applied, later Reconfigure calls included).
@@ -370,13 +341,13 @@ func (t *Thinner) SetOriginStalled(stalled bool) {
 		if t.Health() == HealthStalled {
 			return
 		}
-		t.reg.RecordBrownout(int32(HealthStalled))
+		t.reg.RecordBrownout(int64(HealthStalled))
 		return
 	}
 	if t.Health() != HealthStalled {
 		return
 	}
-	t.reg.RecordHealth(int32(HealthRecovering))
+	t.reg.RecordHealth(int64(HealthRecovering))
 	t.holdUntil = t.clock.Now() + t.cfg.OrphanTimeout
 	if !t.busy {
 		// The auction the brownout deferred: contenders kept paying
@@ -389,7 +360,7 @@ func (t *Thinner) SetOriginStalled(stalled bool) {
 // front calls it directly (it answers the HTTP side itself);
 // RequestArrived uses it, then Refuse, for the simulator path.
 func (t *Thinner) ShedArrival(id RequestID) {
-	t.reg.RecordShed(uint64(id))
+	t.reg.RecordShed()
 	if t.Trace != nil {
 		t.Trace.OnShed(uint64(id), t.clock.Now())
 	}
@@ -567,7 +538,7 @@ func (t *Thinner) sweep() {
 			}
 			return
 		}
-		t.reg.RecordHealth(int32(HealthOK))
+		t.reg.RecordHealth(int64(HealthOK))
 	}
 	ids := t.sweepIDs[:0]
 	for _, s := range t.suspended {
@@ -598,7 +569,7 @@ func (t *Thinner) evict(ids []RequestID, now time.Duration) {
 	for _, id := range ids {
 		t.unsuspend(id)
 		paid := t.table.Remove(id, ChanEvicted)
-		t.reg.RecordEvict(uint64(id), paid)
+		t.reg.RecordEvict(paid)
 		if t.Trace != nil {
 			t.Trace.OnEvict(uint64(id), paid, now)
 		}

@@ -74,8 +74,8 @@ func TestThinnerAuctionPicksTopPayer(t *testing.T) {
 	if h.prices[1] != 5000 {
 		t.Fatalf("price = %d, want 5000", h.prices[1])
 	}
-	if h.th.GoingRate() != 5000 {
-		t.Fatalf("going rate = %d", h.th.GoingRate())
+	if p := h.th.Registry().Snapshot().GoingPrice; p != 5000 {
+		t.Fatalf("going rate = %d", p)
 	}
 	// 2 remains contending with its balance intact.
 	if h.th.Table().Balance(2) != 1000 {
@@ -229,8 +229,8 @@ func TestThinnerGoingRateTracksLastAuction(t *testing.T) {
 	h.th.RequestArrived(3)
 	h.th.PaymentReceived(3, 700)
 	h.th.ServerDone(2) // 3 wins at 700
-	if h.th.GoingRate() != 700 {
-		t.Fatalf("going rate = %d, want 700", h.th.GoingRate())
+	if p := h.th.Registry().Snapshot().GoingPrice; p != 700 {
+		t.Fatalf("going rate = %d, want 700", p)
 	}
 }
 

@@ -3,14 +3,16 @@ package core
 import (
 	"math/rand"
 	"time"
+
+	"speakup/internal/metrics"
 )
 
 // baseline is what the two payment-free policies share: callbacks, the
-// server's busy latch and the counters.
+// server's busy latch and the registry they count in.
 type baseline struct {
 	Callbacks
-	busy  bool
-	stats Stats
+	busy bool
+	reg  metrics.Registry
 }
 
 // Busy is always false: the baselines ask no one to pay.
@@ -19,11 +21,19 @@ func (b *baseline) Busy() bool { return false }
 // PaymentReceived ignores payment bytes: the baselines take none.
 func (b *baseline) PaymentReceived(RequestID, int64) {}
 
-// Stats returns a copy of the activity counters.
-func (b *baseline) Stats() Stats { return b.stats }
+// Stats returns the activity counters, read from the registry.
+func (b *baseline) Stats() Stats { return b.reg.Snapshot().Counters }
 
-// admit ends id's (empty) payment and hands it to the server.
-func (b *baseline) admit(id RequestID) {
+// refuse counts id as evicted and turns it away.
+func (b *baseline) refuse(id RequestID) {
+	b.reg.RecordEvict(0)
+	b.Callbacks.refuse(id)
+}
+
+// admit counts id's admission, ends its (empty) payment and hands it
+// to the server. direct marks an admission straight to a free server.
+func (b *baseline) admit(id RequestID, direct bool) {
+	b.reg.RecordAdmit(0, direct)
 	if b.Evict != nil {
 		b.Evict(id, 0, false)
 	}
@@ -49,14 +59,11 @@ func (p *PassThrough) Stop() {}
 // RequestArrived admits the request if the server is free, else drops it.
 func (p *PassThrough) RequestArrived(id RequestID) {
 	if p.busy {
-		p.stats.Evicted++
 		p.refuse(id)
 		return
 	}
 	p.busy = true
-	p.stats.Admitted++
-	p.stats.AdmittedDirect++
-	p.admit(id)
+	p.admit(id, true)
 }
 
 // ServerDone signals that the server finished id.
@@ -159,7 +166,6 @@ func (r *RandomDrop) scheduleTick() {
 func (r *RandomDrop) RequestArrived(id RequestID) {
 	r.arrived++
 	if r.rng.Float64() >= r.prob || len(r.queue) >= r.cfg.MaxQueue {
-		r.stats.Evicted++
 		r.refuse(id)
 		return
 	}
@@ -168,8 +174,7 @@ func (r *RandomDrop) RequestArrived(id RequestID) {
 		return
 	}
 	r.busy = true
-	r.stats.Admitted++
-	r.admit(id)
+	r.admit(id, false)
 }
 
 // ServerDone signals that the server finished id; the next queued
@@ -183,6 +188,5 @@ func (r *RandomDrop) ServerDone(id RequestID) {
 	next := r.queue[0]
 	r.queue = r.queue[1:]
 	r.busy = true
-	r.stats.Admitted++
-	r.admit(next)
+	r.admit(next, false)
 }

@@ -1,9 +1,9 @@
 package core
 
-// Waiter is a transport-side sink for a held request's outcome. The
-// HTTP front parks each held request in a buffered channel; other
-// transports (the binary wire front) register a Waiter instead, and
-// the front's admit/evict callbacks deliver through it.
+// Waiter is a transport-side sink for a held request's outcome: each
+// transport registers one per held request in the BidTable (the HTTP
+// front a buffered channel, the wire front its connection), and the
+// front's admit/evict callbacks deliver through it.
 type Waiter interface {
 	// Deliver hands the waiter its outcome: the origin's response body
 	// on admission, or nil on eviction. Called from the front's

@@ -82,9 +82,9 @@ type FrontState struct {
 }
 
 // Aggregate is the fleet-wide fold of every front's latest snapshot.
-// Counters are sums; OpenChannels/Contenders are sums of gauges;
-// GoingPriceMax is the highest current going rate anywhere (the
-// fleet's price ceiling, which heterogeneous clients shop against).
+// Every counter and gauge of Totals is summed; GoingPriceMax is the
+// highest current going rate anywhere (the fleet's price ceiling,
+// which heterogeneous clients shop against).
 type Aggregate struct {
 	Fronts    int `json:"fronts"`
 	Connected int `json:"connected"`
@@ -95,22 +95,8 @@ type Aggregate struct {
 	Stalled    int `json:"stalled"`
 	Recovering int `json:"recovering"`
 
-	Admitted        uint64  `json:"admitted"`
-	AdmittedDirect  uint64  `json:"admitted_direct"`
-	Auctions        uint64  `json:"auctions"`
-	Evicted         uint64  `json:"evicted"`
-	Shed            uint64  `json:"shed"`
-	Brownouts       uint64  `json:"brownouts"`
-	PaidBytes       int64   `json:"paid_bytes"`
-	WastedBytes     int64   `json:"wasted_bytes"`
-	IngestBytes     int64   `json:"ingest_bytes"`
-	IngestMbps      float64 `json:"ingest_mbps"`
-	OpenChannels    int     `json:"open_channels"`
-	Contenders      int     `json:"contenders"`
-	GoingPriceMax   int64   `json:"going_price_max_bytes"`
-	WireConns       int64   `json:"wire_conns"`
-	WireFrames      uint64  `json:"wire_frames"`
-	WireIngestBytes int64   `json:"wire_ingest_bytes"`
+	metrics.Totals
+	GoingPriceMax int64 `json:"going_price_max_bytes"`
 }
 
 // Watcher subscribes to a fleet of fronts. Create with New, call
@@ -188,24 +174,8 @@ func (w *Watcher) Aggregate() Aggregate {
 		default:
 			a.Healthy++
 		}
-		a.Admitted += s.Admitted
-		a.AdmittedDirect += s.AdmittedDirect
-		a.Auctions += s.Auctions
-		a.Evicted += s.Evicted
-		a.Shed += s.Shed
-		a.Brownouts += s.Brownouts
-		a.PaidBytes += s.PaidBytes
-		a.WastedBytes += s.WastedBytes
-		a.IngestBytes += s.IngestBytes
-		a.IngestMbps += s.IngestMbps
-		a.OpenChannels += s.OpenChannels
-		a.Contenders += s.Contenders
-		if s.GoingPrice > a.GoingPriceMax {
-			a.GoingPriceMax = s.GoingPrice
-		}
-		a.WireConns += s.WireConns
-		a.WireFrames += s.WireFrames
-		a.WireIngestBytes += s.WireIngestBytes
+		a.Add(&s.Totals)
+		a.GoingPriceMax = max(a.GoingPriceMax, s.GoingPrice)
 	}
 	return a
 }

@@ -2,16 +2,19 @@ package fleetwatch
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"speakup/internal/core"
 	"speakup/internal/faults"
+	"speakup/internal/metrics"
 	"speakup/internal/web"
 )
 
@@ -246,4 +249,80 @@ func TestWatcherToleratesAbsentFront(t *testing.T) {
 		t.Fatalf("aggregate over an absent front: %+v", a)
 	}
 	w.Stop()
+}
+
+// TestAggregateFoldsEveryDeclaredMetric streams one synthetic snapshot
+// from each of two fronts, with every declared key holding a distinct
+// value, and checks the fleet view: each declared counter (and each
+// summed gauge) is the sum of the two, and the going price is the
+// larger one.
+func TestAggregateFoldsEveryDeclaredMetric(t *testing.T) {
+	decls := metrics.Decls()
+	line := func(scale float64) []byte {
+		m := map[string]float64{}
+		for i, d := range decls {
+			if d.JSON != "" {
+				m[d.JSON] = scale * float64(i+1)
+			}
+		}
+		m["health"] = 0
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '\n')
+	}
+	var urls []string
+	for _, scale := range []float64{1, 100} {
+		body := line(scale)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Write(body)
+			w.(http.Flusher).Flush()
+			<-r.Context().Done()
+		}))
+		defer srv.Close()
+		urls = append(urls, srv.URL)
+	}
+	w := New(Config{Fronts: urls, Interval: 20 * time.Millisecond})
+	w.Start(context.Background())
+	defer w.Stop()
+	waitFor(t, "both synthetic fronts reporting", func() bool {
+		for _, st := range w.States() {
+			if st.LastSeen.IsZero() {
+				return false
+			}
+		}
+		return true
+	})
+
+	b, err := json.Marshal(w.Aggregate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var agg map[string]float64
+	if err := json.Unmarshal(b, &agg); err != nil {
+		t.Fatal(err)
+	}
+	counters := 0
+	for i, d := range decls {
+		got, ok := agg[d.JSON]
+		if d.Kind == "counter" && d.JSON != "" {
+			counters++
+			if !ok {
+				t.Errorf("counter %s missing from the aggregate", d.JSON)
+			}
+		}
+		if want := 101 * float64(i+1); ok && got != want {
+			t.Errorf("aggregate %s = %v, want %v", d.JSON, got, want)
+		}
+		if want := 100 * float64(i+1); d.JSON == "going_price_bytes" && agg["going_price_max_bytes"] != want {
+			t.Errorf("going_price_max_bytes = %v, want %v", agg["going_price_max_bytes"], want)
+		}
+	}
+	if counters < 11 {
+		t.Errorf("only %d declared counters checked", counters)
+	}
+	if agg["healthy"] != 2 {
+		t.Errorf("healthy = %v, want 2", agg["healthy"])
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"speakup/internal/adversary"
 	"speakup/internal/core"
 	"speakup/internal/faults"
+	"speakup/internal/metrics"
 	"speakup/internal/trace"
 	"speakup/internal/wire"
 )
@@ -98,8 +99,9 @@ type Stats struct {
 	Failed    atomic.Uint64
 	Retried   atomic.Uint64 // re-issues after retryable failures
 	PaidBytes atomic.Int64
-	// Latency records issue-to-response time of served requests.
-	Latency Histogram
+	// Latency records issue-to-response time of served requests, in
+	// the same log₂ buckets as the thinner's lifecycle histograms.
+	Latency metrics.Hist
 }
 
 // Offered returns the demand the client presented: issued plus

@@ -115,18 +115,11 @@ func (h *Hist) Quantile(p float64) time.Duration {
 // control path, and how old channels were when the sweep evicted them.
 // WaitToAdmit, CreditGap, and TimeToEvict are fed from sampled trace
 // records (internal/trace), so they populate only when tracing is on;
-// AuctionLatency is fed by the thinner core on every auction whenever
-// a metrics registry is attached.
+// AuctionLatency is fed by the thinner core on every auction. Their
+// tags declare them the way registry.go declares the counters.
 type LatencyHists struct {
-	// WaitToAdmit: request arrival to auction win (or direct admit).
-	WaitToAdmit Hist
-	// CreditGap: interarrival time between consecutive payment credits
-	// on one channel — the payment stream's steadiness.
-	CreditGap Hist
-	// AuctionLatency: wall time of one winner selection + settle on
-	// the control path (the PR 5 indexed-auction cost, live).
-	AuctionLatency Hist
-	// TimeToEvict: first activity to timeout eviction — how long dead
-	// channels camped in the table before the sweep reclaimed them.
-	TimeToEvict Hist
+	WaitToAdmit    Hist `prom:"speakup_wait_to_admit_seconds" kind:"histogram" unit:"s" help:"Request arrival to admission (sampled traces)."`
+	CreditGap      Hist `prom:"speakup_credit_gap_seconds" kind:"histogram" unit:"s" help:"Interarrival time between payment credits on one channel (sampled traces)."`
+	AuctionLatency Hist `prom:"speakup_auction_latency_seconds" kind:"histogram" unit:"s" help:"Wall time of one winner selection and settle."`
+	TimeToEvict    Hist `prom:"speakup_time_to_evict_seconds" kind:"histogram" unit:"s" help:"Channel first activity to timeout eviction (sampled traces)."`
 }

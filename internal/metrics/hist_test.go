@@ -1,4 +1,4 @@
-package loadgen
+package metrics
 
 import (
 	"sync"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestHistogramQuantilesAndMax(t *testing.T) {
-	var h Histogram
+	var h Hist
 	if h.Max() != 0 || h.Quantile(0.999) != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
@@ -19,8 +19,8 @@ func TestHistogramQuantilesAndMax(t *testing.T) {
 	}
 	outlier := 3*time.Second + 7*time.Millisecond
 	h.Observe(outlier)
-	if got := h.Quantile(0.50); got != histBase {
-		t.Fatalf("p50 = %v, want %v", got, histBase)
+	if got := h.Quantile(0.50); got != HistBase {
+		t.Fatalf("p50 = %v, want %v", got, HistBase)
 	}
 	if got := h.Quantile(0.999); got < outlier {
 		t.Fatalf("p99.9 = %v, must cover the outlier %v", got, outlier)
@@ -36,7 +36,7 @@ func TestHistogramQuantilesAndMax(t *testing.T) {
 }
 
 func TestHistogramConcurrentMax(t *testing.T) {
-	var h Histogram
+	var h Hist
 	var wg sync.WaitGroup
 	const workers = 16
 	for w := 1; w <= workers; w++ {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"reflect"
 )
 
 // Prometheus text exposition (version 0.0.4) for the registry and its
@@ -16,15 +17,6 @@ import (
 // bucket equal to _count — the monotonicity the exposition-format
 // tests assert.
 
-// PromMeta describes one metric line's metadata.
-type promKind string
-
-const (
-	promCounter   promKind = "counter"
-	promGauge     promKind = "gauge"
-	promHistogram promKind = "histogram"
-)
-
 // promWriter accumulates exposition lines; errors are sticky so call
 // sites stay linear.
 type promWriter struct {
@@ -32,7 +24,7 @@ type promWriter struct {
 	err error
 }
 
-func (p *promWriter) meta(name, help string, kind promKind) {
+func (p *promWriter) meta(name, help, kind string) {
 	if p.err != nil {
 		return
 	}
@@ -46,15 +38,9 @@ func (p *promWriter) printf(format string, args ...any) {
 	_, p.err = fmt.Fprintf(p.w, format, args...)
 }
 
-// Counter emits one counter metric with HELP/TYPE metadata.
-func (p *promWriter) counter(name, help string, v float64) {
-	p.meta(name, help, promCounter)
-	p.printf("%s %g\n", name, v)
-}
-
-// Gauge emits one gauge metric with HELP/TYPE metadata.
-func (p *promWriter) gauge(name, help string, v float64) {
-	p.meta(name, help, promGauge)
+// value emits one counter or gauge with its HELP/TYPE metadata.
+func (p *promWriter) value(name, help, kind string, v float64) {
+	p.meta(name, help, kind)
 	p.printf("%s %g\n", name, v)
 }
 
@@ -63,7 +49,7 @@ func (p *promWriter) gauge(name, help string, v float64) {
 // beyond the last occupied one are collapsed into +Inf so an idle
 // histogram is four lines, not thirty-six.
 func (p *promWriter) histogram(name, help string, h *Hist) {
-	p.meta(name, help, promHistogram)
+	p.meta(name, help, "histogram")
 	last := 0
 	for i := 0; i < HistBuckets; i++ {
 		if h.Bucket(i) != 0 {
@@ -80,49 +66,44 @@ func (p *promWriter) histogram(name, help string, h *Hist) {
 	p.printf("%s_count %d\n", name, h.Count())
 }
 
-// WritePrometheus renders the registry — every counter and gauge the
-// thinner records plus the four request-lifecycle histograms — in
-// Prometheus text exposition format. It never blocks recording: each
-// value is an independent atomic load, the same non-consistent cut
-// Snapshot takes. The front's /metrics handler appends its own
-// deployment gauges (uptime, ingest, table sizes) with
-// WritePrometheusGauge after calling this.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	s := r.Snapshot()
+// WritePrometheus renders every declared metric of s that has a
+// Prometheus name, then the latency histograms lat, in Prometheus text
+// exposition format. s is a Registry snapshot its owner completed; the
+// histograms are read with independent atomic loads, the same
+// non-consistent cut Snapshot takes, so rendering never blocks
+// recording.
+func WritePrometheus(w io.Writer, s *Snapshot, lat *LatencyHists) error {
 	p := &promWriter{w: w}
-	p.counter("speakup_admitted_total", "Requests handed to the origin (direct + auction wins).", float64(s.Admitted))
-	p.counter("speakup_admitted_direct_total", "Admissions with no auction (origin was free).", float64(s.AdmittedDirect))
-	p.counter("speakup_auctions_total", "Auctions held.", float64(s.Auctions))
-	p.counter("speakup_evicted_total", "Payment channels terminated by timeout.", float64(s.Evicted))
-	p.counter("speakup_shed_total", "Arrivals refused during origin brownouts.", float64(s.Shed))
-	p.counter("speakup_brownouts_total", "Times the origin-health ladder left ok.", float64(s.Brownouts))
-	p.counter("speakup_paid_bytes_total", "Payment bytes of auction winners (the prices).", float64(s.PaidBytes))
-	p.counter("speakup_wasted_bytes_total", "Payment bytes forfeited by evicted channels.", float64(s.WastedBytes))
-	p.gauge("speakup_going_price_bytes", "Winning bid of the most recent auction.", float64(s.GoingPrice))
-	p.gauge("speakup_last_winner_id", "Request id of the most recent auction winner.", float64(s.LastWinner))
-	p.gauge("speakup_health", "Origin-health ladder state (0 ok, 1 stalled, 2 recovering).", float64(s.Health))
-	p.gauge("speakup_wire_conns", "Open binary payment-transport connections.", float64(s.WireConns))
-	p.counter("speakup_wire_frames_total", "Frames decoded by the wire listener.", float64(s.WireFrames))
-	p.counter("speakup_wire_ingest_bytes_total", "Payment bytes credited over the wire transport.", float64(s.WireIngestBytes))
-	p.histogram("speakup_wait_to_admit_seconds", "Request arrival to admission (sampled traces).", &r.lat.WaitToAdmit)
-	p.histogram("speakup_credit_gap_seconds", "Interarrival time between payment credits on one channel (sampled traces).", &r.lat.CreditGap)
-	p.histogram("speakup_auction_latency_seconds", "Wall time of one winner selection and settle.", &r.lat.AuctionLatency)
-	p.histogram("speakup_time_to_evict_seconds", "Channel first activity to timeout eviction (sampled traces).", &r.lat.TimeToEvict)
+	render := func(d Decl, v reflect.Value) {
+		switch {
+		case d.Prom == "":
+		case d.Kind == "histogram":
+			p.histogram(d.Prom, d.Help, v.Addr().Interface().(*Hist))
+		case d.Unit == "ms":
+			p.value(d.Prom, d.Help, d.Kind, number(v)/1e3)
+		default:
+			p.value(d.Prom, d.Help, d.Kind, number(v))
+		}
+	}
+	visit(reflect.ValueOf(s).Elem(), render)
+	visit(reflect.ValueOf(lat).Elem(), render)
 	return p.err
 }
 
-// WritePrometheusGauge emits one free-standing gauge in the same
-// format — the seam the front uses for deployment gauges the registry
-// cannot see (uptime, ingest totals, table sizes).
-func WritePrometheusGauge(w io.Writer, name, help string, v float64) error {
-	p := &promWriter{w: w}
-	p.gauge(name, help, v)
-	return p.err
+func number(v reflect.Value) float64 {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		return float64(v.Int())
+	case reflect.Uint64:
+		return float64(v.Uint())
+	}
+	return v.Float()
 }
 
-// WritePrometheusCounter emits one free-standing counter.
-func WritePrometheusCounter(w io.Writer, name, help string, v float64) error {
+// WritePrometheusValue emits one free-standing counter or gauge in the
+// same format, for values outside the declaration (the tracer's).
+func WritePrometheusValue(w io.Writer, name, help, kind string, v float64) error {
 	p := &promWriter{w: w}
-	p.counter(name, help, v)
+	p.value(name, help, kind, v)
 	return p.err
 }

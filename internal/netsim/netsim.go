@@ -187,9 +187,6 @@ func (l *Link) Faulted() bool { return l.fault != nil }
 // Name returns the link's human-readable name.
 func (l *Link) Name() string { return l.name }
 
-// QueuedBytes returns the bytes currently waiting in the queue.
-func (l *Link) QueuedBytes() int { return l.queued }
-
 // QueueCap returns the capacity (in slots) of the queue's backing ring
 // buffer; tests use it to assert queue memory stays bounded.
 func (l *Link) QueueCap() int { return len(l.q.buf) }
@@ -252,9 +249,6 @@ func (n *Network) AddNode(name string, h Handler) NodeID {
 // SetHandler replaces a node's packet handler. It allows hosts to be
 // created before the protocol endpoints that live on them.
 func (n *Network) SetHandler(id NodeID, h Handler) { n.nodes[id].handler = h }
-
-// NodeName returns the node's name.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id].name }
 
 // AddLink creates a unidirectional link from -> to with the given rate
 // (bits/s), propagation delay, and queue capacity in bytes (<=0 means

@@ -297,13 +297,6 @@ func (c Config) Validate() error {
 		if err := c.Faults.Validate(names, len(c.Bottlenecks)); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
-		if c.Mode == appsim.ModeHetero {
-			for _, ev := range c.Faults {
-				if ev.Kind == faults.OriginStall || ev.Kind == faults.OriginCrash {
-					return fmt.Errorf("scenario: %s faults are not supported in hetero mode (suspend/resume accounting assumes an unfrozen origin)", ev.Kind)
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -370,6 +363,13 @@ type Result struct {
 // returns aggregated results. It panics on configurations Validate
 // rejects.
 func Run(cfg Config) *Result {
+	res, _ := run(cfg)
+	return res
+}
+
+// run is Run that also returns the thinner, whose payment book tests
+// audit after the run.
+func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -654,5 +654,5 @@ func Run(cfg Config) *Result {
 		res.BystanderLatencies = &bystander.Latencies
 	}
 	res.Events = loop.Processed()
-	return res
+	return res, thApp
 }

@@ -8,6 +8,7 @@ import (
 	"speakup/internal/adversary"
 	"speakup/internal/appsim"
 	"speakup/internal/core"
+	"speakup/internal/faults"
 )
 
 // mix builds the standard 2 Mbit/s-per-client mix with ng good and nb
@@ -383,5 +384,44 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Fatalf("shards=%d diverged from shards=1:\n  %+v vs\n  %+v (events %d vs %d)",
 				shards, got.ThinnerStats, base.ThinnerStats, got.Events, base.Events)
 		}
+	}
+}
+
+// TestHeteroOriginFaults runs the §5 scheduler through an origin stall
+// and an origin crash. Suspensions land inside the stall and the crash
+// destroys the request in service; the run must not panic, and every
+// credited byte must be accounted for: recorded as paid, recorded as
+// wasted, or still held by an open channel.
+func TestHeteroOriginFaults(t *testing.T) {
+	cfg := Config{
+		Seed: 5, Duration: 12 * time.Second, Capacity: 20,
+		Mode:    appsim.ModeHetero,
+		Thinner: core.Config{Quantum: 50 * time.Millisecond, AbortAfter: 2 * time.Second},
+		Groups: []ClientGroup{
+			{Count: 6, Good: true, Work: 50 * time.Millisecond},
+			{Count: 6, Good: false, Work: 500 * time.Millisecond},
+		},
+		Faults: faults.Plan{
+			{Kind: faults.OriginStall, At: 3 * time.Second, Duration: 2 * time.Second},
+			{Kind: faults.OriginCrash, At: 7 * time.Second, Duration: time.Second},
+		},
+	}
+	res, app := run(cfg)
+	if st := res.ServerStats; st.Stalls != 1 || st.Crashes != 1 || st.Suspends == 0 {
+		t.Fatalf("server stats %+v: want one stall, one crash and some suspends", st)
+	}
+	if res.ServedGood == 0 {
+		t.Fatal("no good request served")
+	}
+	table := app.Auction().Table()
+	credited := table.TotalCredited()
+	var held int64 // open channels' balances plus their §5 charges
+	for id := core.RequestID(1); table.Size() > 0; id++ {
+		held += table.Remove(id, core.ChanEvicted)
+	}
+	tot := res.ThinnerStats
+	if credited != tot.PaidBytes+tot.WastedBytes+held {
+		t.Fatalf("credited %d != paid %d + wasted %d + held %d",
+			credited, tot.PaidBytes, tot.WastedBytes, held)
 	}
 }

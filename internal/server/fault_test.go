@@ -137,3 +137,30 @@ func TestCrashSparesSuspended(t *testing.T) {
 		t.Fatalf("done = %v, want [1]", *done)
 	}
 }
+
+// TestSuspendDuringStallKeepsWork suspends a request while the origin
+// is frozen: the frozen time is not service, so the request keeps all
+// of its work and needs its full service time after the resume.
+func TestSuspendDuringStallKeepsWork(t *testing.T) {
+	loop, s, done := newSrv(10)
+	s.cfg.Jitter = 0 // constant 100ms
+	s.Start(1)
+	s.Stall(500 * time.Millisecond)
+	loop.Run(300 * time.Millisecond)
+	s.Suspend(1)
+	if got := s.Stats().BusyTime; got != 0 {
+		t.Fatalf("busy time after a suspend mid-stall = %v, want 0", got)
+	}
+	loop.Run(500 * time.Millisecond) // the thaw
+	s.Resume(1)
+	loop.RunAll()
+	if len(*done) != 1 {
+		t.Fatalf("done = %d, want 1", len(*done))
+	}
+	if got := loop.Now(); got != 600*time.Millisecond {
+		t.Fatalf("finished at %v, want 600ms (100ms of work after the 500ms resume)", got)
+	}
+	if got := s.Stats().BusyTime; got != 100*time.Millisecond {
+		t.Fatalf("busy time = %v, want 100ms", got)
+	}
+}

@@ -156,7 +156,7 @@ func (s *Server) complete() {
 	id := s.current
 	s.stats.Served++
 	s.stats.TotalWork += s.pendingWork
-	s.stats.BusyTime += s.clock.Now() - s.startedAt
+	s.stats.BusyTime += s.pendingWork
 	s.busy = false
 	s.finish = nil
 	total := s.workOf[id]
@@ -175,17 +175,21 @@ func (s *Server) Suspend(id core.RequestID) {
 	if !s.busy || s.current != id {
 		panic(fmt.Sprintf("server: Suspend(%d) not in service", id))
 	}
-	elapsed := s.clock.Now() - s.startedAt
+	done := s.served(s.clock.Now())
 	s.finish()
 	s.finish = nil
 	s.busy = false
 	s.stats.Suspends++
-	s.stats.BusyTime += elapsed
-	remaining := s.pendingWork - elapsed
-	if remaining < 0 {
-		remaining = 0
-	}
-	s.suspended[id] = remaining
+	s.stats.BusyTime += done
+	s.suspended[id] = s.pendingWork - done
+}
+
+// served returns how much of the in-service request's pending work is
+// done by now. Its remaining work lies between finishAt and the later
+// of now and the thaw, so time the origin spent frozen counts as none.
+func (s *Server) served(now time.Duration) time.Duration {
+	remaining := s.finishAt - max(now, s.stallUntil)
+	return min(max(s.pendingWork-remaining, 0), s.pendingWork)
 }
 
 // Resume continues a suspended request.
@@ -260,6 +264,7 @@ func (s *Server) Stall(d time.Duration) {
 func (s *Server) Crash(downFor time.Duration) {
 	now := s.clock.Now()
 	s.stats.Crashes++
+	done := s.served(now) // before the restart window moves the thaw
 	if until := now + downFor; until > s.stallUntil {
 		s.stallUntil = until
 	}
@@ -271,13 +276,9 @@ func (s *Server) Crash(downFor time.Duration) {
 	s.finish = nil
 	s.busy = false
 	s.stats.Lost++
-	s.stats.BusyTime += now - s.startedAt
-	consumed := now - s.startedAt
-	total := s.workOf[id]
+	s.stats.BusyTime += done
+	consumed := s.workOf[id] - (s.pendingWork - done)
 	delete(s.workOf, id)
-	if consumed > total {
-		consumed = total // stall time is not service time
-	}
 	if s.Observer != nil && consumed > 0 {
 		s.Observer(id, consumed)
 	}

@@ -434,8 +434,8 @@ func TestStatsTelemetryMetricsAgree(t *testing.T) {
 		"payment_bytes", "payment_mbps", "going_rate_bytes", "last_winner_id", "contenders",
 		"open_channels", "shards", "health", "config_hash", "wire_conns", "wire_frames",
 		"wire_ingest_bytes", "thinner")
-	assertKeys(t, "/stats thinner", thinnerKeys, "Admitted", "AdmittedDirect", "Auctions",
-		"Evicted", "Shed", "Brownouts", "WastedBytes", "PaidBytes")
+	assertKeys(t, "/stats thinner", thinnerKeys, "admitted", "admitted_direct", "auctions",
+		"evicted", "shed", "brownouts", "wasted_bytes", "paid_bytes")
 	var st Stats
 	if err := json.Unmarshal([]byte(statsBody), &st); err != nil {
 		t.Fatal(err)
@@ -528,5 +528,54 @@ func assertKeys(t *testing.T, what string, obj map[string]json.RawMessage, want 
 	sort.Strings(want)
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("%s keys = %v, want %v", what, got, want)
+	}
+}
+
+// TestMetricsFamilies pins every /metrics family a traced front
+// exposes: its name, its TYPE and its HELP text. Dashboards and alert
+// rules key on these, so a rename or a dropped family must show here.
+func TestMetricsFamilies(t *testing.T) {
+	_, srv := newTracedFront(t, time.Millisecond)
+	_, body := get(t, srv.URL+"/metrics")
+	help, typ, _ := parseProm(t, body)
+	var got []string
+	for name, kind := range typ {
+		got = append(got, name+" "+kind+" "+help[name])
+	}
+	sort.Strings(got)
+	want := []string{
+		"speakup_admitted_direct_total counter Admissions with no auction (origin was free).",
+		"speakup_admitted_total counter Requests handed to the origin (direct + auction wins).",
+		"speakup_auction_latency_seconds histogram Wall time of one winner selection and settle.",
+		"speakup_auctions_total counter Auctions held.",
+		"speakup_brownouts_total counter Times the origin-health ladder left ok.",
+		"speakup_contenders gauge Eligible auction contenders.",
+		"speakup_credit_gap_seconds histogram Interarrival time between payment credits on one channel (sampled traces).",
+		"speakup_evicted_total counter Payment channels terminated by timeout.",
+		"speakup_going_price_bytes gauge Winning bid of the most recent auction.",
+		"speakup_gomaxprocs gauge The front's scheduler width.",
+		"speakup_health gauge Origin-health ladder state (0 ok, 1 stalled, 2 recovering).",
+		"speakup_ingest_bytes_total counter Payment bytes credited across all transports.",
+		"speakup_last_winner_id gauge Request id of the most recent auction winner.",
+		"speakup_open_channels gauge Open payment channels, orphans included.",
+		"speakup_paid_bytes_total counter Payment bytes of auction winners (the prices).",
+		"speakup_served_total counter Requests the origin completed.",
+		"speakup_shed_total counter Arrivals refused during origin brownouts.",
+		"speakup_time_to_evict_seconds histogram Channel first activity to timeout eviction (sampled traces).",
+		"speakup_trace_completed_total counter Request-lifecycle traces retired to the ring.",
+		"speakup_trace_drops_total counter Sampled requests untraced because the in-flight slot table was full.",
+		"speakup_trace_sample_n gauge Tracing samples one in this many request ids.",
+		"speakup_uptime_seconds gauge Seconds since the front started.",
+		"speakup_wait_to_admit_seconds histogram Request arrival to admission (sampled traces).",
+		"speakup_wasted_bytes_total counter Payment bytes forfeited by evicted channels.",
+		"speakup_wire_conns gauge Open binary payment-transport connections.",
+		"speakup_wire_frames_total counter Frames decoded by the wire listener.",
+		"speakup_wire_ingest_bytes_total counter Payment bytes credited over the wire transport.",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/metrics families changed:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if len(help) != len(typ) {
+		t.Errorf("%d HELP lines for %d TYPE lines", len(help), len(typ))
 	}
 }

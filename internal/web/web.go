@@ -239,14 +239,17 @@ func (f *Front) Now() time.Duration { return time.Since(f.started) }
 // now is the Front's clock reading (same epoch the thinner sees).
 func (f *Front) now() time.Duration { return f.Now() }
 
-// deliver hands a taken waiter its outcome: the HTTP front parks
-// waiters as buffered channels, other transports register a
-// core.Waiter. A nil body means evicted.
-func deliver(w any, body []byte) {
-	switch w := w.(type) {
-	case chan []byte:
-		w <- body // buffered; the waiter may also have given up
-	case core.Waiter:
+// chanWaiter is the HTTP front's core.Waiter: a held request's handler
+// waits on it for the response body, nil meaning evicted.
+type chanWaiter chan []byte
+
+// Deliver implements core.Waiter. The channel has one slot, so it
+// never blocks, even once the handler has given up.
+func (w chanWaiter) Deliver(body []byte) { w <- body }
+
+// deliver hands a taken waiter, if any, its outcome.
+func deliver(w core.Waiter, body []byte) {
+	if w != nil {
 		w.Deliver(body)
 	}
 }
@@ -308,7 +311,7 @@ func (f *Front) evict(id core.RequestID, paid int64, wasted bool) {
 // otherwise registers w as the id's waiter and announces the arrival
 // to the thinner. The HTTP wait path and the wire front's OPEN both
 // land here, so the 503/409/held semantics cannot drift apart.
-func (f *Front) Arrive(id core.RequestID, w any) core.ArriveVerdict {
+func (f *Front) Arrive(id core.RequestID, w core.Waiter) core.ArriveVerdict {
 	return f.arrive(id, w, false)
 }
 
@@ -316,7 +319,7 @@ func (f *Front) Arrive(id core.RequestID, w any) core.ArriveVerdict {
 // request that finds the origin occupied gets ArriveBusy (the 402
 // "pay" reply) after the brownout check and before anything is
 // registered.
-func (f *Front) arrive(id core.RequestID, w any, initial bool) core.ArriveVerdict {
+func (f *Front) arrive(id core.RequestID, w core.Waiter, initial bool) core.ArriveVerdict {
 	f.ctl.Lock()
 	defer f.ctl.Unlock()
 	if f.th.Health() == core.HealthStalled {
@@ -348,7 +351,7 @@ func (f *Front) Channel(id core.RequestID) *core.PayChan {
 // ReleaseWaiter drops w's registration for id if it is still the
 // current waiter — a transport's client gave up (HTTP: request
 // context canceled; wire: CLOSE frame or connection teardown).
-func (f *Front) ReleaseWaiter(id core.RequestID, w any) {
+func (f *Front) ReleaseWaiter(id core.RequestID, w core.Waiter) {
 	f.table.DropWaiter(id, w)
 }
 
@@ -404,7 +407,7 @@ func (f *Front) handleRequest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ch := make(chan []byte, 1)
+	ch := make(chanWaiter, 1)
 	switch f.arrive(id, ch, r.URL.Query().Get("wait") == "") {
 	case core.ArriveBusy:
 		// The "JavaScript" reply: open a payment channel and re-issue.
@@ -556,46 +559,36 @@ type Stats struct {
 	// value /control/config reports).
 	ConfigHash string `json:"config_hash"`
 	// Wire-transport slice of the ingest (0s when no wire listener is
-	// attached): open binary connections, frames decoded, and payment
-	// bytes credited over internal/wire.
-	WireConns       int64      `json:"wire_conns"`
-	WireFrames      uint64     `json:"wire_frames"`
-	WireIngestBytes int64      `json:"wire_ingest_bytes"`
-	ThinnerTotals   core.Stats `json:"thinner"`
+	// attached).
+	metrics.Wire
+	ThinnerTotals core.Stats `json:"thinner"`
 }
 
-// Snapshot returns current counters. Payment totals come from the bid
-// table's shard counters; only the thinner's own tallies are read
-// under the control mutex.
+// Snapshot returns current counters: the registry's under the control
+// mutex, so the thinner's tallies are one consistent cut, and the
+// deployment gauges Telemetry adds.
 func (f *Front) Snapshot() Stats {
-	up := time.Since(f.started)
 	f.ctl.Lock()
-	going := f.th.GoingRate()
-	winner := f.th.LastWinner()
-	totals := f.th.Stats()
-	health := f.th.Health()
+	s := f.Telemetry()
 	cfgHash := config.HashThinner(config.ThinnerFromCore(f.th.Config()))
 	f.ctl.Unlock()
-	pay := f.table.TotalCredited()
-	snap := f.Registry().Snapshot()
+	up := time.Duration(s.UptimeMS) * time.Millisecond
 	return Stats{
-		Uptime:          up.Truncate(time.Millisecond).String(),
-		UptimeSeconds:   up.Seconds(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Served:          f.served.Load(),
-		PaymentBytes:    pay,
-		PaymentMbps:     float64(pay) * 8 / up.Seconds() / 1e6,
-		GoingRate:       going,
-		LastWinner:      winner,
-		Contenders:      f.table.Eligible(),
-		OpenChannels:    f.table.Size(),
-		Shards:          f.table.Shards(),
-		Health:          health.String(),
-		ConfigHash:      cfgHash,
-		WireConns:       snap.WireConns,
-		WireFrames:      snap.WireFrames,
-		WireIngestBytes: snap.WireIngestBytes,
-		ThinnerTotals:   totals,
+		Uptime:        up.String(),
+		UptimeSeconds: float64(s.UptimeMS) / 1e3,
+		GOMAXPROCS:    s.GOMAXPROCS,
+		Served:        s.Served,
+		PaymentBytes:  s.IngestBytes,
+		PaymentMbps:   s.IngestMbps,
+		GoingRate:     s.GoingPrice,
+		LastWinner:    core.RequestID(s.LastWinner),
+		Contenders:    s.Contenders,
+		OpenChannels:  s.OpenChannels,
+		Shards:        f.table.Shards(),
+		Health:        core.HealthState(s.Health).String(),
+		ConfigHash:    cfgHash,
+		Wire:          s.Wire,
+		ThinnerTotals: s.Counters,
 	}
 }
 
@@ -604,36 +597,22 @@ func (f *Front) handleStats(w http.ResponseWriter) {
 	json.NewEncoder(w).Encode(f.Snapshot())
 }
 
-// handleMetrics renders GET /metrics: the registry's counters, gauges,
-// and lifecycle histograms in Prometheus text exposition format, plus
-// the deployment gauges only the front can see. Like /telemetry it
-// never takes the control mutex.
+// handleMetrics renders GET /metrics: every declared metric of a
+// telemetry snapshot and the registry's lifecycle histograms in
+// Prometheus text exposition format, plus the tracer's own gauges.
+// Like /telemetry it never takes the control mutex.
 func (f *Front) handleMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := f.Registry().WritePrometheus(w); err != nil {
+	s := f.Telemetry()
+	if err := metrics.WritePrometheus(w, &s, f.Registry().Latency()); err != nil || f.tracer == nil {
 		return
 	}
-	up := time.Since(f.started)
-	metrics.WritePrometheusGauge(w, "speakup_uptime_seconds",
-		"Seconds since the front started.", up.Seconds())
-	metrics.WritePrometheusCounter(w, "speakup_served_total",
-		"Requests the origin completed.", float64(f.served.Load()))
-	metrics.WritePrometheusCounter(w, "speakup_ingest_bytes_total",
-		"Payment bytes credited across all transports.", float64(f.table.TotalCredited()))
-	metrics.WritePrometheusGauge(w, "speakup_open_channels",
-		"Open payment channels, orphans included.", float64(f.table.Size()))
-	metrics.WritePrometheusGauge(w, "speakup_contenders",
-		"Eligible auction contenders.", float64(f.table.Eligible()))
-	metrics.WritePrometheusGauge(w, "speakup_gomaxprocs",
-		"The front's scheduler width.", float64(runtime.GOMAXPROCS(0)))
-	if f.tracer != nil {
-		metrics.WritePrometheusGauge(w, "speakup_trace_sample_n",
-			"Tracing samples one in this many request ids.", float64(f.tracer.SampleN()))
-		metrics.WritePrometheusCounter(w, "speakup_trace_completed_total",
-			"Request-lifecycle traces retired to the ring.", float64(f.tracer.Completed()))
-		metrics.WritePrometheusCounter(w, "speakup_trace_drops_total",
-			"Sampled requests untraced because the in-flight slot table was full.", float64(f.tracer.Drops()))
-	}
+	metrics.WritePrometheusValue(w, "speakup_trace_sample_n",
+		"Tracing samples one in this many request ids.", "gauge", float64(f.tracer.SampleN()))
+	metrics.WritePrometheusValue(w, "speakup_trace_completed_total",
+		"Request-lifecycle traces retired to the ring.", "counter", float64(f.tracer.Completed()))
+	metrics.WritePrometheusValue(w, "speakup_trace_drops_total",
+		"Sampled requests untraced because the in-flight slot table was full.", "counter", float64(f.tracer.Drops()))
 }
 
 // traceView is the NDJSON line shape of /trace: a trace.Record with
@@ -795,6 +774,8 @@ func (f *Front) Telemetry() metrics.Snapshot {
 	s := f.Registry().Snapshot()
 	up := time.Since(f.started)
 	s.UptimeMS = up.Milliseconds()
+	s.Served = f.served.Load()
+	s.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	s.IngestBytes = f.table.TotalCredited()
 	s.IngestMbps = float64(s.IngestBytes) * 8 / up.Seconds() / 1e6
 	s.OpenChannels = f.table.Size()

@@ -15,14 +15,14 @@ import (
 // protocol, bid table, auction, and brownout ladder the HTTP listener
 // uses. web.Front implements it (asserted in the speakup facade).
 type Backend interface {
-	// Arrive registers w (a core.Waiter) as id's waiter and announces
+	// Arrive registers w as id's waiter and announces
 	// the arrival to the thinner under the front's control lock,
 	// returning the pinned shed/duplicate/held verdict.
-	Arrive(id core.RequestID, w any) core.ArriveVerdict
+	Arrive(id core.RequestID, w core.Waiter) core.ArriveVerdict
 	// Channel resolves id's payment channel at the front's clock.
 	Channel(id core.RequestID) *core.PayChan
 	// ReleaseWaiter drops w's registration for id if still current.
-	ReleaseWaiter(id core.RequestID, w any)
+	ReleaseWaiter(id core.RequestID, w core.Waiter)
 	// Now reads the front's clock; credits are stamped with it so both
 	// transports age channels on one epoch.
 	Now() time.Duration
