@@ -27,20 +27,23 @@
 // backoff, honoring Retry-After; -req-timeout bounds each request's
 // whole speak-up exchange.
 //
-// With -attack, the bad clients run the named adversary strategy
-// (onoff, mimic, defector, flood, adaptive, poisson — the same
-// implementations that drive the simulator; see internal/adversary)
-// instead of the default fixed Poisson flood, sharing one cohort so
-// coordinated strategies coordinate for real. -attack list prints the
-// registry and exits.
+// Every client runs an adversary strategy (internal/adversary, the
+// same implementations that drive the simulator), one cohort per
+// class so coordinated strategies coordinate for real. By default
+// both classes run the poisson profile: good clients at λ=2, w=1, bad
+// ones at λ=40, w=20 (§7.1). With -attack, the bad clients run the
+// named profile instead (onoff, mimic, defector, flood, adaptive,
+// poisson) at its own default rate and window. -attack list prints
+// the registry and exits.
 //
 // With -scenario, the client workload comes from a declarative
 // scenario file (the internal/config schema shared with cmd/repro and
 // cmd/thinnerd; a disk path, or an embedded configs/ name): good
 // groups set the good class's count, rate, window, and bandwidth; the
 // first bad group sets the bad class's — including its adversary
-// strategy — and sizes.post sets the payment POST size. Explicit
-// flags override the file.
+// strategy, whose rate and window it overrides only where it sets
+// them — and sizes.post sets the payment POST size. Explicit flags
+// override the file.
 //
 // Per-second progress goes to stderr. The final summary — per-class
 // service rates, admissions/sec, payment-ingest bits/sec, and latency
@@ -192,144 +195,29 @@ func main() {
 		return
 	}
 
-	// Resolved workload: flag defaults, overridden by a scenario file,
-	// overridden by explicitly-set flags.
-	nG, nB := *nGood, *nBad
-	goodLambda, goodWindow, goodBW := 2.0, 1, *bw
-	badLambda, badWindow, badBW := 40.0, 20, *bw
-	postBytes, dur := *post, *duration
-	atk, scale := *attack, *aggro
-	trans := *transport
-	scenarioName := ""
+	flags := workload{
+		good: class{n: *nGood, bw: *bw}, bad: class{n: *nBad, bw: *bw},
+		attack: *attack, aggro: *aggro, post: *post, dur: *duration, transport: *transport,
+	}
+	var doc *config.Scenario
 	if *scenarioFile != "" {
-		doc, err := config.Resolve(configs.FS, *scenarioFile)
+		d, err := config.Resolve(configs.FS, *scenarioFile)
 		if err != nil {
 			log.Fatalf("scenario: %v", err)
 		}
-		scenarioName = doc.Name
-		if scenarioName == "" {
-			scenarioName = *scenarioFile
+		if d.Name == "" {
+			d.Name = *scenarioFile
 		}
-		nG, nB = 0, 0
-		var g, b *config.ClientGroup
-		for i := range doc.Groups {
-			grp := &doc.Groups[i]
-			if grp.Good {
-				nG += grp.Count
-				if g == nil {
-					g = grp
-				}
-			} else {
-				nB += grp.Count
-				if b == nil {
-					b = grp
-				}
-			}
-		}
-		if g != nil {
-			if g.Lambda != 0 {
-				goodLambda = g.Lambda
-			}
-			if g.Window != 0 {
-				goodWindow = g.Window
-			}
-			if g.Bandwidth != 0 {
-				goodBW = g.Bandwidth
-			}
-		}
-		if b != nil {
-			if b.Lambda != 0 {
-				badLambda = b.Lambda
-			}
-			if b.Window != 0 {
-				badWindow = b.Window
-			}
-			if b.Bandwidth != 0 {
-				badBW = b.Bandwidth
-			}
-			if b.Strategy != "" {
-				atk = b.Strategy
-				if b.Aggressiveness != 0 {
-					scale = b.Aggressiveness
-				}
-			}
-		}
-		if doc.Sizes != nil && doc.Sizes.Post != 0 {
-			postBytes = doc.Sizes.Post
-		}
-		if doc.Duration != 0 {
-			dur = doc.Duration.D()
-		}
-		if doc.Transport != "" {
-			trans = doc.Transport
-		}
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["good"] {
-			nG = *nGood
-		}
-		if explicit["bad"] {
-			nB = *nBad
-		}
-		if explicit["bw"] {
-			goodBW, badBW = *bw, *bw
-		}
-		if explicit["post"] {
-			postBytes = *post
-		}
-		if explicit["duration"] {
-			dur = *duration
-		}
-		if explicit["attack"] {
-			atk = *attack
-		}
-		if explicit["aggro"] {
-			scale = *aggro
-		}
-		if explicit["transport"] {
-			trans = *transport
-		}
+		doc = &d
 	}
-	if trans != "http" && trans != "wire" {
-		log.Fatalf("-transport must be http or wire, got %q", trans)
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	wl, err := resolve(flags, doc, explicit)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if atk == "" && scale != 1 {
-		log.Fatalf("-aggro %g has no effect without an attack profile (the default bad clients are fixed Poisson λ=%g, w=%d)", scale, badLambda, badWindow)
-	}
-	var spec adversary.Spec
-	var cohort *adversary.Cohort
-	if atk != "" {
-		spec = adversary.Spec{Name: atk, Aggressiveness: scale}
-		if err := spec.Validate(); err != nil {
-			log.Fatal(err)
-		}
-		cohort = adversary.NewCohort(spec, nB)
-	}
-
-	// The run's identity: the canonical hash of the resolved workload as
-	// one scenario document. Built the same way whether the workload came
-	// from a file or from flags, so identical effective runs hash alike.
-	effective := config.Scenario{
-		Version:  config.Version,
-		Name:     scenarioName,
-		Duration: config.Duration(dur),
-		Mode:     "auction",
-		Groups: []config.ClientGroup{
-			{Name: "good", Count: nG, Good: true, Lambda: goodLambda, Window: goodWindow, Bandwidth: goodBW},
-			{Name: "bad", Count: nB, Lambda: badLambda, Window: badWindow, Bandwidth: badBW, Strategy: atk, Aggressiveness: scale},
-		},
-		Sizes: &config.Sizes{Post: postBytes},
-	}
-	if atk == "" {
-		effective.Groups[1].Strategy = ""
-		effective.Groups[1].Aggressiveness = 0
-	}
-	if trans == "wire" {
-		// "http" stays the schema's empty default so pre-wire runs keep
-		// their hashes.
-		effective.Transport = trans
-	}
-	configHash := config.ShortHash(effective)
+	trans, dur := wl.transport, wl.dur
+	configHash := config.ShortHash(wl.effective())
 
 	// Fail fast if the front is not there at all: a generator pointed at
 	// nothing would otherwise run the full duration reporting 0/0. Any
@@ -351,45 +239,35 @@ func main() {
 	}
 
 	var ids atomic.Uint64
-	var good, bad []*loadgen.Client
-	for i := 0; i < nG; i++ {
-		c := loadgen.NewClient(loadgen.Config{
-			BaseURL: *url, Lambda: goodLambda, Window: goodWindow, Good: true,
-			UploadBits: goodBW, PostBytes: postBytes, Seed: int64(i + 1),
-			RetryBudget: *retryBudget, RetryBase: *retryBase, RetryCap: *retryCap,
-			RequestTimeout: *reqTimeout,
-			Transport:      trans, WireAddr: *wireAddr,
-			TraceSample: *traceSample,
-		}, &ids)
-		good = append(good, c)
-		c.Run()
-	}
-	for i := 0; i < nB; i++ {
-		cfg := loadgen.Config{
-			BaseURL: *url, Lambda: badLambda, Window: badWindow, Good: false,
-			UploadBits: badBW, PostBytes: postBytes, Seed: int64(1000 + i),
-			RetryBudget: *retryBudget, RetryBase: *retryBase, RetryCap: *retryCap,
-			RequestTimeout: *reqTimeout,
-			Transport:      trans, WireAddr: *wireAddr,
-			TraceSample: *traceSample,
+	run := func(cl class, goodClass bool, seed int64) []*loadgen.Client {
+		cohort := adversary.NewCohort(cl.spec, cl.n)
+		var out []*loadgen.Client
+		for i := 0; i < cl.n; i++ {
+			c := loadgen.NewClient(loadgen.Config{
+				BaseURL: *url, Strategy: cl.spec.New(cohort), Good: goodClass,
+				UploadBits: cl.bw, PostBytes: wl.post, Seed: seed + int64(i),
+				RetryBudget: *retryBudget, RetryBase: *retryBase, RetryCap: *retryCap,
+				RequestTimeout: *reqTimeout,
+				Transport:      trans, WireAddr: *wireAddr,
+				TraceSample: *traceSample,
+			}, &ids)
+			out = append(out, c)
+			c.Run()
 		}
-		if atk != "" {
-			cfg.Strategy = spec.New(cohort)
-		}
-		c := loadgen.NewClient(cfg, &ids)
-		bad = append(bad, c)
-		c.Run()
+		return out
 	}
+	good := run(wl.good, true, 1)
+	bad := run(wl.bad, false, 1000)
 	profile := "poisson flood (default)"
-	if atk != "" {
-		profile = fmt.Sprintf("%s x%.2g", atk, scale)
+	if wl.attack != "" {
+		profile = fmt.Sprintf("%s x%.2g", wl.attack, wl.aggro)
 	}
 	frontDesc := *url
 	if trans == "wire" {
 		frontDesc = fmt.Sprintf("wire front %s (healthz via %s)", *wireAddr, *url)
 	}
 	log.Printf("load: %d good + %d bad clients [%s] at %.1f/%.1f Mbit/s against %s over %s (config %s)",
-		nG, nB, profile, goodBW/1e6, badBW/1e6, frontDesc, trans, configHash)
+		wl.good.n, wl.bad.n, profile, wl.good.bw/1e6, wl.bad.bw/1e6, frontDesc, trans, configHash)
 
 	start := time.Now()
 	for time.Since(start) < dur {
@@ -406,15 +284,15 @@ func main() {
 
 	sum := summaryJSON{
 		URL:         *url,
-		Scenario:    scenarioName,
+		Scenario:    wl.scenario,
 		ConfigHash:  configHash,
-		Attack:      atk,
+		Attack:      wl.attack,
 		DurationSec: elapsed.Seconds(),
 		Good:        classSummary(good, elapsed),
 		Bad:         classSummary(bad, elapsed),
 	}
-	if atk != "" {
-		sum.Aggressiveness = scale
+	if wl.attack != "" {
+		sum.Aggressiveness = wl.aggro
 	}
 	served := sum.Good.Served + sum.Bad.Served
 	paid := sum.Good.PaidBytes + sum.Bad.PaidBytes

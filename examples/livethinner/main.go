@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"speakup"
+	"speakup/internal/adversary"
 	"speakup/internal/loadgen"
 )
 
@@ -42,13 +43,18 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("thinner listening on %s (origin capacity: 5 req/s)\n\n", base)
 
+	// Both clients run the paper's Poisson process (§7.1): arrivals at
+	// rate λ, at most w requests outstanding.
+	poisson := func(lambda float64, w int) adversary.Strategy {
+		return adversary.Spec{Name: "poisson", Lambda: lambda, Window: w}.New(nil)
+	}
 	var ids atomic.Uint64
 	good := loadgen.NewClient(loadgen.Config{
-		BaseURL: base, Lambda: 3, Window: 2, Good: true,
+		BaseURL: base, Strategy: poisson(3, 2), Good: true,
 		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 1,
 	}, &ids)
 	bad := loadgen.NewClient(loadgen.Config{
-		BaseURL: base, Lambda: 30, Window: 8, Good: false,
+		BaseURL: base, Strategy: poisson(30, 8), Good: false,
 		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 2,
 	}, &ids)
 	good.Run()

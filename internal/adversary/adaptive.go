@@ -70,8 +70,6 @@ func (a *adaptive) Window(time.Duration) int { return int(a.window.Load()) }
 
 func (a *adaptive) PostSize(_ time.Duration, _ int64, def int) int { return def }
 
-func (a *adaptive) Work() time.Duration { return a.spec.Work }
-
 func (a *adaptive) Observe(o Outcome) {
 	if o.Served {
 		a.wins.Add(1)

@@ -7,12 +7,15 @@
 // so the attacker itself must be programmable.
 //
 // A Strategy decides, from observed feedback (admissions, denials,
-// the current price), everything one attacking client controls:
-// request timing, the outstanding-request window, payment sizing, and
-// per-request work. Strategies keyed by name are plain data (Spec),
-// so sweep grids, scenario configs, and command-line flags can all
-// declare them; internal/exp/exp_adversary.go scans the registry into
-// a robustness-frontier table.
+// the current price), everything one client controls: request timing,
+// the outstanding-request window and payment sizing. It is the only
+// client process either stack runs: the paper's good and bad clients
+// (§7.1) are the poisson profile with λ=2, w=1 and λ=40, w=20. How
+// much work a request costs the server is a property of the client
+// group, not of the strategy. Strategies keyed by name are plain data
+// (Spec), so sweep grids, scenario configs, and command-line flags
+// can all declare them; internal/exp/exp_adversary.go scans the
+// registry into a robustness-frontier table.
 //
 // Strategies must be safe for concurrent use (the live load generator
 // calls them from many goroutines) and deterministic when driven from
@@ -47,7 +50,7 @@ type Outcome struct {
 	Now time.Duration
 }
 
-// Strategy drives one attacking client. The simulator calls Gap and
+// Strategy drives one client. The simulator calls Gap and
 // Window on its single event-loop goroutine; the live load generator
 // calls PostSize and Observe from per-request goroutines, so
 // implementations keep mutable state in atomics.
@@ -66,10 +69,6 @@ type Strategy interface {
 	// Returning <= 0 stops paying while keeping the request open —
 	// the defector's move.
 	PostSize(now time.Duration, paid int64, def int) int
-	// Work is the per-request service cost the client demands of the
-	// server (0 = the server default). Heterogeneous-request attacks
-	// (§5) set it above the good clients' cost.
-	Work() time.Duration
 	// Observe feeds one finished (or denied) request back.
 	Observe(o Outcome)
 }
@@ -87,9 +86,6 @@ type Spec struct {
 	Lambda float64
 	// Window overrides the profile's base outstanding cap.
 	Window int
-	// Work is the per-request service cost demanded from the server
-	// (0 = server default).
-	Work time.Duration
 	// Period is the pulse/phase period for onoff and adaptive
 	// (default 10s).
 	Period time.Duration
@@ -172,9 +168,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Window < 0 {
 		return fmt.Errorf("adversary: %s: Window must be >= 0, got %d", s.Name, s.Window)
-	}
-	if s.Work < 0 {
-		return fmt.Errorf("adversary: %s: Work must be >= 0, got %v", s.Name, s.Work)
 	}
 	if s.Period < 0 {
 		return fmt.Errorf("adversary: %s: Period must be >= 0, got %v", s.Name, s.Period)
@@ -262,7 +255,5 @@ func (f *fixed) PostSize(_ time.Duration, _ int64, def int) int {
 	}
 	return def
 }
-
-func (f *fixed) Work() time.Duration { return f.spec.Work }
 
 func (f *fixed) Observe(Outcome) {}

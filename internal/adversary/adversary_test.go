@@ -35,7 +35,7 @@ func TestSpecValidate(t *testing.T) {
 		{Spec{Name: "mimic", Window: -2}, false}, // negative window
 		{Spec{Name: "onoff", Duty: 1.5}, false},  // duty out of range
 		{Spec{Name: "adaptive", Aggressiveness: -1}, false},
-		{Spec{Name: "defector", Work: -time.Second}, false},
+		{Spec{Name: "defector", Period: -time.Second}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()

@@ -54,8 +54,6 @@ func (d *defector) PostSize(_ time.Duration, paid int64, def int) int {
 	return def
 }
 
-func (d *defector) Work() time.Duration { return d.spec.Work }
-
 func (d *defector) Observe(o Outcome) {
 	if o.Denied {
 		return

@@ -54,6 +54,4 @@ func (o *onoff) Window(now time.Duration) int {
 
 func (o *onoff) PostSize(_ time.Duration, _ int64, def int) int { return def }
 
-func (o *onoff) Work() time.Duration { return o.spec.Work }
-
 func (o *onoff) Observe(Outcome) {}

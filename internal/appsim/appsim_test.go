@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"speakup/internal/adversary"
 	"speakup/internal/clients"
 	"speakup/internal/core"
 	"speakup/internal/netsim"
@@ -12,6 +13,13 @@ import (
 	"speakup/internal/simclock"
 	"speakup/internal/tcpsim"
 )
+
+// poisson is the paper's §7.1 client: Poisson arrivals at rate lambda,
+// at most w outstanding, full payment. It both paces the workload and
+// sizes its payments.
+func poisson(lambda float64, w int) adversary.Strategy {
+	return adversary.Spec{Name: "poisson", Lambda: lambda, Window: w}.New(nil)
+}
 
 // rig is a hand-built mini deployment: n clients on 2 Mbit/s access
 // links into a 100 Mbit/s trunk, a thinner, and an emulated server.
@@ -79,7 +87,7 @@ func newRig(t *testing.T, cfg rigConfig) *rig {
 		ccfg := cfg.clientCfg
 		ccfg.Seed = int64(100 + i)
 		wl := clients.New(clock, ccfg, gen)
-		app := NewClientApp(cstack, wl, tn, Sizes{Post: cfg.postBytes}, ClientAppConfig{})
+		app := NewClientApp(cstack, wl, tn, Sizes{Post: cfg.postBytes}, ClientAppConfig{Payer: ccfg.Pacer.(Payer)})
 		app.OnOutcome = func(o RequestOutcome) { r.outcomes = append(r.outcomes, o) }
 		r.apps = append(r.apps, app)
 		r.wls = append(r.wls, wl)
@@ -106,7 +114,7 @@ func (r *rig) served() int {
 func TestSingleClientLightLoadServedDirectly(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 100, nClients: 1,
-		clientCfg: clients.Config{Lambda: 2, Window: 1, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(2, 1), Good: true},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -130,7 +138,7 @@ func TestOverloadTriggersPayments(t *testing.T) {
 	// must pay, and some get served.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 3,
-		clientCfg: clients.Config{Lambda: 10, Window: 4, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -161,7 +169,7 @@ func TestAuctionPricesApproachUpperBound(t *testing.T) {
 	// bound is (G+B)/c = 10e6/8/5 = 250 KB per request.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 5, nClients: 5,
-		clientCfg: clients.Config{Lambda: 20, Window: 8, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(20, 8), Good: true},
 	})
 	r.start()
 	r.loop.Run(60 * time.Second)
@@ -190,7 +198,7 @@ func TestAuctionPricesApproachUpperBound(t *testing.T) {
 func TestOffModeDropsWhenBusy(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeOff, capacity: 2, nClients: 3,
-		clientCfg: clients.Config{Lambda: 10, Window: 4, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -217,7 +225,7 @@ func TestOffModeDropsWhenBusy(t *testing.T) {
 func TestRandomDropModeServesUnderOverload(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeRandomDrop, capacity: 5, nClients: 3,
-		clientCfg: clients.Config{Lambda: 10, Window: 4, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -233,7 +241,7 @@ func TestRandomDropModeServesUnderOverload(t *testing.T) {
 func TestPaymentTimeMeasured(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 2,
-		clientCfg: clients.Config{Lambda: 5, Window: 2, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(5, 2), Good: true},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -257,7 +265,7 @@ func TestWinnerPaymentChannelTerminated(t *testing.T) {
 	// within reason.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 2,
-		clientCfg: clients.Config{Lambda: 5, Window: 2, Good: true},
+		clientCfg: clients.Config{Pacer: poisson(5, 2), Good: true},
 	})
 	r.start()
 	r.loop.Run(20 * time.Second)
@@ -318,9 +326,10 @@ func TestHeteroModeServesAndCharges(t *testing.T) {
 
 	var nextID uint64
 	gen := func() core.RequestID { nextID++; return core.RequestID(nextID) }
-	wl := clients.New(clock, clients.Config{Lambda: 5, Window: 2, Seed: 3}, gen)
+	strat := poisson(5, 2)
+	wl := clients.New(clock, clients.Config{Pacer: strat, Seed: 3}, gen)
 	cs := tcpsim.NewStack(n, cn, tcpsim.Options{})
-	capp := NewClientApp(cs, wl, tn, Sizes{}, ClientAppConfig{})
+	capp := NewClientApp(cs, wl, tn, Sizes{}, ClientAppConfig{Payer: strat})
 	var served int
 	capp.OnOutcome = func(o RequestOutcome) {
 		if o.Served {

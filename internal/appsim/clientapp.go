@@ -56,8 +56,7 @@ type ClientAppConfig struct {
 	PayConns int
 	// MaxRetryPipeline caps outstanding §3.2 retries. Default 32.
 	MaxRetryPipeline int
-	// Payer, if non-nil, sizes each payment POST; nil pays the
-	// protocol default (Sizes.Post) until terminated.
+	// Payer sizes each payment POST. Required.
 	Payer Payer
 }
 
@@ -86,6 +85,9 @@ type clientReq struct {
 // NewClientApp binds a workload client to a stack. The workload's
 // Issue callback is taken over by the app.
 func NewClientApp(stack *tcpsim.Stack, workload *clients.Client, thinner netsim.NodeID, sizes Sizes, cfg ClientAppConfig) *ClientApp {
+	if cfg.Payer == nil {
+		panic("appsim: Payer required")
+	}
 	a := &ClientApp{
 		loop:     stack.Net().Loop(),
 		stack:    stack,
@@ -173,12 +175,9 @@ func (a *ClientApp) openPayment(r *clientReq) {
 			if conn.Closed() {
 				return
 			}
-			size := a.sizes.Post
-			if a.cfg.Payer != nil {
-				size = a.cfg.Payer.PostSize(a.loop.Now(), r.paid, a.sizes.Post)
-				if size <= 0 {
-					return // defect: stop paying, keep the request open
-				}
+			size := a.cfg.Payer.PostSize(a.loop.Now(), r.paid, a.sizes.Post)
+			if size <= 0 {
+				return // defect: stop paying, keep the request open
 			}
 			conn.Write(size, postMsg)
 			r.paid += int64(size)

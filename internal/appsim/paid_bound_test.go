@@ -46,8 +46,9 @@ func TestLivePaidBytesBoundedByUplink(t *testing.T) {
 	var apps []*ClientApp
 	for i, cn := range nodes {
 		cs := tcpsim.NewStack(n, cn, tcpsim.Options{})
-		wl := clients.New(clock, clients.Config{Lambda: 40, Window: 20, Seed: int64(i + 5)}, gen)
-		apps = append(apps, NewClientApp(cs, wl, tn, Sizes{}, ClientAppConfig{}))
+		strat := poisson(40, 20)
+		wl := clients.New(clock, clients.Config{Pacer: strat, Seed: int64(i + 5)}, gen)
+		apps = append(apps, NewClientApp(cs, wl, tn, Sizes{}, ClientAppConfig{Payer: strat}))
 		wl.Start()
 	}
 	loop.Run(duration)

@@ -1,13 +1,14 @@
 // Package clients models the request-generation behaviour of the
 // paper's custom Python clients (§7.1).
 //
-// Each client generates requests from a Poisson process of rate λ but
-// never keeps more than a window w outstanding; excess arrivals wait
-// in a backlog queue and are logged as service denials after 10
-// seconds. Good clients use λ=2, w=1; bad clients use λ=40, w=20. The
-// package is transport-independent: the Issue callback starts the
-// actual protocol exchange, and the transport reports completions back
-// via RequestServed or RequestFailed.
+// A Pacer decides when each request arrives and how many may be
+// outstanding; excess arrivals wait in a backlog queue and are logged
+// as service denials after 10 seconds. The paper's clients are the
+// adversary package's poisson strategy: Poisson arrivals at rate λ
+// with a window w, λ=2, w=1 for good clients and λ=40, w=20 for bad
+// ones. The package is transport-independent: the Issue callback
+// starts the actual protocol exchange, and the transport reports
+// completions back via RequestServed or RequestFailed.
 package clients
 
 import (
@@ -18,8 +19,8 @@ import (
 	"speakup/internal/faults"
 )
 
-// Pacer drives arrival pacing and windowing dynamically; the
-// adversary strategies (internal/adversary) implement it. Gap draws
+// Pacer drives arrival pacing and windowing; the adversary strategies
+// (internal/adversary) implement it. Gap draws
 // the next inter-arrival gap (all randomness must come from rng, so
 // the client stays a pure function of its seed); Window returns the
 // outstanding-request cap in force at now — it may change over time
@@ -31,20 +32,12 @@ type Pacer interface {
 
 // Config parameterizes one client.
 type Config struct {
-	// Lambda is the Poisson request rate per second. Required unless
-	// Pacer is set.
-	Lambda float64
-	// Window is the max outstanding requests w. Required unless Pacer
-	// is set.
-	Window int
-	// Pacer, if non-nil, replaces the fixed Poisson(Lambda)/Window
-	// process with strategy-driven pacing; Lambda and Window are then
-	// ignored.
+	// Pacer draws the arrival gaps and sets the window. Required.
 	Pacer Pacer
 	// BacklogTimeout denies queued requests after this long. Default 10s.
 	BacklogTimeout time.Duration
 	// Good labels the client for reporting (it does not change behaviour;
-	// behaviour differences come from Lambda and Window).
+	// behaviour differences come from the Pacer).
 	Good bool
 	// Seed seeds this client's arrival process.
 	Seed int64
@@ -74,7 +67,7 @@ func (c Config) withDefaults() Config {
 
 // Stats counts per-client workload outcomes.
 type Stats struct {
-	Generated uint64 // Poisson arrivals
+	Generated uint64 // arrivals
 	Issued    uint64 // handed to the transport (fresh requests)
 	Served    uint64
 	Failed    uint64 // explicit failures (e.g. OFF-mode busy replies)
@@ -124,8 +117,8 @@ type Client struct {
 // (the scenario shares one counter across all clients). Call Start to
 // begin generating.
 func New(clock core.Clock, cfg Config, nextID func() core.RequestID) *Client {
-	if cfg.Pacer == nil && (cfg.Lambda <= 0 || cfg.Window <= 0) {
-		panic("clients: Lambda and Window must be positive")
+	if cfg.Pacer == nil {
+		panic("clients: Pacer required")
 	}
 	if nextID == nil {
 		panic("clients: nextID required")
@@ -155,7 +148,7 @@ func (c *Client) Outstanding() int { return c.outstanding }
 // BacklogLen returns the number of queued requests.
 func (c *Client) BacklogLen() int { return len(c.backlog) }
 
-// Start begins the Poisson arrival process.
+// Start begins the arrival process.
 func (c *Client) Start() {
 	c.scheduleArrival()
 }
@@ -174,22 +167,12 @@ func (c *Client) scheduleArrival() {
 	if c.stopped {
 		return
 	}
-	var gap time.Duration
-	if c.cfg.Pacer != nil {
-		gap = c.cfg.Pacer.Gap(c.clock.Now(), c.rng)
-	} else {
-		gap = time.Duration(c.rng.ExpFloat64() / c.cfg.Lambda * float64(time.Second))
-	}
+	gap := c.cfg.Pacer.Gap(c.clock.Now(), c.rng)
 	c.stopArrival = c.clock.After(gap, c.arrivalFn)
 }
 
-// window returns the cap in force now (dynamic under a Pacer).
-func (c *Client) window() int {
-	if c.cfg.Pacer != nil {
-		return c.cfg.Pacer.Window(c.clock.Now())
-	}
-	return c.cfg.Window
-}
+// window returns the cap in force now.
+func (c *Client) window() int { return c.cfg.Pacer.Window(c.clock.Now()) }
 
 func (c *Client) arrival() {
 	c.stats.Generated++

@@ -5,10 +5,17 @@ import (
 	"testing"
 	"time"
 
+	"speakup/internal/adversary"
 	"speakup/internal/core"
 	"speakup/internal/sim"
 	"speakup/internal/simclock"
 )
+
+// poisson is the paper's §7.1 client process: Poisson arrivals at
+// rate lambda with at most w outstanding.
+func poisson(lambda float64, w int) Pacer {
+	return adversary.Spec{Name: "poisson", Lambda: lambda, Window: w}.New(nil)
+}
 
 // idGen returns a process-unique id counter.
 func idGen() func() core.RequestID {
@@ -22,7 +29,7 @@ func idGen() func() core.RequestID {
 func TestPoissonRateApproximatesLambda(t *testing.T) {
 	loop := sim.NewLoop(1)
 	issued := 0
-	c := New(simclock.New(loop), Config{Lambda: 2, Window: 1000, Seed: 3}, idGen())
+	c := New(simclock.New(loop), Config{Pacer: poisson(2, 1000), Seed: 3}, idGen())
 	c.Issue = func(id core.RequestID) { issued++ }
 	c.Start()
 	loop.Run(300 * time.Second)
@@ -34,7 +41,7 @@ func TestPoissonRateApproximatesLambda(t *testing.T) {
 
 func TestWindowLimitsOutstanding(t *testing.T) {
 	loop := sim.NewLoop(2)
-	c := New(simclock.New(loop), Config{Lambda: 40, Window: 20, Seed: 4}, idGen())
+	c := New(simclock.New(loop), Config{Pacer: poisson(40, 20), Seed: 4}, idGen())
 	maxOut := 0
 	c.Issue = func(id core.RequestID) {
 		if c.Outstanding() > maxOut {
@@ -53,7 +60,7 @@ func TestWindowLimitsOutstanding(t *testing.T) {
 
 func TestBacklogTimeoutLogsDenials(t *testing.T) {
 	loop := sim.NewLoop(3)
-	c := New(simclock.New(loop), Config{Lambda: 10, Window: 1, Seed: 5}, idGen())
+	c := New(simclock.New(loop), Config{Pacer: poisson(10, 1), Seed: 5}, idGen())
 	denied := 0
 	c.OnDenial = func(id core.RequestID) { denied++ }
 	c.Issue = func(id core.RequestID) {} // request never completes
@@ -76,7 +83,7 @@ func TestBacklogTimeoutLogsDenials(t *testing.T) {
 func TestServedFreesWindowAndDrainsBacklog(t *testing.T) {
 	loop := sim.NewLoop(4)
 	clock := simclock.New(loop)
-	c := New(clock, Config{Lambda: 5, Window: 1, Seed: 6}, idGen())
+	c := New(clock, Config{Pacer: poisson(5, 1), Seed: 6}, idGen())
 	var inFlight []core.RequestID
 	c.Issue = func(id core.RequestID) { inFlight = append(inFlight, id) }
 	c.Start()
@@ -107,7 +114,7 @@ func TestServedFreesWindowAndDrainsBacklog(t *testing.T) {
 
 func TestFailedAlsoFreesWindow(t *testing.T) {
 	loop := sim.NewLoop(5)
-	c := New(simclock.New(loop), Config{Lambda: 5, Window: 1, Seed: 7}, idGen())
+	c := New(simclock.New(loop), Config{Pacer: poisson(5, 1), Seed: 7}, idGen())
 	c.Issue = func(id core.RequestID) {
 		// Fail instantly (OFF-mode busy reply).
 		loop.After(time.Millisecond, func() { c.RequestFailed(id) })
@@ -129,7 +136,7 @@ func TestFailedAlsoFreesWindow(t *testing.T) {
 
 func TestStopHaltsGeneration(t *testing.T) {
 	loop := sim.NewLoop(6)
-	c := New(simclock.New(loop), Config{Lambda: 100, Window: 5, Seed: 8}, idGen())
+	c := New(simclock.New(loop), Config{Pacer: poisson(100, 5), Seed: 8}, idGen())
 	c.Issue = func(id core.RequestID) {}
 	c.Start()
 	loop.Run(time.Second)
@@ -151,7 +158,7 @@ func TestOfferedCountsIssuedPlusDenied(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() uint64 {
 		loop := sim.NewLoop(7)
-		c := New(simclock.New(loop), Config{Lambda: 7, Window: 2, Seed: 9}, idGen())
+		c := New(simclock.New(loop), Config{Pacer: poisson(7, 2), Seed: 9}, idGen())
 		c.Issue = func(id core.RequestID) {
 			loop.After(50*time.Millisecond, func() { c.RequestServed(id) })
 		}
@@ -166,23 +173,21 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	loop := sim.NewLoop(1)
-	for _, bad := range []Config{{Lambda: 0, Window: 1}, {Lambda: 1, Window: 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", bad)
-				}
-			}()
-			New(simclock.New(loop), bad, idGen())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("nil Pacer did not panic")
+			}
 		}()
-	}
+		New(simclock.New(loop), Config{Seed: 1}, idGen())
+	}()
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("nil nextID did not panic")
 			}
 		}()
-		New(simclock.New(loop), Config{Lambda: 1, Window: 1}, nil)
+		New(simclock.New(loop), Config{Pacer: poisson(1, 1)}, nil)
 	}()
 }
 
@@ -201,13 +206,12 @@ func (p *pulsePacer) Window(now time.Duration) int {
 	return 3
 }
 
-// TestPacerDrivesTimingAndWindow: with a Pacer set, Lambda/Window are
-// ignored, gaps come from the pacer, and a collapsed window stops
-// issuing (arrivals pile into the backlog) and blocks backlog refill.
+// TestPacerDrivesTimingAndWindow: gaps come from the pacer, and a
+// collapsed window stops issuing (arrivals pile into the backlog) and
+// blocks backlog refill.
 func TestPacerDrivesTimingAndWindow(t *testing.T) {
 	loop := sim.NewLoop(11)
 	p := &pulsePacer{cut: 5 * time.Second}
-	// Lambda/Window zero: must not panic with a Pacer.
 	c := New(simclock.New(loop), Config{Seed: 1, Pacer: p}, idGen())
 	issuedBeforeCut := 0
 	c.Issue = func(id core.RequestID) {

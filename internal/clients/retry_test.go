@@ -16,7 +16,7 @@ func TestRetryBudgetReissues(t *testing.T) {
 	loop := sim.NewLoop(1)
 	clock := simclock.New(loop)
 	c := New(clock, Config{
-		Lambda: 0.099, Window: 1, Seed: 1, RetryBudget: 3,
+		Pacer: poisson(0.099, 1), Seed: 1, RetryBudget: 3,
 	}, idGen())
 	issues := map[core.RequestID][]time.Duration{}
 	c.Issue = func(id core.RequestID) {
@@ -73,7 +73,7 @@ func TestRetryBudgetReissues(t *testing.T) {
 func TestRetryHoldsWindowSlot(t *testing.T) {
 	loop := sim.NewLoop(2)
 	c := New(simclock.New(loop), Config{
-		Lambda: 50, Window: 5, Seed: 2, RetryBudget: 2,
+		Pacer: poisson(50, 5), Seed: 2, RetryBudget: 2,
 	}, idGen())
 	maxOut := 0
 	c.Issue = func(id core.RequestID) {
@@ -99,7 +99,7 @@ func TestDeadlineAbandons(t *testing.T) {
 	loop := sim.NewLoop(3)
 	clock := simclock.New(loop)
 	c := New(clock, Config{
-		Lambda: 0.099, Window: 1, Seed: 3, Deadline: 2 * time.Second,
+		Pacer: poisson(0.099, 1), Seed: 3, Deadline: 2 * time.Second,
 	}, idGen())
 	var issuedAt, abandonedAt []time.Duration
 	c.Issue = func(id core.RequestID) { issuedAt = append(issuedAt, clock.Now()) }
@@ -128,7 +128,7 @@ func TestDeadlineAbandons(t *testing.T) {
 func TestDeadlineDisarmedOnService(t *testing.T) {
 	loop := sim.NewLoop(4)
 	c := New(simclock.New(loop), Config{
-		Lambda: 2, Window: 4, Seed: 4, Deadline: time.Second,
+		Pacer: poisson(2, 4), Seed: 4, Deadline: time.Second,
 	}, idGen())
 	c.Abandon = func(id core.RequestID) { t.Fatalf("deadline fired for served request %d", id) }
 	c.Issue = func(id core.RequestID) {
@@ -151,7 +151,7 @@ func TestDeadlineRearmsPerAttempt(t *testing.T) {
 	loop := sim.NewLoop(5)
 	clock := simclock.New(loop)
 	c := New(clock, Config{
-		Lambda: 0.0099, Window: 1, Seed: 5,
+		Pacer: poisson(0.0099, 1), Seed: 5,
 		Deadline: time.Second, RetryBudget: 2,
 	}, idGen())
 	attempts := map[core.RequestID]int{}

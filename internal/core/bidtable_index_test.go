@@ -205,7 +205,7 @@ func TestBidTableIndexModel(t *testing.T) {
 // TestBidTableIndexModelRace races the auctioneer's structural ops
 // (MarkEligible/Remove/Winner/sweep, single goroutine per the table's
 // contract) against concurrent lock-free crediting from many payer
-// goroutines — run under -race in CI's live-race job. At quiesce
+// goroutines — run under -race in CI's race job. At quiesce
 // barriers every Winner answer is cross-checked against a brute-force
 // reference scan.
 func TestBidTableIndexModelRace(t *testing.T) {

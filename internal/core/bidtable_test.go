@@ -445,7 +445,7 @@ func TestQuickLedgerHeapConsistency(t *testing.T) {
 
 // TestBidTableConcurrentCredit hammers credits from many goroutines
 // while an auctioneer runs winners/removals — run under -race in CI's
-// live-race job.
+// race job.
 func TestBidTableConcurrentCredit(t *testing.T) {
 	bt := NewBidTable(8)
 	const payers = 32

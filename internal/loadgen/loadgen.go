@@ -1,8 +1,10 @@
 // Package loadgen reproduces the paper's client workloads (§7.1) over
-// real sockets against the internal/web front-end: Poisson arrivals, a
-// window of outstanding requests, an upload shaped by a token bucket
-// (the Emulab 2 Mbit/s access link), and the speak-up protocol —
-// re-issue the request and stream 1 MB payment POSTs when told to pay.
+// real sockets against the internal/web front-end: arrivals, a window
+// of outstanding requests and payment sizes from an adversary.Strategy
+// (the paper's good and bad clients are its poisson profile), an
+// upload shaped by a token bucket (the Emulab 2 Mbit/s access link),
+// and the speak-up protocol — re-issue the request and stream 1 MB
+// payment POSTs when told to pay.
 package loadgen
 
 import (
@@ -28,20 +30,16 @@ import (
 type Config struct {
 	// BaseURL points at the thinner front-end, e.g. http://127.0.0.1:8080.
 	BaseURL string
-	// Lambda is the Poisson request rate per second.
-	Lambda float64
-	// Window is the max outstanding requests.
-	Window int
 	// UploadBits shapes the client's total upload (bits/s). Default 2e6.
 	UploadBits float64
 	// PostBytes is the payment POST size. Default 1 MB.
 	PostBytes int
 	// Good labels the client in reports.
 	Good bool
-	// Strategy, if non-nil, drives arrival pacing, the outstanding
-	// window, and payment sizing (see internal/adversary); Lambda and
-	// Window are then ignored. The same strategy implementations that
-	// drive the simulator drive real HTTP traffic here.
+	// Strategy drives arrival pacing, the outstanding window, and
+	// payment sizing (see internal/adversary). Required. The same
+	// strategy implementations that drive the simulator drive real
+	// traffic here.
 	Strategy adversary.Strategy
 	// Seed seeds the arrival process.
 	Seed int64
@@ -118,7 +116,7 @@ type Client struct {
 	ids    *atomic.Uint64 // shared across clients for unique ids
 
 	started     time.Time    // strategy clocks run on elapsed time
-	outstanding atomic.Int64 // in-flight requests (strategy windowing)
+	outstanding atomic.Int64 // in-flight requests, held against the window
 
 	// wire is the lazily dialed persistent binary connection all of
 	// this client's channels multiplex over (Transport "wire").
@@ -140,8 +138,8 @@ type Client struct {
 // run so request IDs are unique.
 func NewClient(cfg Config, ids *atomic.Uint64) *Client {
 	cfg = cfg.withDefaults()
-	if cfg.Strategy == nil && (cfg.Lambda <= 0 || cfg.Window <= 0) {
-		panic("loadgen: Lambda and Window must be positive")
+	if cfg.Strategy == nil {
+		panic("loadgen: Strategy required")
 	}
 	switch cfg.Transport {
 	case "http":
@@ -192,12 +190,6 @@ func (c *Client) Stop() {
 
 func (c *Client) arrivals() {
 	defer c.wg.Done()
-	// Strategy clients count in-flight requests against a dynamic cap
-	// instead; the fixed semaphore exists only for the classic path.
-	var sem chan struct{}
-	if c.cfg.Strategy == nil {
-		sem = make(chan struct{}, c.cfg.Window)
-	}
 	// One reusable timer for the whole arrival loop: time.After would
 	// allocate a fresh runtime timer per gap, which at high lambda is
 	// measurable garbage on the load-generation path.
@@ -205,12 +197,7 @@ func (c *Client) arrivals() {
 	defer gapTimer.Stop()
 	for {
 		c.rngMu.Lock()
-		var gap time.Duration
-		if c.cfg.Strategy != nil {
-			gap = c.cfg.Strategy.Gap(c.now(), c.rng)
-		} else {
-			gap = time.Duration(c.rng.ExpFloat64() / c.cfg.Lambda * float64(time.Second))
-		}
+		gap := c.cfg.Strategy.Gap(c.now(), c.rng)
 		c.rngMu.Unlock()
 		gapTimer.Reset(gap)
 		select {
@@ -218,35 +205,25 @@ func (c *Client) arrivals() {
 			return
 		case <-gapTimer.C:
 		}
-		if c.cfg.Strategy != nil {
-			// Strategy windows change over time, so a fixed-capacity
-			// semaphore cannot model them; count in-flight requests
-			// against the cap in force right now.
-			if c.outstanding.Load() >= int64(c.cfg.Strategy.Window(c.now())) {
-				c.Stats.Dropped.Add(1)
-				c.cfg.Strategy.Observe(adversary.Outcome{Denied: true, Now: c.now()})
-				continue
-			}
-			c.outstanding.Add(1)
-			c.launch(func() { c.outstanding.Add(-1) })
+		// Windows may change over time, so count in-flight requests
+		// against the cap in force right now. Window full: the paper's
+		// client would queue in a backlog; over real sockets we drop
+		// immediately (equivalent to an instant backlog timeout at
+		// small scale) and count it.
+		if c.outstanding.Load() >= int64(c.cfg.Strategy.Window(c.now())) {
+			c.Stats.Dropped.Add(1)
+			c.cfg.Strategy.Observe(adversary.Outcome{Denied: true, Now: c.now()})
 			continue
 		}
-		select {
-		case sem <- struct{}{}:
-			c.launch(func() { <-sem })
-		default:
-			// Window full: the paper's client would queue in a backlog;
-			// over real sockets we drop immediately (equivalent to an
-			// instant backlog timeout at small scale) and count it.
-			c.Stats.Dropped.Add(1)
-		}
+		c.outstanding.Add(1)
+		c.launch()
 	}
 }
 
-// launch runs one request in its own goroutine; release frees the
-// window slot when it completes. The window slot stays held across
-// retries, so a retrying client offers no extra concurrency.
-func (c *Client) launch(release func()) {
+// launch runs one request in its own goroutine, holding a window slot
+// until it completes. The slot stays held across retries, so a
+// retrying client offers no extra concurrency.
+func (c *Client) launch() {
 	id := core.RequestID(c.ids.Add(1))
 	c.Stats.Issued.Add(1)
 	if c.cfg.TraceSample > 0 && trace.Sampled(uint64(id), c.cfg.TraceSample) {
@@ -257,7 +234,7 @@ func (c *Client) launch(release func()) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		defer release()
+		defer c.outstanding.Add(-1)
 		backoff := faults.Backoff{Base: c.cfg.RetryBase, Cap: c.cfg.RetryCap}.WithDefaults()
 		start := time.Now()
 		var served bool
@@ -286,11 +263,9 @@ func (c *Client) launch(release func()) {
 		} else {
 			c.Stats.Failed.Add(1)
 		}
-		if c.cfg.Strategy != nil {
-			c.cfg.Strategy.Observe(adversary.Outcome{
-				Served: served, Paid: paid, Now: c.now(),
-			})
-		}
+		c.cfg.Strategy.Observe(adversary.Outcome{
+			Served: served, Paid: paid, Now: c.now(),
+		})
 	}()
 }
 
@@ -380,9 +355,9 @@ func (c *Client) post(ctx context.Context, url string, body io.Reader) (*http.Re
 }
 
 // payAndWait re-issues the actual request and streams payment POSTs
-// until admitted (then collects the held response) or evicted. With a
-// Strategy, each POST is sized by the strategy; a zero size defects —
-// payment stops while the request stays open, camping on its bid.
+// until admitted (then collects the held response) or evicted. Each
+// POST is sized by the strategy; a zero size defects — payment stops
+// while the request stays open, camping on its bid.
 func (c *Client) payAndWait(ctx context.Context, id core.RequestID) (bool, int64) {
 	done := make(chan bool, 1)
 	var stopped atomic.Bool
@@ -402,12 +377,9 @@ func (c *Client) payAndWait(ctx context.Context, id core.RequestID) (bool, int64
 	// The payment channel (2): POSTs until admitted/evicted/defected.
 	go func() {
 		for !stopped.Load() {
-			size := c.cfg.PostBytes
-			if c.cfg.Strategy != nil {
-				size = c.cfg.Strategy.PostSize(c.now(), paid.Load(), c.cfg.PostBytes)
-				if size <= 0 {
-					return // defect: stop paying, keep the waiter open
-				}
+			size := c.cfg.Strategy.PostSize(c.now(), paid.Load(), c.cfg.PostBytes)
+			if size <= 0 {
+				return // defect: stop paying, keep the waiter open
 			}
 			body := &shapedReader{
 				bucket:  c.bucket,

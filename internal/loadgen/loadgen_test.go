@@ -14,6 +14,12 @@ import (
 	"speakup/internal/web"
 )
 
+// poisson is the paper's §7.1 client: Poisson arrivals at rate lambda,
+// at most w outstanding, full payment.
+func poisson(lambda float64, w int) adversary.Strategy {
+	return adversary.Spec{Name: "poisson", Lambda: lambda, Window: w}.New(nil)
+}
+
 func TestTokenBucketRate(t *testing.T) {
 	// 8 Mbit/s = 1 MB/s; taking 200 KB beyond the 32 KB burst must
 	// take roughly (200-32)/1000 ≈ 0.17s.
@@ -104,6 +110,18 @@ func TestShapedReaderStops(t *testing.T) {
 	}
 }
 
+// TestNewClientRequiresStrategy: a client without a strategy has no
+// arrival process, window or payment sizing, so construction refuses it.
+func TestNewClientRequiresStrategy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewClient accepted a nil Strategy")
+		}
+	}()
+	var ids atomic.Uint64
+	NewClient(Config{BaseURL: "http://127.0.0.1:1"}, &ids)
+}
+
 type readerOnly struct{ r io.Reader }
 
 func (r readerOnly) Read(p []byte) (int, error) { return r.r.Read(p) }
@@ -133,11 +151,11 @@ func TestEndToEndGoodVsBad(t *testing.T) {
 	// verified deterministically in internal/scenario.
 	var ids atomic.Uint64
 	good := NewClient(Config{
-		BaseURL: srv.URL, Lambda: 4, Window: 2, Good: true,
+		BaseURL: srv.URL, Strategy: poisson(4, 2), Good: true,
 		UploadBits: 32e6, PostBytes: 64 << 10, Seed: 1,
 	}, &ids)
 	bad := NewClient(Config{
-		BaseURL: srv.URL, Lambda: 40, Window: 10, Good: false,
+		BaseURL: srv.URL, Strategy: poisson(40, 10), Good: false,
 		UploadBits: 8e6, PostBytes: 64 << 10, Seed: 2,
 	}, &ids)
 	good.Run()
@@ -197,7 +215,7 @@ func TestEndToEndAdversaryStrategies(t *testing.T) {
 
 			var ids atomic.Uint64
 			good := NewClient(Config{
-				BaseURL: srv.URL, Lambda: 4, Window: 2, Good: true,
+				BaseURL: srv.URL, Strategy: poisson(4, 2), Good: true,
 				UploadBits: 16e6, PostBytes: 32 << 10, Seed: 1,
 			}, &ids)
 			spec := adversary.Spec{Name: name, Period: 2 * time.Second}

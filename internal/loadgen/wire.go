@@ -116,11 +116,8 @@ func (c *Client) doRequestWire(id core.RequestID) (served bool, paid int64, retr
 		}
 		if burstLeft == 0 {
 			// One burst is the analog of one payment POST: sized by the
-			// strategy (zero defects) or the configured POST size.
-			size := c.cfg.PostBytes
-			if c.cfg.Strategy != nil {
-				size = c.cfg.Strategy.PostSize(c.now(), paidN, c.cfg.PostBytes)
-			}
+			// strategy (zero defects).
+			size := c.cfg.Strategy.PostSize(c.now(), paidN, c.cfg.PostBytes)
 			if size <= 0 {
 				defect = true
 				continue

@@ -43,12 +43,12 @@ func TestEndToEndWireTransport(t *testing.T) {
 
 	var ids atomic.Uint64
 	good := NewClient(Config{
-		BaseURL: srv.URL, Lambda: 4, Window: 2, Good: true,
+		BaseURL: srv.URL, Strategy: poisson(4, 2), Good: true,
 		UploadBits: 32e6, PostBytes: 64 << 10, Seed: 1,
 		Transport: "wire", WireAddr: ln.Addr().String(),
 	}, &ids)
 	bad := NewClient(Config{
-		BaseURL: srv.URL, Lambda: 40, Window: 10, Good: false,
+		BaseURL: srv.URL, Strategy: poisson(40, 10), Good: false,
 		UploadBits: 8e6, PostBytes: 64 << 10, Seed: 2,
 		Transport: "wire", WireAddr: ln.Addr().String(),
 	}, &ids)

@@ -43,9 +43,9 @@ type ClientGroup struct {
 	Good bool
 	// Strategy names an adversary profile driving this group's
 	// clients ("onoff", "mimic", "defector", "flood", "adaptive",
-	// "poisson" — see internal/adversary); empty keeps the fixed
-	// Poisson(Lambda)/Window behaviour selected by Good. Lambda,
-	// Window, and Work become overrides of the profile's defaults.
+	// "poisson" — see internal/adversary); empty runs "poisson" with
+	// the λ/w selected by Good. Lambda and Window override the
+	// profile's defaults.
 	Strategy string
 	// Aggressiveness scales the named Strategy's nominal demand
 	// (request rate and window); 0 means 1. Only valid with Strategy.
@@ -121,15 +121,20 @@ func (g ClientGroup) withDefaults(idx int) ClientGroup {
 	return g
 }
 
-// spec translates the group's strategy declaration for the adversary
-// registry; zero overrides fall through to the profile's defaults.
+// spec is the client process every member of the group runs: the
+// named Strategy, or for a plain group the §7.1 poisson client with
+// the λ/w withDefaults selects by Good. Zero overrides fall through to
+// the profile's defaults.
 func (g ClientGroup) spec() adversary.Spec {
+	name := g.Strategy
+	if name == "" {
+		name = "poisson"
+	}
 	return adversary.Spec{
-		Name:           g.Strategy,
+		Name:           name,
 		Aggressiveness: g.Aggressiveness,
 		Lambda:         g.Lambda,
 		Window:         g.Window,
-		Work:           g.Work,
 	}
 }
 
@@ -241,13 +246,13 @@ func (c Config) withDefaults() Config {
 
 // Validate reports configuration errors that Run would otherwise hit
 // as panics deep inside topology construction: a non-positive server
-// capacity, group bottleneck references out of range, a bystander
-// without a bottleneck to share, and bad adversary declarations
-// (unknown strategy names, invalid strategy knobs, or a group that
-// sets both Good and Strategy — the latter used to silently keep the
-// good-client λ/w defaults while running attacker code). The sweep
-// engine validates every grid cell before fanning work out to its
-// workers.
+// capacity, group bottleneck references out of range, negative
+// per-request work, a bystander without a bottleneck to share, and
+// bad client declarations (unknown strategy names, invalid strategy
+// knobs, or a group that sets both Good and Strategy — the latter used
+// to silently keep the good-client λ/w defaults while running
+// attacker code). The sweep engine validates every grid cell before
+// fanning work out to its workers.
 func (c Config) Validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("scenario: Capacity must be positive, got %g", c.Capacity)
@@ -269,17 +274,19 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: group %q references bottleneck %d, have %d",
 				name, g.Bottleneck, len(c.Bottlenecks))
 		}
-		if g.Strategy != "" {
-			if g.Good {
-				return fmt.Errorf("scenario: group %q sets both Good and Strategy %q; adversary strategies define bad-client behaviour — drop one",
-					name, g.Strategy)
-			}
-			if err := g.spec().Validate(); err != nil {
-				return fmt.Errorf("scenario: group %q: %v", name, err)
-			}
-		} else if g.Aggressiveness != 0 {
+		if g.Work < 0 {
+			return fmt.Errorf("scenario: group %q: Work must be >= 0, got %v", name, g.Work)
+		}
+		if g.Strategy != "" && g.Good {
+			return fmt.Errorf("scenario: group %q sets both Good and Strategy %q; adversary strategies define bad-client behaviour — drop one",
+				name, g.Strategy)
+		}
+		if g.Strategy == "" && g.Aggressiveness != 0 {
 			return fmt.Errorf("scenario: group %q sets Aggressiveness %g without a Strategy",
 				name, g.Aggressiveness)
+		}
+		if err := g.spec().Validate(); err != nil {
+			return fmt.Errorf("scenario: group %q: %v", name, err)
 		}
 	}
 	if c.BystanderH != nil && len(c.Bottlenecks) == 0 {
@@ -429,28 +436,13 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	}
 	n.ComputeRoutes()
 
-	// --- adversary strategies ---
-	// One cohort per strategy group (shared bandwidth budget and
+	// --- client strategies ---
+	// One cohort per group (shared bandwidth budget and
 	// coupon-collection state); one strategy instance per client,
-	// created in the slots loop below. None of this allocates or runs
-	// when no group names a Strategy, so strategy-free configs remain
-	// byte-identical to the pre-adversary engine.
-	hasStrategy := false
-	for _, g := range cfg.Groups {
-		if g.Strategy != "" {
-			hasStrategy = true
-		}
-	}
-	var cohorts []*adversary.Cohort
-	var stratOf map[core.RequestID]adversary.Strategy // live ids of strategy clients
-	if hasStrategy {
-		cohorts = make([]*adversary.Cohort, len(cfg.Groups))
-		for gi, g := range cfg.Groups {
-			if g.Strategy != "" {
-				cohorts[gi] = adversary.NewCohort(g.spec(), g.Count)
-			}
-		}
-		stratOf = make(map[core.RequestID]adversary.Strategy)
+	// created in the slots loop below.
+	cohorts := make([]*adversary.Cohort, len(cfg.Groups))
+	for gi, g := range cfg.Groups {
+		cohorts[gi] = adversary.NewCohort(g.spec(), g.Count)
 	}
 	var lastPrice int64 // last winning bid: the public price observable
 
@@ -475,11 +467,6 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	if groupHasWork {
 		fallback := time.Duration(float64(time.Second) / cfg.Capacity)
 		srvCfg.Work = func(id core.RequestID) time.Duration {
-			if st, ok := stratOf[id]; ok {
-				if w := st.Work(); w > 0 {
-					return w
-				}
-			}
 			if gi, ok := groupOf(id); ok && cfg.Groups[gi].Work > 0 {
 				return cfg.Groups[gi].Work
 			}
@@ -514,15 +501,11 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	}
 
 	var nextID uint64
-	genFor := func(group int, strat adversary.Strategy) func() core.RequestID {
+	genFor := func(group int) func() core.RequestID {
 		return func() core.RequestID {
 			nextID++
-			id := core.RequestID(nextID)
 			owner = append(owner, int32(group))
-			if strat != nil {
-				stratOf[id] = strat
-			}
-			return id
+			return core.RequestID(nextID)
 		}
 	}
 
@@ -547,43 +530,32 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	var workloads []*clients.Client
 	for si, slot := range slots {
 		g := cfg.Groups[slot.group]
-		var strat adversary.Strategy
-		if g.Strategy != "" {
-			strat = g.spec().New(cohorts[slot.group])
-		}
+		strat := g.spec().New(cohorts[slot.group])
 		stack := tcpsim.NewStack(n, slot.node, tcpsim.Options{})
 		wl := clients.New(clock, clients.Config{
-			Lambda:       g.Lambda,
-			Window:       g.Window,
 			Good:         g.Good,
 			Seed:         cfg.Seed*1_000_003 + int64(si),
 			Pacer:        strat,
 			RetryBudget:  g.RetryBudget,
 			RetryBackoff: faults.Backoff{Base: g.RetryBase, Cap: g.RetryCap},
 			Deadline:     g.Deadline,
-		}, genFor(slot.group, strat))
+		}, genFor(slot.group))
 		app := appsim.NewClientApp(stack, wl, tn, cfg.Sizes, appsim.ClientAppConfig{
 			PayConns: g.PayConns,
 			Payer:    strat,
 		})
 		gi := slot.group
-		if strat != nil {
-			wl.OnDenial = func(id core.RequestID) {
-				strat.Observe(adversary.Outcome{Denied: true, Now: clock.Now()})
-				owner[id] = -1
-				delete(stratOf, id)
-			}
+		wl.OnDenial = func(id core.RequestID) {
+			strat.Observe(adversary.Outcome{Denied: true, Now: clock.Now()})
+			owner[id] = -1
 		}
 		app.OnOutcome = func(o appsim.RequestOutcome) {
-			if strat != nil {
-				strat.Observe(adversary.Outcome{
-					Served: o.Served,
-					Price:  lastPrice,
-					Paid:   o.PaidBytes,
-					Now:    loop.Now(),
-				})
-				delete(stratOf, o.ID)
-			}
+			strat.Observe(adversary.Outcome{
+				Served: o.Served,
+				Price:  lastPrice,
+				Paid:   o.PaidBytes,
+				Now:    loop.Now(),
+			})
 			if loop.Now() < cfg.Warmup {
 				owner[o.ID] = -1
 				return

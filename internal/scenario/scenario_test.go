@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +236,9 @@ func TestValidateAdversaryGroups(t *testing.T) {
 		{"negative aggressiveness", ClientGroup{Count: 1, Strategy: "flood", Aggressiveness: -1}, "Aggressiveness"},
 		{"aggressiveness without strategy", ClientGroup{Count: 1, Aggressiveness: 2}, "without a Strategy"},
 		{"negative lambda", ClientGroup{Count: 1, Strategy: "poisson", Lambda: -3}, "Lambda"},
+		{"negative lambda, plain group", ClientGroup{Count: 1, Lambda: -3}, "Lambda"},
+		{"negative work, strategy group", ClientGroup{Count: 1, Strategy: "flood", Work: -time.Second}, "Work"},
+		{"negative work, plain group", ClientGroup{Count: 1, Work: -time.Second}, "Work"},
 	}
 	for _, c := range cases {
 		cfg := base
@@ -251,6 +255,34 @@ func TestValidateAdversaryGroups(t *testing.T) {
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestPlainGroupIsPoisson: a group without a Strategy runs the poisson
+// profile at its Good-selected λ/w, so declaring that profile with the
+// same λ/w, name and seed changes nothing.
+func TestPlainGroupIsPoisson(t *testing.T) {
+	run := func(strategy string) *Result {
+		return Run(Config{
+			Seed: 12, Duration: 20 * time.Second, Capacity: 10,
+			Mode: appsim.ModeAuction,
+			Groups: []ClientGroup{
+				{Count: 2, Good: true},
+				{Name: "bad", Count: 3, Strategy: strategy, Lambda: 40, Window: 20},
+			},
+		})
+	}
+	plain, declared := run(""), run("poisson")
+	if plain.Groups[1].Served == 0 {
+		t.Fatal("the bad group was never served")
+	}
+	for i := range plain.Groups {
+		if !reflect.DeepEqual(plain.Groups[i], declared.Groups[i]) {
+			t.Errorf("group %d differs:\nplain    %+v\ndeclared %+v", i, plain.Groups[i], declared.Groups[i])
+		}
+	}
+	if plain.Events != declared.Events {
+		t.Errorf("events %d (plain) vs %d (declared poisson)", plain.Events, declared.Events)
 	}
 }
 

@@ -291,6 +291,18 @@ func TestControlConfigHash(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocs fences the /stats read: the config hash is cached
+// when the config changes, so a Snapshot allocates only its uptime
+// string.
+func TestSnapshotAllocs(t *testing.T) {
+	front := NewFront(OriginFunc(func(core.RequestID) ([]byte, error) { return nil, nil }),
+		Config{Thinner: core.Config{SweepInterval: time.Hour}})
+	defer front.Close()
+	if avg := testing.AllocsPerRun(100, func() { front.Snapshot() }); avg > 1 {
+		t.Fatalf("Snapshot allocates %.1f/op, want at most 1 (the uptime string)", avg)
+	}
+}
+
 // TestControlConfigRefusedDuringBrownout pins the rollout-safety
 // contract: while the origin is stalled a reconfiguration is refused
 // with 503 + Retry-After (a retryable verdict, not a 400), reads stay

@@ -71,7 +71,7 @@ func TestFrontPayCreditAllocs(t *testing.T) {
 // TestFrontStress drives the full protocol with hundreds of concurrent
 // actors against an in-process Front: paying waiters racing auctions,
 // orphan payment channels being evicted, and clients disconnecting
-// mid-POST. Run under -race in CI's live-race job. It asserts
+// mid-POST. Run under -race in CI's race job. It asserts
 // liveness (everything terminates), conservation of the headline
 // counters, and that the table drains.
 func TestFrontStress(t *testing.T) {
@@ -305,13 +305,14 @@ func TestFrontAdversarialStress(t *testing.T) {
 		return out
 	}
 	var honestIDs atomic.Uint64
+	honestSpec := adversary.Spec{Name: "poisson", Lambda: 10, Window: 4}
 	honest := []*loadgen.Client{
 		loadgen.NewClient(loadgen.Config{
-			BaseURL: srv.URL, Lambda: 10, Window: 4, Good: true,
+			BaseURL: srv.URL, Strategy: honestSpec.New(nil), Good: true,
 			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 1,
 		}, &honestIDs),
 		loadgen.NewClient(loadgen.Config{
-			BaseURL: srv.URL, Lambda: 10, Window: 4, Good: true,
+			BaseURL: srv.URL, Strategy: honestSpec.New(nil), Good: true,
 			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 2,
 		}, &honestIDs),
 	}

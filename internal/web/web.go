@@ -165,6 +165,10 @@ type Front struct {
 	ctl   sync.Mutex
 	th    *core.Thinner
 	table *core.BidTable
+	// cfgHash is the canonical hash of th's config, recomputed under
+	// ctl whenever the config changes (construction, Reconfigure) so
+	// Snapshot reads it instead of hashing on every call.
+	cfgHash string
 
 	// tracer is the sampled request-lifecycle tracer (nil when
 	// disabled; every hook tolerates that). It is shared by the HTTP
@@ -208,8 +212,15 @@ func NewFront(origin Origin, cfg Config) *Front {
 	tc.Hists = f.th.Registry().Latency()
 	f.tracer = trace.New(tc)
 	f.th.Trace = f.tracer
+	f.rehash()
 	f.ctl.Unlock()
 	return f
+}
+
+// rehash recomputes cfgHash; call it with ctl held after th's config
+// changes.
+func (f *Front) rehash() {
+	f.cfgHash = config.HashThinner(config.ThinnerFromCore(f.th.Config()))
 }
 
 // ctlClock adapts wall-clock time to core.Clock, running timer
@@ -570,7 +581,7 @@ type Stats struct {
 func (f *Front) Snapshot() Stats {
 	f.ctl.Lock()
 	s := f.Telemetry()
-	cfgHash := config.HashThinner(config.ThinnerFromCore(f.th.Config()))
+	cfgHash := f.cfgHash
 	f.ctl.Unlock()
 	up := time.Duration(s.UptimeMS) * time.Millisecond
 	return Stats{
@@ -728,7 +739,11 @@ func (f *Front) Reconfigure(patch config.Thinner) error {
 	if f.th.Health() == core.HealthStalled {
 		return ErrReconfigStalled
 	}
-	return f.th.Reconfigure(patch.Core())
+	if err := f.th.Reconfigure(patch.Core()); err != nil {
+		return err
+	}
+	f.rehash()
+	return nil
 }
 
 // ThinnerConfig returns the thinner's effective configuration as its

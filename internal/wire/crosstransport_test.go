@@ -2,7 +2,7 @@
 // share one web.Front, and these tests pin that the verdicts a client
 // observes — duplicate rejection, mid-stream eviction, brownout shed,
 // waiter drain on disconnect — are identical in meaning and message
-// across both. Run under -race in CI (the wire-race job).
+// across both. Run under -race in CI (the race job).
 package wire_test
 
 import (
