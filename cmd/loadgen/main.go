@@ -27,35 +27,37 @@
 // backoff, honoring Retry-After; -req-timeout bounds each request's
 // whole speak-up exchange.
 //
-// Every client runs an adversary strategy (internal/adversary, the
-// same implementations that drive the simulator), one cohort per
-// class so coordinated strategies coordinate for real. By default
-// both classes run the poisson profile: good clients at λ=2, w=1, bad
-// ones at λ=40, w=20 (§7.1). With -attack, the bad clients run the
-// named profile instead (onoff, mimic, defector, flood, adaptive,
-// poisson) at its own default rate and window. -attack list prints
-// the registry and exits.
+// The run is one scenario document (the internal/config schema shared
+// with cmd/repro and cmd/thinnerd): the -scenario file, a disk path or
+// an embedded configs/ name, or the embedded live_default when none is
+// given. Every flag the user sets is written over that document: -good
+// and -bad set the count of its only good or bad group (several groups
+// of that kind make them an error), -bw sets every group's bandwidth,
+// -attack and -aggro set every bad group's strategy and
+// aggressiveness, and -post, -duration and -transport set their
+// fields. The flag defaults fill what the document leaves unset (the
+// duration, sizes.post, a group's bandwidth).
 //
-// With -scenario, the client workload comes from a declarative
-// scenario file (the internal/config schema shared with cmd/repro and
-// cmd/thinnerd; a disk path, or an embedded configs/ name): good
-// groups set the good class's count, rate, window, and bandwidth; the
-// first bad group sets the bad class's — including its adversary
-// strategy, whose rate and window it overrides only where it sets
-// them — and sizes.post sets the payment POST size. Explicit flags
-// override the file.
+// Each declared group then runs as one cohort of its count, with the
+// client process the simulator runs for the same group
+// (scenario.ClientGroup.Spec, internal/adversary's implementations):
+// a plain good group is the §7.1 good client, a plain bad group the
+// poisson profile's flood, and a strategy group its profile at the
+// λ/w it overrides. Coordinated strategies coordinate for real inside
+// their cohort. -attack list prints the registry and exits.
 //
 // Per-second progress goes to stderr. The final summary — per-class
 // service rates, admissions/sec, payment-ingest bits/sec, and latency
 // percentiles — prints human-readable to stdout, or as one JSON
-// object with -json (the shape scripts and dashboards consume).
-// The JSON carries the attack profile and a config_hash: the short
-// canonical hash of the resolved workload (scenario file or synthetic
-// flag-built document), so results are attributable to one exact
-// configuration.
+// object with -json (the shape scripts and dashboards consume). The
+// summary adds the groups up into a good and a bad class, lists the
+// bad groups' strategies under attack, and carries a config_hash: the
+// short canonical hash of the resolved document, so results are
+// attributable to one exact configuration.
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,11 +66,11 @@ import (
 	"net/http"
 	"os"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"speakup"
-	"speakup/configs"
 	"speakup/internal/adversary"
 	"speakup/internal/config"
 	"speakup/internal/loadgen"
@@ -99,13 +101,14 @@ type classJSON struct {
 // summaryJSON is the -json output shape.
 type summaryJSON struct {
 	URL string `json:"url"`
-	// Scenario names the file the workload came from ("" = built from
-	// flags); ConfigHash is the short canonical hash of the resolved
-	// workload document, the identity telemetry and BENCH entries use.
+	// Scenario names the document the run resolved from; ConfigHash is
+	// the short canonical hash of the resolved document, the identity
+	// telemetry and BENCH entries use.
 	Scenario   string `json:"scenario,omitempty"`
 	ConfigHash string `json:"config_hash"`
-	// Attack names the adversary profile the bad clients ran ("" =
-	// the default fixed Poisson flood); Aggressiveness is its scale.
+	// Attack lists the bad groups' strategies in declaration order,
+	// comma-separated ("" = every bad group is the plain Poisson
+	// flood); Aggressiveness is their scale when they share one.
 	Attack            string    `json:"attack,omitempty"`
 	Aggressiveness    float64   `json:"aggressiveness,omitempty"`
 	DurationSec       float64   `json:"duration_sec"`
@@ -139,9 +142,9 @@ func tally(cs []*loadgen.Client) (issued, served uint64, paid int64) {
 func classSummary(cs []*loadgen.Client, elapsed time.Duration) classJSON {
 	var out classJSON
 	out.Clients = len(cs)
-	// Percentiles are per-client histograms merged by worst-case: with
-	// identical configs inside a class the spread is small; report the
-	// max so regressions cannot hide behind a lucky client.
+	// Percentiles are per-client histograms merged by worst-case: a
+	// class may mix groups, so report the max and no regression hides
+	// behind a lucky client.
 	for _, c := range cs {
 		out.Issued += c.Stats.Issued.Load()
 		out.Offered += c.Stats.Offered()
@@ -170,54 +173,36 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 func main() {
 	url := flag.String("url", "http://localhost:8080", "thinner base URL")
-	nGood := flag.Int("good", 3, "number of good clients (λ=2, w=1)")
-	nBad := flag.Int("bad", 3, "number of bad clients (λ=40, w=20)")
-	bw := flag.Float64("bw", 2e6, "per-client upload bandwidth (bits/s)")
-	post := flag.Int("post", 1<<20, "payment POST size (bytes)")
-	duration := flag.Duration("duration", 30*time.Second, "run length")
+	var df docFlags
+	df.register(flag.CommandLine)
 	jsonOut := flag.Bool("json", false, "emit the final summary as JSON on stdout")
-	attack := flag.String("attack", "", "adversary profile for the bad clients (see -attack list)")
-	aggro := flag.Float64("aggro", 1, "attack aggressiveness scale (with -attack)")
-	scenarioFile := flag.String("scenario", "", "scenario file supplying the client workload (disk path or embedded configs/ name); explicit flags override")
 	retryBudget := flag.Int("retry-budget", 0, "max re-issues per request after a retryable failure (transport error, 502/503/504, eviction)")
 	retryBase := flag.Duration("retry-base", 0, "backoff base between retries (default 200ms)")
 	retryCap := flag.Duration("retry-cap", 0, "backoff cap between retries (default 5s)")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request deadline covering the whole speak-up exchange (0 = none)")
-	transport := flag.String("transport", "http", "front to drive: http (GET/POST) or wire (binary framed payment transport)")
 	wireAddr := flag.String("wire-addr", "localhost:8081", "wire listener host:port (with -transport wire)")
 	traceSample := flag.Int("trace-sample", 0, "mirror the server's -trace-sample rate to report which issued ids its tracer sampled (-json: sampled_request_ids)")
 	flag.Parse()
 
-	if *attack == "list" {
+	if df.attack == "list" {
 		for _, name := range adversary.Names() {
 			fmt.Printf("%-10s %s\n", name, adversary.Doc(name))
 		}
 		return
 	}
 
-	flags := workload{
-		good: class{n: *nGood, bw: *bw}, bad: class{n: *nBad, bw: *bw},
-		attack: *attack, aggro: *aggro, post: *post, dur: *duration, transport: *transport,
-	}
-	var doc *config.Scenario
-	if *scenarioFile != "" {
-		d, err := config.Resolve(configs.FS, *scenarioFile)
-		if err != nil {
-			log.Fatalf("scenario: %v", err)
-		}
-		if d.Name == "" {
-			d.Name = *scenarioFile
-		}
-		doc = &d
-	}
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	wl, err := resolve(flags, doc, explicit)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	doc, err := df.resolve(set)
 	if err != nil {
 		log.Fatal(err)
 	}
-	trans, dur := wl.transport, wl.dur
-	configHash := config.ShortHash(wl.effective())
+	run, err := doc.Config()
+	if err != nil {
+		log.Fatal(err)
+	}
+	trans := cmp.Or(run.Transport, "http")
+	configHash := config.ShortHash(doc)
 
 	// Fail fast if the front is not there at all: a generator pointed at
 	// nothing would otherwise run the full duration reporting 0/0. Any
@@ -238,61 +223,70 @@ func main() {
 		wc.Close()
 	}
 
+	frontDesc := *url
+	if trans == "wire" {
+		frontDesc = fmt.Sprintf("wire front %s (healthz via %s)", *wireAddr, *url)
+	}
+	log.Printf("load: scenario %s (config %s) against %s over %s", doc.Name, configHash, frontDesc, trans)
+
+	// Each group runs as one cohort of its clients, in declaration
+	// order; seeds number the clients across groups.
 	var ids atomic.Uint64
-	run := func(cl class, goodClass bool, seed int64) []*loadgen.Client {
-		cohort := adversary.NewCohort(cl.spec, cl.n)
-		var out []*loadgen.Client
-		for i := 0; i < cl.n; i++ {
+	var good, bad, all []*loadgen.Client
+	var attacks []string
+	var aggros []float64
+	for _, g := range run.Groups {
+		spec := g.Spec()
+		cohort := adversary.NewCohort(spec, g.Count)
+		for i := 0; i < g.Count; i++ {
 			c := loadgen.NewClient(loadgen.Config{
-				BaseURL: *url, Strategy: cl.spec.New(cohort), Good: goodClass,
-				UploadBits: cl.bw, PostBytes: wl.post, Seed: seed + int64(i),
+				BaseURL: *url, Strategy: spec.New(cohort),
+				UploadBits: g.Bandwidth, PostBytes: run.Sizes.Post, Seed: int64(len(all) + 1),
 				RetryBudget: *retryBudget, RetryBase: *retryBase, RetryCap: *retryCap,
 				RequestTimeout: *reqTimeout,
 				Transport:      trans, WireAddr: *wireAddr,
 				TraceSample: *traceSample,
 			}, &ids)
-			out = append(out, c)
+			all = append(all, c)
+			if g.Good {
+				good = append(good, c)
+			} else {
+				bad = append(bad, c)
+			}
 			c.Run()
 		}
-		return out
+		if !g.Good && g.Strategy != "" {
+			attacks = append(attacks, g.Strategy)
+			aggros = append(aggros, cmp.Or(g.Aggressiveness, 1))
+		}
+		log.Printf("group %s (good=%t): %d %s clients at %.1f Mbit/s",
+			g.Name, g.Good, g.Count, spec.Name, g.Bandwidth/1e6)
 	}
-	good := run(wl.good, true, 1)
-	bad := run(wl.bad, false, 1000)
-	profile := "poisson flood (default)"
-	if wl.attack != "" {
-		profile = fmt.Sprintf("%s x%.2g", wl.attack, wl.aggro)
-	}
-	frontDesc := *url
-	if trans == "wire" {
-		frontDesc = fmt.Sprintf("wire front %s (healthz via %s)", *wireAddr, *url)
-	}
-	log.Printf("load: %d good + %d bad clients [%s] at %.1f/%.1f Mbit/s against %s over %s (config %s)",
-		wl.good.n, wl.bad.n, profile, wl.good.bw/1e6, wl.bad.bw/1e6, frontDesc, trans, configHash)
 
 	start := time.Now()
-	for time.Since(start) < dur {
+	for time.Since(start) < run.Duration {
 		time.Sleep(time.Second)
 		gi, gs, _ := tally(good)
 		bi, bs, _ := tally(bad)
 		fmt.Fprintf(os.Stderr, "t=%3.0fs  good %d/%d served   bad %d/%d served\n",
 			time.Since(start).Seconds(), gs, gi, bs, bi)
 	}
-	for _, c := range append(append([]*loadgen.Client{}, good...), bad...) {
+	for _, c := range all {
 		c.Stop()
 	}
 	elapsed := time.Since(start)
 
 	sum := summaryJSON{
 		URL:         *url,
-		Scenario:    wl.scenario,
+		Scenario:    doc.Name,
 		ConfigHash:  configHash,
-		Attack:      wl.attack,
+		Attack:      strings.Join(attacks, ","),
 		DurationSec: elapsed.Seconds(),
 		Good:        classSummary(good, elapsed),
 		Bad:         classSummary(bad, elapsed),
 	}
-	if wl.attack != "" {
-		sum.Aggressiveness = wl.aggro
+	if aggros = slices.Compact(aggros); len(aggros) == 1 {
+		sum.Aggressiveness = aggros[0]
 	}
 	served := sum.Good.Served + sum.Bad.Served
 	paid := sum.Good.PaidBytes + sum.Bad.PaidBytes
@@ -303,7 +297,7 @@ func main() {
 	sum.IngestByTransport[trans] = sum.PaymentBitsPerSec
 	if *traceSample > 0 {
 		sum.TraceSample = *traceSample
-		for _, c := range append(append([]*loadgen.Client{}, good...), bad...) {
+		for _, c := range all {
 			sum.SampledRequestIDs = append(sum.SampledRequestIDs, c.SampledIDs()...)
 		}
 		slices.Sort(sum.SampledRequestIDs)

@@ -31,11 +31,13 @@
 // -fault-seed. /healthz reports readiness (listener up, sweep chain
 // alive, origin reachable) for probes and orchestration.
 //
-// -scenario loads capacity and the thinner knobs from a declarative
-// scenario file (the internal/config schema shared with cmd/repro and
-// the simulator; a disk path, or an embedded configs/ name). The file
-// must declare mode "auction" — that is the only policy the live
-// front serves. Explicit flags override the file's values.
+// The daemon serves one scenario document (the internal/config schema
+// shared with cmd/repro, cmd/loadgen and the simulator): the -scenario
+// file, a disk path or an embedded configs/ name, or the embedded
+// live_default when none is given. It serves the document's capacity
+// and thinner section, with any explicitly set -capacity, -orphan and
+// -shards written over them. The document must declare mode "auction"
+// — that is the only policy the live front serves.
 //
 // Endpoints: /request?id=N (the request; 402 + Speakup-Action: pay
 // when the origin is busy), /pay?id=N (payment channel: stream dummy
@@ -76,7 +78,6 @@ import (
 	"speakup"
 	"speakup/configs"
 	"speakup/internal/config"
-	"speakup/internal/core"
 )
 
 func main() {
@@ -84,7 +85,7 @@ func main() {
 	wireAddr := flag.String("wire-addr", "", "optional binary payment-transport listen address (e.g. :8081)")
 	capacity := flag.Float64("capacity", 10, "origin capacity in requests/second")
 	orphan := flag.Duration("orphan", 10*time.Second, "evict request-less payment channels after this long")
-	scenarioFile := flag.String("scenario", "", "scenario file supplying capacity and thinner knobs (disk path or embedded configs/ name); explicit flags override")
+	scenarioFile := flag.String("scenario", "", "scenario file supplying capacity and thinner knobs (disk path or embedded configs/ name; default live_default); explicit flags write over it")
 	shards := flag.Int("shards", 0, "bid-table shard count, rounded up to a power of two (0 = GOMAXPROCS-scaled)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	pprofAddr := flag.String("pprof", "", "optional net/http/pprof listen address (e.g. localhost:6060)")
@@ -95,48 +96,40 @@ func main() {
 	traceSample := flag.Int("trace-sample", 0, "trace one in this many request ids (rounded up to a power of two; 0 disables tracing and /trace)")
 	flag.Parse()
 
-	capRPS := *capacity
-	thcfg := core.Config{OrphanTimeout: *orphan, Shards: *shards}
-	if *scenarioFile != "" {
-		doc, err := config.Resolve(configs.FS, *scenarioFile)
-		if err != nil {
-			log.Fatalf("scenario: %v", err)
-		}
-		if doc.Mode != "auction" {
-			log.Fatalf("scenario %s: mode %q cannot drive the live thinner (only \"auction\" is served over HTTP)", *scenarioFile, doc.Mode)
-		}
-		capRPS = doc.Capacity
-		if doc.Thinner != nil {
-			// Zero file fields keep the flag defaults, same as
-			// /control/config's "zero means unchanged".
-			fc := doc.Thinner.Core()
-			if fc.OrphanTimeout != 0 {
-				thcfg.OrphanTimeout = fc.OrphanTimeout
-			}
-			if fc.InactivityTimeout != 0 {
-				thcfg.InactivityTimeout = fc.InactivityTimeout
-			}
-			if fc.SweepInterval != 0 {
-				thcfg.SweepInterval = fc.SweepInterval
-			}
-			if fc.Shards != 0 {
-				thcfg.Shards = fc.Shards
-			}
-		}
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		if explicit["capacity"] {
-			capRPS = *capacity
-		}
-		if explicit["orphan"] {
-			thcfg.OrphanTimeout = *orphan
-		}
-		if explicit["shards"] {
-			thcfg.Shards = *shards
-		}
-		log.Printf("scenario %s (config %s): capacity %.1f req/s, thinner %+v",
-			*scenarioFile, config.ShortHash(doc), capRPS, thcfg)
+	name := *scenarioFile
+	if name == "" {
+		name = "live_default"
 	}
+	doc, err := config.Resolve(configs.FS, name)
+	if err != nil {
+		log.Fatalf("scenario: %v", err)
+	}
+	if doc.Mode != "auction" {
+		log.Fatalf("scenario %s: mode %q cannot drive the live thinner (only \"auction\" is served over HTTP)", name, doc.Mode)
+	}
+	var th config.Thinner // zero fields take core's defaults
+	if doc.Thinner != nil {
+		th = *doc.Thinner
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "capacity":
+			doc.Capacity = *capacity
+		case "orphan":
+			th.OrphanTimeout = config.Duration(*orphan)
+		case "shards":
+			th.Shards = *shards
+		}
+	})
+	if th != (config.Thinner{}) {
+		doc.Thinner = &th
+	}
+	if err := doc.Validate(); err != nil {
+		log.Fatalf("%s: %v", name, err)
+	}
+	capRPS, thcfg := doc.Capacity, th.Core()
+	log.Printf("scenario %s (config %s): capacity %.1f req/s, thinner %+v",
+		name, config.ShortHash(doc), capRPS, thcfg)
 
 	origin := speakup.NewEmulatedOrigin(capRPS)
 	front := speakup.NewFront(origin, speakup.FrontConfig{

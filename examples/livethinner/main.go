@@ -50,11 +50,11 @@ func main() {
 	}
 	var ids atomic.Uint64
 	good := loadgen.NewClient(loadgen.Config{
-		BaseURL: base, Strategy: poisson(3, 2), Good: true,
+		BaseURL: base, Strategy: poisson(3, 2),
 		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 1,
 	}, &ids)
 	bad := loadgen.NewClient(loadgen.Config{
-		BaseURL: base, Strategy: poisson(30, 8), Good: false,
+		BaseURL: base, Strategy: poisson(30, 8),
 		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 2,
 	}, &ids)
 	good.Run()

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 )
 
-// This file holds the patch/diff/hash helpers the fleet controller
+// This file holds the patch/hash helpers the fleet controller
 // (internal/fleetctl) builds on. A rollout is expressed as a Thinner
 // patch (zero fields mean "unchanged", exactly the /control/config
 // POST contract); each front's convergence is verified by comparing
@@ -29,10 +29,6 @@ func HashThinner(t Thinner) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ShortHashThinner is HashThinner truncated to 12 hex characters for
-// journals and dashboards.
-func ShortHashThinner(t Thinner) string { return HashThinner(t)[:12] }
-
 // MergeThinner applies patch over base with /control/config POST
 // semantics: non-zero patch fields win, zero fields keep base's value.
 // The result is what a front running base reports after accepting
@@ -52,29 +48,6 @@ func MergeThinner(base, patch Thinner) Thinner {
 		out.Shards = patch.Shards
 	}
 	return out
-}
-
-// DiffThinner returns the minimal patch that takes base to target:
-// fields already equal come back zero ("unchanged"). A zero return
-// means base is already at target — the idempotent-push case the
-// controller skips. Note the patch never asks to zero a field; the
-// POST contract cannot express that, and effective configs (defaults
-// applied) have no zero fields to begin with.
-func DiffThinner(base, target Thinner) Thinner {
-	var d Thinner
-	if target.OrphanTimeout != 0 && target.OrphanTimeout != base.OrphanTimeout {
-		d.OrphanTimeout = target.OrphanTimeout
-	}
-	if target.InactivityTimeout != 0 && target.InactivityTimeout != base.InactivityTimeout {
-		d.InactivityTimeout = target.InactivityTimeout
-	}
-	if target.SweepInterval != 0 && target.SweepInterval != base.SweepInterval {
-		d.SweepInterval = target.SweepInterval
-	}
-	if target.Shards != 0 && target.Shards != base.Shards {
-		d.Shards = target.Shards
-	}
-	return d
 }
 
 // ThinnerStatus is the body of /control/config responses (GET and a

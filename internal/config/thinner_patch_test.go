@@ -24,26 +24,6 @@ func TestMergeThinner(t *testing.T) {
 	}
 }
 
-// TestDiffThinner checks diff produces the minimal patch and that
-// merge(base, diff(base, target)) == target — the controller's
-// push-then-verify identity.
-func TestDiffThinner(t *testing.T) {
-	base := Thinner{OrphanTimeout: sec(10), InactivityTimeout: sec(30), SweepInterval: sec(1), Shards: 8}
-	target := Thinner{OrphanTimeout: sec(10), InactivityTimeout: sec(20), SweepInterval: sec(2), Shards: 8}
-	d := DiffThinner(base, target)
-	want := Thinner{InactivityTimeout: sec(20), SweepInterval: sec(2)}
-	if d != want {
-		t.Fatalf("DiffThinner = %+v, want %+v", d, want)
-	}
-	if got := MergeThinner(base, d); got != target {
-		t.Fatalf("merge(base, diff) = %+v, want %+v", got, target)
-	}
-	// Identical configs diff to the zero patch — the idempotent skip.
-	if d := DiffThinner(base, base); d != (Thinner{}) {
-		t.Fatalf("self-diff = %+v, want zero", d)
-	}
-}
-
 // TestHashThinner checks the hash is stable, order-free (it hashes a
 // canonical encoding), and sensitive to every field.
 func TestHashThinner(t *testing.T) {
@@ -51,8 +31,8 @@ func TestHashThinner(t *testing.T) {
 	if HashThinner(a) != HashThinner(a) {
 		t.Fatal("hash not deterministic")
 	}
-	if len(HashThinner(a)) != 64 || len(ShortHashThinner(a)) != 12 {
-		t.Fatalf("hash lengths: %d / %d", len(HashThinner(a)), len(ShortHashThinner(a)))
+	if len(HashThinner(a)) != 64 {
+		t.Fatalf("hash length: %d", len(HashThinner(a)))
 	}
 	mutations := []Thinner{
 		{OrphanTimeout: sec(9), InactivityTimeout: sec(30), SweepInterval: sec(1), Shards: 8},

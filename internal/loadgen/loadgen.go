@@ -34,8 +34,6 @@ type Config struct {
 	UploadBits float64
 	// PostBytes is the payment POST size. Default 1 MB.
 	PostBytes int
-	// Good labels the client in reports.
-	Good bool
 	// Strategy drives arrival pacing, the outstanding window, and
 	// payment sizing (see internal/adversary). Required. The same
 	// strategy implementations that drive the simulator drive real

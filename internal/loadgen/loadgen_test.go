@@ -151,11 +151,11 @@ func TestEndToEndGoodVsBad(t *testing.T) {
 	// verified deterministically in internal/scenario.
 	var ids atomic.Uint64
 	good := NewClient(Config{
-		BaseURL: srv.URL, Strategy: poisson(4, 2), Good: true,
+		BaseURL: srv.URL, Strategy: poisson(4, 2),
 		UploadBits: 32e6, PostBytes: 64 << 10, Seed: 1,
 	}, &ids)
 	bad := NewClient(Config{
-		BaseURL: srv.URL, Strategy: poisson(40, 10), Good: false,
+		BaseURL: srv.URL, Strategy: poisson(40, 10),
 		UploadBits: 8e6, PostBytes: 64 << 10, Seed: 2,
 	}, &ids)
 	good.Run()
@@ -215,7 +215,7 @@ func TestEndToEndAdversaryStrategies(t *testing.T) {
 
 			var ids atomic.Uint64
 			good := NewClient(Config{
-				BaseURL: srv.URL, Strategy: poisson(4, 2), Good: true,
+				BaseURL: srv.URL, Strategy: poisson(4, 2),
 				UploadBits: 16e6, PostBytes: 32 << 10, Seed: 1,
 			}, &ids)
 			spec := adversary.Spec{Name: name, Period: 2 * time.Second}

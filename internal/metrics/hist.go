@@ -17,8 +17,9 @@ const HistBase = 50 * time.Microsecond
 // Hist is a lock-free log₂-bucketed latency recorder: Observe is two
 // atomic adds, safe from any goroutine, so recording on a server hot
 // path never serializes the traffic being measured. Quantiles resolve
-// to the upper bound of the matching bucket (factor-of-two resolution
-// — plenty for "did p99 blow up" questions); Max is exact.
+// to the upper bound of the matching bucket, capped at Max
+// (factor-of-two resolution — plenty for "did p99 blow up"
+// questions); Max is exact.
 //
 // It is the server-side sibling of the load generator's client-side
 // latency histogram (internal/loadgen aliases this type), and the
@@ -83,7 +84,8 @@ func (h *Hist) Mean() time.Duration {
 func (h *Hist) Bucket(i int) uint64 { return h.buckets[i].Load() }
 
 // Quantile returns the upper bound of the bucket containing the p-th
-// quantile (0 < p <= 1), or 0 with no samples.
+// quantile (0 < p <= 1), capped at the exact Max so no quantile
+// reports more than the worst sample, or 0 with no samples.
 func (h *Hist) Quantile(p float64) time.Duration {
 	n := h.count.Load()
 	if n == 0 {
@@ -103,10 +105,10 @@ func (h *Hist) Quantile(p float64) time.Duration {
 	for i := 0; i < HistBuckets; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			return HistBase << uint(i)
+			return min(HistBase<<uint(i), h.Max())
 		}
 	}
-	return HistBase << (HistBuckets - 1)
+	return min(HistBase<<(HistBuckets-1), h.Max())
 }
 
 // LatencyHists are the server-side request-lifecycle latency

@@ -35,6 +35,25 @@ func TestHistogramQuantilesAndMax(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNeverExceedsMax: samples that all sit below
+// their bucket's upper bound must not report a quantile above the
+// worst sample; the bucket bound alone would say 819.2ms for a p50 of
+// samples no worse than 578ms.
+func TestHistogramQuantileNeverExceedsMax(t *testing.T) {
+	var h Hist
+	for _, ms := range []int{450, 500, 520, 578} {
+		h.Observe(time.Duration(ms) * time.Millisecond)
+	}
+	for _, p := range []float64{0.5, 0.9, 0.99, 1} {
+		if got := h.Quantile(p); got > h.Max() {
+			t.Errorf("p%g = %v, exceeds max %v", p*100, got, h.Max())
+		}
+	}
+	if got, want := h.Quantile(1), 578*time.Millisecond; got != want {
+		t.Errorf("p100 = %v, want the exact max %v", got, want)
+	}
+}
+
 func TestHistogramConcurrentMax(t *testing.T) {
 	var h Hist
 	var wg sync.WaitGroup

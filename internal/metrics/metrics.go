@@ -109,74 +109,3 @@ func (s *Sample) ensureSorted() {
 		s.sorted = true
 	}
 }
-
-// Counter is a monotonically increasing event/byte counter.
-type Counter struct{ v float64 }
-
-// Add increases the counter by x (negative x panics: counters only go up).
-func (c *Counter) Add(x float64) {
-	if x < 0 {
-		panic("metrics: negative Counter.Add")
-	}
-	c.v += x
-}
-
-// Inc increases the counter by 1.
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current total.
-func (c *Counter) Value() float64 { return c.v }
-
-// Rate returns the counter value divided by the elapsed duration in
-// seconds (0 if elapsed <= 0).
-func (c *Counter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return c.v / elapsed.Seconds()
-}
-
-// Series records (time, value) points, e.g. per-interval throughput.
-type Series struct {
-	T []time.Duration
-	V []float64
-}
-
-// Add appends one point.
-func (s *Series) Add(t time.Duration, v float64) {
-	s.T = append(s.T, t)
-	s.V = append(s.V, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.V) }
-
-// MeanAfter returns the mean of values at times >= t0, skipping a
-// warm-up prefix (0 for an empty selection).
-func (s *Series) MeanAfter(t0 time.Duration) float64 {
-	var sum float64
-	var n int
-	for i, t := range s.T {
-		if t >= t0 {
-			sum += s.V[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// BitsPerSecond converts a byte count over a duration to bits/s.
-func BitsPerSecond(bytes float64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return bytes * 8 / d.Seconds()
-}
-
-// Mbps converts a byte count over a duration to Mbits/s.
-func Mbps(bytes float64, d time.Duration) float64 {
-	return BitsPerSecond(bytes, d) / 1e6
-}

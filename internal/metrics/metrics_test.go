@@ -79,59 +79,6 @@ func TestAddDuration(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %v, want 5", c.Value())
-	}
-	if got := c.Rate(2 * time.Second); got != 2.5 {
-		t.Fatalf("rate = %v, want 2.5", got)
-	}
-	if c.Rate(0) != 0 {
-		t.Fatal("rate over zero elapsed must be 0")
-	}
-}
-
-func TestCounterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	var c Counter
-	c.Add(-1)
-}
-
-func TestSeriesMeanAfter(t *testing.T) {
-	var s Series
-	s.Add(0, 100) // warm-up point
-	s.Add(10*time.Second, 2)
-	s.Add(20*time.Second, 4)
-	if got := s.MeanAfter(5 * time.Second); got != 3 {
-		t.Fatalf("MeanAfter = %v, want 3", got)
-	}
-	if got := s.MeanAfter(time.Hour); got != 0 {
-		t.Fatalf("MeanAfter beyond range = %v, want 0", got)
-	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
-func TestBitsPerSecond(t *testing.T) {
-	if got := BitsPerSecond(1e6, time.Second); got != 8e6 {
-		t.Fatalf("BitsPerSecond = %v", got)
-	}
-	if got := Mbps(1e6, time.Second); got != 8 {
-		t.Fatalf("Mbps = %v", got)
-	}
-	if BitsPerSecond(1, 0) != 0 {
-		t.Fatal("zero duration must yield 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "col", "value")
 	tb.AddRow("a", 1.5)

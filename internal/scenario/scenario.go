@@ -14,6 +14,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -37,9 +38,10 @@ type ClientGroup struct {
 	Name string
 	// Count is the number of clients.
 	Count int
-	// Good selects the workload defaults: good clients use λ=2, w=1;
-	// bad clients use λ=40, w=20 (§7.1). Mutually exclusive with
-	// Strategy, which defines attacker behaviour on its own.
+	// Good marks the group's clients as legitimate in results, and
+	// selects the plain group's client process (see Spec). Mutually
+	// exclusive with Strategy, which defines attacker behaviour on its
+	// own.
 	Good bool
 	// Strategy names an adversary profile driving this group's
 	// clients ("onoff", "mimic", "defector", "flood", "adaptive",
@@ -54,9 +56,10 @@ type ClientGroup struct {
 	Bandwidth float64
 	// LinkDelay is the one-way access-link delay. Default 250µs (LAN).
 	LinkDelay time.Duration
-	// Lambda overrides the Poisson rate (0 = default by Good).
+	// Lambda overrides the Poisson rate (0 = the default Spec picks).
 	Lambda float64
-	// Window overrides the outstanding-request window (0 = default).
+	// Window overrides the outstanding-request window (0 = the default
+	// Spec picks).
 	Window int
 	// Bottleneck places the group behind cfg.Bottlenecks[Bottleneck-1];
 	// 0 means directly on the LAN.
@@ -90,24 +93,6 @@ func (g ClientGroup) withDefaults(idx int) ClientGroup {
 	if g.LinkDelay == 0 {
 		g.LinkDelay = 250 * time.Microsecond
 	}
-	// With a Strategy, zero Lambda/Window mean "the profile's
-	// defaults" and must survive to spec construction unfilled.
-	if g.Strategy == "" {
-		if g.Lambda == 0 {
-			if g.Good {
-				g.Lambda = 2
-			} else {
-				g.Lambda = 40
-			}
-		}
-		if g.Window == 0 {
-			if g.Good {
-				g.Window = 1
-			} else {
-				g.Window = 20
-			}
-		}
-	}
 	if g.Name == "" {
 		kind := "bad"
 		switch {
@@ -121,21 +106,27 @@ func (g ClientGroup) withDefaults(idx int) ClientGroup {
 	return g
 }
 
-// spec is the client process every member of the group runs: the
-// named Strategy, or for a plain group the §7.1 poisson client with
-// the λ/w withDefaults selects by Good. Zero overrides fall through to
-// the profile's defaults.
-func (g ClientGroup) spec() adversary.Spec {
-	name := g.Strategy
-	if name == "" {
-		name = "poisson"
-	}
-	return adversary.Spec{
-		Name:           name,
+// Spec is the client process every member of the group runs: the
+// named Strategy, or for a plain group the §7.1 poisson client, at
+// λ=2, w=1 when Good and otherwise at the poisson profile's own
+// λ=40, w=20. Lambda and Window override either; zero keeps the
+// default. The simulator and the live load generator both read a
+// group through Spec, so one declaration means one client process.
+func (g ClientGroup) Spec() adversary.Spec {
+	s := adversary.Spec{
+		Name:           g.Strategy,
 		Aggressiveness: g.Aggressiveness,
 		Lambda:         g.Lambda,
 		Window:         g.Window,
 	}
+	if s.Name == "" {
+		s.Name = "poisson"
+		if g.Good {
+			s.Lambda = cmp.Or(s.Lambda, 2)
+			s.Window = cmp.Or(s.Window, 1)
+		}
+	}
+	return s
 }
 
 // Bottleneck is a shared link between a set of clients and the LAN.
@@ -285,7 +276,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: group %q sets Aggressiveness %g without a Strategy",
 				name, g.Aggressiveness)
 		}
-		if err := g.spec().Validate(); err != nil {
+		if err := g.Spec().Validate(); err != nil {
 			return fmt.Errorf("scenario: group %q: %v", name, err)
 		}
 	}
@@ -442,7 +433,7 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	// created in the slots loop below.
 	cohorts := make([]*adversary.Cohort, len(cfg.Groups))
 	for gi, g := range cfg.Groups {
-		cohorts[gi] = adversary.NewCohort(g.spec(), g.Count)
+		cohorts[gi] = adversary.NewCohort(g.Spec(), g.Count)
 	}
 	var lastPrice int64 // last winning bid: the public price observable
 
@@ -530,7 +521,7 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	var workloads []*clients.Client
 	for si, slot := range slots {
 		g := cfg.Groups[slot.group]
-		strat := g.spec().New(cohorts[slot.group])
+		strat := g.Spec().New(cohorts[slot.group])
 		stack := tcpsim.NewStack(n, slot.node, tcpsim.Options{})
 		wl := clients.New(clock, clients.Config{
 			Good:         g.Good,

@@ -258,6 +258,29 @@ func TestValidateAdversaryGroups(t *testing.T) {
 	}
 }
 
+// TestGroupSpec pins the one reading of a group: a plain group is the
+// §7.1 poisson client (λ=2, w=1 when Good, the poisson profile's own
+// λ/w otherwise), a strategy group its profile, and Lambda/Window
+// override either.
+func TestGroupSpec(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    ClientGroup
+		want adversary.Spec
+	}{
+		{"plain good", ClientGroup{Count: 3, Good: true}, adversary.Spec{Name: "poisson", Lambda: 2, Window: 1}},
+		{"plain good, overrides", ClientGroup{Count: 3, Good: true, Lambda: 5}, adversary.Spec{Name: "poisson", Lambda: 5, Window: 1}},
+		{"plain bad", ClientGroup{Count: 3}, adversary.Spec{Name: "poisson"}},
+		{"plain bad, overrides", ClientGroup{Count: 3, Lambda: 9, Window: 4}, adversary.Spec{Name: "poisson", Lambda: 9, Window: 4}},
+		{"strategy", ClientGroup{Count: 3, Strategy: "mimic", Aggressiveness: 1.5}, adversary.Spec{Name: "mimic", Aggressiveness: 1.5}},
+		{"strategy, overrides", ClientGroup{Count: 3, Strategy: "flood", Lambda: 7, Window: 3}, adversary.Spec{Name: "flood", Lambda: 7, Window: 3}},
+	} {
+		if got := c.g.Spec(); got != c.want {
+			t.Errorf("%s: Spec() = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
 // TestPlainGroupIsPoisson: a group without a Strategy runs the poisson
 // profile at its Good-selected λ/w, so declaring that profile with the
 // same λ/w, name and seed changes nothing.

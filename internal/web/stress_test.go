@@ -308,11 +308,11 @@ func TestFrontAdversarialStress(t *testing.T) {
 	honestSpec := adversary.Spec{Name: "poisson", Lambda: 10, Window: 4}
 	honest := []*loadgen.Client{
 		loadgen.NewClient(loadgen.Config{
-			BaseURL: srv.URL, Strategy: honestSpec.New(nil), Good: true,
+			BaseURL: srv.URL, Strategy: honestSpec.New(nil),
 			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 1,
 		}, &honestIDs),
 		loadgen.NewClient(loadgen.Config{
-			BaseURL: srv.URL, Strategy: honestSpec.New(nil), Good: true,
+			BaseURL: srv.URL, Strategy: honestSpec.New(nil),
 			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 2,
 		}, &honestIDs),
 	}

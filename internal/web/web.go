@@ -247,9 +247,6 @@ func (c *ctlClock) After(d time.Duration, fn func()) func() {
 // stamp their credits with it so both listeners age channels alike.
 func (f *Front) Now() time.Duration { return time.Since(f.started) }
 
-// now is the Front's clock reading (same epoch the thinner sees).
-func (f *Front) now() time.Duration { return f.Now() }
-
 // chanWaiter is the HTTP front's core.Waiter: a held request's handler
 // waits on it for the response body, nil meaning evicted.
 type chanWaiter chan []byte
@@ -346,7 +343,7 @@ func (f *Front) arrive(id core.RequestID, w core.Waiter, initial bool) core.Arri
 	if !f.table.SetWaiter(id, w) {
 		// A request with this id is already held. Overwriting would
 		// strand the earlier waiter until RequestTimeout.
-		f.tracer.OnDuplicate(uint64(id), f.now())
+		f.tracer.OnDuplicate(uint64(id), f.Now())
 		return core.ArriveDuplicate
 	}
 	f.th.RequestArrived(id)
@@ -356,7 +353,7 @@ func (f *Front) arrive(id core.RequestID, w core.Waiter, initial bool) core.Arri
 // Channel resolves id's payment channel at the front's clock — the
 // wire transport's credit path (the /pay handler resolves inline).
 func (f *Front) Channel(id core.RequestID) *core.PayChan {
-	return f.table.Channel(id, f.now())
+	return f.table.Channel(id, f.Now())
 }
 
 // ReleaseWaiter drops w's registration for id if it is still the
@@ -469,7 +466,7 @@ func (f *Front) handlePay(w http.ResponseWriter, r *http.Request) {
 	}
 	// Resolve the payment channel once; every chunk below is credited
 	// through its atomics without locks.
-	pc := f.table.Channel(id, f.now())
+	pc := f.table.Channel(id, f.Now())
 
 	// The sink goroutine blocks in Read and credits chunks as they
 	// land — the hot path: one Read, one atomic credit, one state load
@@ -486,7 +483,7 @@ func (f *Front) handlePay(w http.ResponseWriter, r *http.Request) {
 		for {
 			n, err := r.Body.Read(buf)
 			if n > 0 {
-				now := f.now()
+				now := f.Now()
 				if pc.Credit(int64(n), now) {
 					// Count only accepted bytes so the reply's paid tally
 					// matches the table (a chunk racing the settle is
