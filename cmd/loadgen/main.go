@@ -21,11 +21,7 @@
 //
 // At startup the generator probes the front's /healthz once and exits
 // non-zero with a one-line error if the front is unreachable (any HTTP
-// response, even a degraded 503, counts as reachable). -retry-budget
-// lets clients re-issue requests after retryable failures (transport
-// errors, 502/503/504, evictions) with bounded jittered exponential
-// backoff, honoring Retry-After; -req-timeout bounds each request's
-// whole speak-up exchange.
+// response, even a degraded 503, counts as reachable).
 //
 // The run is one scenario document (the internal/config schema shared
 // with cmd/repro and cmd/thinnerd): the -scenario file, a disk path or
@@ -34,26 +30,32 @@
 // and -bad set the count of its only good or bad group (several groups
 // of that kind make them an error), -bw sets every group's bandwidth,
 // -attack and -aggro set every bad group's strategy and
-// aggressiveness, and -post, -duration and -transport set their
-// fields. The flag defaults fill what the document leaves unset (the
+// aggressiveness, -retry-budget, -retry-base, -retry-cap and
+// -req-timeout set every group's retry_budget, retry_base, retry_cap
+// and deadline, and -post, -duration and -transport set their fields.
+// The flag defaults fill what the document leaves unset (the
 // duration, sizes.post, a group's bandwidth).
 //
 // Each declared group then runs as one cohort of its count, with the
 // client process the simulator runs for the same group
-// (scenario.ClientGroup.Spec, internal/adversary's implementations):
-// a plain good group is the §7.1 good client, a plain bad group the
-// poisson profile's flood, and a strategy group its profile at the
-// λ/w it overrides. Coordinated strategies coordinate for real inside
+// (scenario.ClientGroup.Spec and Workload; internal/loadgen runs
+// internal/clients over real sockets): a plain good group is the §7.1
+// good client, a plain bad group the poisson profile's flood, and a
+// strategy group its profile at the λ/w it overrides, each with the
+// group's 10 s backlog, retry budget, backoff and deadline. Live runs
+// ignore a group's work, and over the wire its pay_conns, and log a
+// line saying so. Coordinated strategies coordinate for real inside
 // their cohort. -attack list prints the registry and exits.
 //
 // Per-second progress goes to stderr. The final summary — per-class
 // service rates, admissions/sec, payment-ingest bits/sec, and latency
-// percentiles — prints human-readable to stdout, or as one JSON
-// object with -json (the shape scripts and dashboards consume). The
-// summary adds the groups up into a good and a bad class, lists the
-// bad groups' strategies under attack, and carries a config_hash: the
-// short canonical hash of the resolved document, so results are
-// attributable to one exact configuration.
+// percentiles from each request's first attempt — prints
+// human-readable to stdout, or as one JSON object with -json (the
+// shape scripts and dashboards consume). The summary adds the groups
+// up into a good and a bad class, lists the bad groups' strategies
+// under attack, and carries a config_hash: the short canonical hash of
+// the resolved document, so results are attributable to one exact
+// configuration.
 package main
 
 import (
@@ -78,8 +80,9 @@ import (
 
 // classJSON summarizes one client class.
 type classJSON struct {
-	Clients       int     `json:"clients"`
-	Issued        uint64  `json:"issued"`
+	Clients int    `json:"clients"`
+	Issued  uint64 `json:"issued"`
+	// Offered is issued plus backlog denials: the demand presented.
 	Offered       uint64  `json:"offered"`
 	Served        uint64  `json:"served"`
 	Failed        uint64  `json:"failed"`
@@ -130,15 +133,6 @@ type summaryJSON struct {
 	SampledRequestIDs []uint64 `json:"sampled_request_ids,omitempty"`
 }
 
-func tally(cs []*loadgen.Client) (issued, served uint64, paid int64) {
-	for _, c := range cs {
-		issued += c.Stats.Issued.Load()
-		served += c.Stats.Served.Load()
-		paid += c.Stats.PaidBytes.Load()
-	}
-	return
-}
-
 func classSummary(cs []*loadgen.Client, elapsed time.Duration) classJSON {
 	var out classJSON
 	out.Clients = len(cs)
@@ -146,11 +140,12 @@ func classSummary(cs []*loadgen.Client, elapsed time.Duration) classJSON {
 	// class may mix groups, so report the max and no regression hides
 	// behind a lucky client.
 	for _, c := range cs {
-		out.Issued += c.Stats.Issued.Load()
-		out.Offered += c.Stats.Offered()
-		out.Served += c.Stats.Served.Load()
-		out.Failed += c.Stats.Failed.Load()
-		out.Retried += c.Stats.Retried.Load()
+		w := c.Workload()
+		out.Issued += w.Issued
+		out.Offered += w.Offered()
+		out.Served += w.Served
+		out.Failed += w.Failed
+		out.Retried += w.Retried
 		out.PaidBytes += c.Stats.PaidBytes.Load()
 		out.LatencyP50Ms = max(out.LatencyP50Ms, ms(c.Stats.Latency.Quantile(0.50)))
 		out.LatencyP90Ms = max(out.LatencyP90Ms, ms(c.Stats.Latency.Quantile(0.90)))
@@ -176,10 +171,6 @@ func main() {
 	var df docFlags
 	df.register(flag.CommandLine)
 	jsonOut := flag.Bool("json", false, "emit the final summary as JSON on stdout")
-	retryBudget := flag.Int("retry-budget", 0, "max re-issues per request after a retryable failure (transport error, 502/503/504, eviction)")
-	retryBase := flag.Duration("retry-base", 0, "backoff base between retries (default 200ms)")
-	retryCap := flag.Duration("retry-cap", 0, "backoff cap between retries (default 5s)")
-	reqTimeout := flag.Duration("req-timeout", 0, "per-request deadline covering the whole speak-up exchange (0 = none)")
 	wireAddr := flag.String("wire-addr", "localhost:8081", "wire listener host:port (with -transport wire)")
 	traceSample := flag.Int("trace-sample", 0, "mirror the server's -trace-sample rate to report which issued ids its tracer sampled (-json: sampled_request_ids)")
 	flag.Parse()
@@ -229,47 +220,45 @@ func main() {
 	}
 	log.Printf("load: scenario %s (config %s) against %s over %s", doc.Name, configHash, frontDesc, trans)
 
-	// Each group runs as one cohort of its clients, in declaration
-	// order; seeds number the clients across groups.
-	var ids atomic.Uint64
-	var good, bad, all []*loadgen.Client
 	var attacks []string
 	var aggros []float64
 	for _, g := range run.Groups {
-		spec := g.Spec()
-		cohort := adversary.NewCohort(spec, g.Count)
-		for i := 0; i < g.Count; i++ {
-			c := loadgen.NewClient(loadgen.Config{
-				BaseURL: *url, Strategy: spec.New(cohort),
-				UploadBits: g.Bandwidth, PostBytes: run.Sizes.Post, Seed: int64(len(all) + 1),
-				RetryBudget: *retryBudget, RetryBase: *retryBase, RetryCap: *retryCap,
-				RequestTimeout: *reqTimeout,
-				Transport:      trans, WireAddr: *wireAddr,
-				TraceSample: *traceSample,
-			}, &ids)
-			all = append(all, c)
-			if g.Good {
-				good = append(good, c)
-			} else {
-				bad = append(bad, c)
-			}
-			c.Run()
-		}
 		if !g.Good && g.Strategy != "" {
 			attacks = append(attacks, g.Strategy)
 			aggros = append(aggros, cmp.Or(g.Aggressiveness, 1))
 		}
-		log.Printf("group %s (good=%t): %d %s clients at %.1f Mbit/s",
-			g.Name, g.Good, g.Count, spec.Name, g.Bandwidth/1e6)
+		log.Printf("group %s (good=%t): %d %s clients at %.1f Mbit/s, retry budget %d, deadline %v",
+			g.Name, g.Good, g.Count, g.Spec().Name, g.Bandwidth/1e6, g.RetryBudget, g.Deadline)
+		if g.Work > 0 {
+			log.Printf("group %s: ignoring work, sim-only (the live origin takes no per-request work hint)", g.Name)
+		}
+		if g.PayConns > 1 && trans == "wire" {
+			log.Printf("group %s: ignoring pay_conns, HTTP-only (the wire transport runs one channel per request)", g.Name)
+		}
+	}
+
+	var ids atomic.Uint64
+	var good, bad, all []*loadgen.Client
+	cfgs, groups := clientConfigs(run, loadgen.Config{
+		BaseURL: *url, Transport: trans, WireAddr: *wireAddr, TraceSample: *traceSample,
+	})
+	for i, cfg := range cfgs {
+		c := loadgen.NewClient(cfg, &ids)
+		all = append(all, c)
+		if run.Groups[groups[i]].Good {
+			good = append(good, c)
+		} else {
+			bad = append(bad, c)
+		}
+		c.Run()
 	}
 
 	start := time.Now()
 	for time.Since(start) < run.Duration {
 		time.Sleep(time.Second)
-		gi, gs, _ := tally(good)
-		bi, bs, _ := tally(bad)
+		g, b := classSummary(good, 0), classSummary(bad, 0)
 		fmt.Fprintf(os.Stderr, "t=%3.0fs  good %d/%d served   bad %d/%d served\n",
-			time.Since(start).Seconds(), gs, gi, bs, bi)
+			time.Since(start).Seconds(), g.Served, g.Issued, b.Served, b.Issued)
 	}
 	for _, c := range all {
 		c.Stop()
@@ -319,8 +308,7 @@ func main() {
 			sum.Good.SuccessRate, sum.Bad.SuccessRate)
 	}
 	if sum.Good.Retried+sum.Bad.Retried > 0 {
-		fmt.Printf("retries: good %d, bad %d (budget %d)\n",
-			sum.Good.Retried, sum.Bad.Retried, *retryBudget)
+		fmt.Printf("retries: good %d, bad %d\n", sum.Good.Retried, sum.Bad.Retried)
 	}
 	fmt.Printf("throughput: %.1f admissions/sec, payment ingest %.1f Mbit/s over the %s front\n",
 		sum.AdmissionsPerSec, sum.PaymentBitsPerSec/1e6, trans)

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"speakup/configs"
+	"speakup/internal/adversary"
 	"speakup/internal/config"
+	"speakup/internal/loadgen"
+	"speakup/internal/scenario"
 )
 
 // docFlags are the flags that write over the run's scenario document.
@@ -19,6 +22,10 @@ type docFlags struct {
 	post      int
 	duration  time.Duration
 	transport string
+
+	retryBudget         int
+	retryBase, retryCap time.Duration
+	reqTimeout          time.Duration
 }
 
 // register declares the document flags on fs.
@@ -32,6 +39,10 @@ func (f *docFlags) register(fs *flag.FlagSet) {
 	fs.IntVar(&f.post, "post", 1<<20, "payment POST size (bytes)")
 	fs.DurationVar(&f.duration, "duration", 30*time.Second, "run length")
 	fs.StringVar(&f.transport, "transport", "http", "front to drive: http (GET/POST) or wire (binary framed payment transport)")
+	fs.IntVar(&f.retryBudget, "retry-budget", 0, "re-issues per failed request of every group (retry_budget)")
+	fs.DurationVar(&f.retryBase, "retry-base", 0, "retry backoff base of every group (retry_base; 0 = 200ms)")
+	fs.DurationVar(&f.retryCap, "retry-cap", 0, "retry backoff cap of every group (retry_cap; 0 = 5s)")
+	fs.DurationVar(&f.reqTimeout, "req-timeout", 0, "per-attempt deadline of every group (deadline; 0 = none)")
 }
 
 // resolve builds the run as one scenario document: the -scenario file,
@@ -73,6 +84,18 @@ func (f docFlags) resolve(set map[string]bool) (config.Scenario, error) {
 		if !g.Good && set["aggro"] {
 			g.Aggressiveness = f.aggro
 		}
+		if set["retry-budget"] {
+			g.RetryBudget = f.retryBudget
+		}
+		if set["retry-base"] {
+			g.RetryBase = config.Duration(f.retryBase)
+		}
+		if set["retry-cap"] {
+			g.RetryCap = config.Duration(f.retryCap)
+		}
+		if set["req-timeout"] {
+			g.Deadline = config.Duration(f.reqTimeout)
+		}
 	}
 	if doc.Sizes == nil {
 		doc.Sizes = &config.Sizes{}
@@ -112,4 +135,27 @@ func setCount(doc *config.Scenario, good bool, n int) error {
 	}
 	only.Count = n
 	return nil
+}
+
+// clientConfigs returns the config of every client the run declares,
+// group by group in declaration order, and the group index of each:
+// base with the group's strategy (one cohort per group), bandwidth,
+// payment connections and §7.1 workload, read as the simulator reads
+// them. Seeds number the clients across groups from 1.
+func clientConfigs(run scenario.Config, base loadgen.Config) (cfgs []loadgen.Config, groups []int) {
+	for gi, g := range run.Groups {
+		spec := g.Spec()
+		cohort := adversary.NewCohort(spec, g.Count)
+		for range g.Count {
+			c := base
+			c.Strategy = spec.New(cohort)
+			c.UploadBits = g.Bandwidth
+			c.PostBytes = run.Sizes.Post
+			c.PayConns = g.PayConns
+			c.Workload = g.Workload(int64(len(cfgs)+1), c.Strategy)
+			cfgs = append(cfgs, c)
+			groups = append(groups, gi)
+		}
+	}
+	return cfgs, groups
 }

@@ -6,9 +6,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"speakup/internal/adversary"
+	"speakup/internal/clients"
 	"speakup/internal/config"
+	"speakup/internal/faults"
+	"speakup/internal/loadgen"
 	"speakup/internal/scenario"
 )
 
@@ -183,5 +187,72 @@ func TestResolveRejects(t *testing.T) {
 		if _, err := resolveArgs(c.args...); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: err %v, want one mentioning %q", c.args, err, c.want)
 		}
+	}
+}
+
+// TestRetryFlagsWriteOverGroups: the retry flags are part of the
+// run's document, so setting one changes the config_hash and writes
+// over every group; unset, they leave the document alone.
+func TestRetryFlagsWriteOverGroups(t *testing.T) {
+	plain, err := resolveArgs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	retried, err := resolveArgs("-retry-budget", "3", "-retry-base", "100ms", "-retry-cap", "1s", "-req-timeout", "5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := config.ShortHash(plain), config.ShortHash(retried); a == b {
+		t.Errorf("-retry-budget 3 kept the config_hash %s", a)
+	}
+	budget, err := resolveArgs("-retry-budget", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if config.ShortHash(budget) == config.ShortHash(plain) {
+		t.Error("-retry-budget 3 alone kept the config_hash")
+	}
+	run, err := retried.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range run.Groups {
+		if g.RetryBudget != 3 || g.RetryBase != 100*time.Millisecond || g.RetryCap != time.Second || g.Deadline != 5*time.Second {
+			t.Errorf("group %s: budget %d base %v cap %v deadline %v, want 3 100ms 1s 5s",
+				g.Name, g.RetryBudget, g.RetryBase, g.RetryCap, g.Deadline)
+		}
+	}
+}
+
+// TestFaultsRunsItsRetryPlan: -scenario faults runs its good group
+// with the file's retry budget, backoff and deadline, read by the
+// simulator's rule, and its bad group with none.
+func TestFaultsRunsItsRetryPlan(t *testing.T) {
+	doc, err := resolveArgs("-scenario", "faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := doc.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, groups := clientConfigs(run, loadgen.Config{})
+	if len(cfgs) != 20 {
+		t.Fatalf("%d clients, want 20", len(cfgs))
+	}
+	for i, c := range cfgs {
+		w := c.Workload
+		want := clients.Config{Seed: int64(i + 1), Pacer: c.Strategy}
+		if run.Groups[groups[i]].Good {
+			want.RetryBudget = 2
+			want.RetryBackoff = faults.Backoff{Base: 500 * time.Millisecond, Cap: 4 * time.Second}
+			want.Deadline = 8 * time.Second
+		}
+		if w != want {
+			t.Errorf("client %d (group %s): workload %+v, want %+v", i, run.Groups[groups[i]].Name, w, want)
+		}
+	}
+	if !run.Groups[groups[0]].Good || run.Groups[groups[19]].Good {
+		t.Errorf("groups %d..%d, want good then bad", groups[0], groups[19])
 	}
 }

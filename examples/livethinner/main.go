@@ -19,6 +19,7 @@ import (
 
 	"speakup"
 	"speakup/internal/adversary"
+	"speakup/internal/clients"
 	"speakup/internal/loadgen"
 )
 
@@ -51,11 +52,11 @@ func main() {
 	var ids atomic.Uint64
 	good := loadgen.NewClient(loadgen.Config{
 		BaseURL: base, Strategy: poisson(3, 2),
-		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 1,
+		UploadBits: 8e6, PostBytes: 128 << 10, Workload: clients.Config{Seed: 1},
 	}, &ids)
 	bad := loadgen.NewClient(loadgen.Config{
 		BaseURL: base, Strategy: poisson(30, 8),
-		UploadBits: 8e6, PostBytes: 128 << 10, Seed: 2,
+		UploadBits: 8e6, PostBytes: 128 << 10, Workload: clients.Config{Seed: 2},
 	}, &ids)
 	good.Run()
 	bad.Run()
@@ -70,9 +71,9 @@ func main() {
 	bad.Stop()
 
 	fmt.Printf("\ngood client: served %d of %d issued (p50 %s)\n",
-		good.Stats.Served.Load(), good.Stats.Issued.Load(), good.Stats.Latency.Quantile(0.5))
+		good.Workload().Served, good.Workload().Issued, good.Stats.Latency.Quantile(0.5))
 	fmt.Printf("bad client:  served %d of %d issued (p50 %s)\n",
-		bad.Stats.Served.Load(), bad.Stats.Issued.Load(), bad.Stats.Latency.Quantile(0.5))
+		bad.Workload().Served, bad.Workload().Issued, bad.Stats.Latency.Quantile(0.5))
 	fmt.Println("\nWith equal uplinks the good client holds a far larger per-request")
 	fmt.Println("success rate: its rare requests outbid the attacker's flood.")
 }

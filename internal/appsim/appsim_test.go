@@ -114,7 +114,7 @@ func (r *rig) served() int {
 func TestSingleClientLightLoadServedDirectly(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 100, nClients: 1,
-		clientCfg: clients.Config{Pacer: poisson(2, 1), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(2, 1)},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -138,7 +138,7 @@ func TestOverloadTriggersPayments(t *testing.T) {
 	// must pay, and some get served.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 3,
-		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4)},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -169,7 +169,7 @@ func TestAuctionPricesApproachUpperBound(t *testing.T) {
 	// bound is (G+B)/c = 10e6/8/5 = 250 KB per request.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 5, nClients: 5,
-		clientCfg: clients.Config{Pacer: poisson(20, 8), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(20, 8)},
 	})
 	r.start()
 	r.loop.Run(60 * time.Second)
@@ -198,7 +198,7 @@ func TestAuctionPricesApproachUpperBound(t *testing.T) {
 func TestOffModeDropsWhenBusy(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeOff, capacity: 2, nClients: 3,
-		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4)},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -225,7 +225,7 @@ func TestOffModeDropsWhenBusy(t *testing.T) {
 func TestRandomDropModeServesUnderOverload(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeRandomDrop, capacity: 5, nClients: 3,
-		clientCfg: clients.Config{Pacer: poisson(10, 4), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(10, 4)},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -241,7 +241,7 @@ func TestRandomDropModeServesUnderOverload(t *testing.T) {
 func TestPaymentTimeMeasured(t *testing.T) {
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 2,
-		clientCfg: clients.Config{Pacer: poisson(5, 2), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(5, 2)},
 	})
 	r.start()
 	r.loop.Run(30 * time.Second)
@@ -265,7 +265,7 @@ func TestWinnerPaymentChannelTerminated(t *testing.T) {
 	// within reason.
 	r := newRig(t, rigConfig{
 		mode: ModeAuction, capacity: 2, nClients: 2,
-		clientCfg: clients.Config{Pacer: poisson(5, 2), Good: true},
+		clientCfg: clients.Config{Pacer: poisson(5, 2)},
 	})
 	r.start()
 	r.loop.Run(20 * time.Second)

@@ -109,7 +109,7 @@ func (a *ClientApp) abandon(id core.RequestID) {
 		a.finish(r, false)
 		return
 	}
-	a.Workload.RequestFailed(id)
+	a.Workload.RequestFailed(id, 0)
 }
 
 // issue opens the request connection and sends the initial GET.
@@ -227,7 +227,7 @@ func (a *ClientApp) finish(r *clientReq, served bool) {
 	if served {
 		a.Workload.RequestServed(r.id)
 	} else {
-		a.Workload.RequestFailed(r.id)
+		a.Workload.RequestFailed(r.id, 0)
 	}
 	if a.OnOutcome != nil {
 		a.OnOutcome(out)

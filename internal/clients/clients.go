@@ -8,7 +8,9 @@
 // with a window w, λ=2, w=1 for good clients and λ=40, w=20 for bad
 // ones. The package is transport-independent: the Issue callback
 // starts the actual protocol exchange, and the transport reports
-// completions back via RequestServed or RequestFailed.
+// completions back via RequestServed or RequestFailed. The simulator
+// (internal/appsim) runs it over virtual time, and the live load
+// generator (internal/loadgen) over a core.WallClock.
 package clients
 
 import (
@@ -36,9 +38,6 @@ type Config struct {
 	Pacer Pacer
 	// BacklogTimeout denies queued requests after this long. Default 10s.
 	BacklogTimeout time.Duration
-	// Good labels the client for reporting (it does not change behaviour;
-	// behaviour differences come from the Pacer).
-	Good bool
 	// Seed seeds this client's arrival process.
 	Seed int64
 
@@ -100,6 +99,7 @@ type Client struct {
 	arrivalFn   func() // built once; rescheduled every arrival
 
 	retries   map[core.RequestID]int    // attempts burned per in-flight id (retry mode only)
+	backoffs  map[core.RequestID]func() // pending retry cancels (retry mode only)
 	deadlines map[core.RequestID]func() // pending deadline cancels (deadline mode only)
 
 	// Issue starts the protocol exchange for a fresh request.
@@ -139,9 +139,6 @@ func New(clock core.Clock, cfg Config, nextID func() core.RequestID) *Client {
 // Stats returns a copy of the workload counters.
 func (c *Client) Stats() Stats { return c.stats }
 
-// Good reports the client's label.
-func (c *Client) Good() bool { return c.cfg.Good }
-
 // Outstanding returns the number of requests in flight.
 func (c *Client) Outstanding() int { return c.outstanding }
 
@@ -153,13 +150,21 @@ func (c *Client) Start() {
 	c.scheduleArrival()
 }
 
-// Stop halts request generation (outstanding requests may still
-// complete and be counted).
+// Stop halts request generation. Outstanding requests may still
+// complete and be counted, but are not retried, and the backlog is
+// not issued; a request waiting out a retry backoff counts Failed now.
 func (c *Client) Stop() {
 	c.stopped = true
 	if c.stopArrival != nil {
 		c.stopArrival()
 		c.stopArrival = nil
+	}
+	for id, cancel := range c.backoffs {
+		cancel()
+		delete(c.backoffs, id)
+		delete(c.retries, id)
+		c.stats.Failed++
+		c.completeOne()
 	}
 }
 
@@ -208,7 +213,7 @@ func (c *Client) armDeadline(id core.RequestID) {
 			c.Abandon(id) // transport tears down, then reports RequestFailed
 			return
 		}
-		c.RequestFailed(id)
+		c.RequestFailed(id, 0)
 	})
 }
 
@@ -254,38 +259,38 @@ func (c *Client) RequestServed(id core.RequestID) {
 // RequestFailed reports an explicitly failed request attempt (an
 // OFF-mode drop, a crashed origin, an abandoned deadline). With a
 // retry budget the request is re-issued after a jittered exponential
-// backoff — its window slot stays held, so a retrying client offers
-// no more concurrency than a healthy one. Budget exhausted (or no
-// budget), the request is counted Failed and the slot freed.
-func (c *Client) RequestFailed(id core.RequestID) {
+// backoff, or after floor if that is longer (a server's Retry-After;
+// the simulator passes 0). Its window slot stays held, so a retrying
+// client offers no more concurrency than a healthy one. Budget
+// exhausted (or no budget), the request is counted Failed and the
+// slot freed. RequestFailed reports whether the request will be
+// re-issued.
+func (c *Client) RequestFailed(id core.RequestID, floor time.Duration) (retrying bool) {
 	c.disarmDeadline(id)
 	if c.cfg.RetryBudget > 0 && !c.stopped {
 		if c.retries == nil {
 			c.retries = make(map[core.RequestID]int)
+			c.backoffs = make(map[core.RequestID]func())
 		}
 		attempt := c.retries[id]
 		if attempt < c.cfg.RetryBudget {
 			c.retries[id] = attempt + 1
 			c.stats.Retried++
-			c.clock.After(c.cfg.RetryBackoff.Delay(attempt, c.rng), func() {
-				if c.stopped {
-					// The run is winding down: release the slot
-					// instead of re-entering the transport.
-					c.stats.Failed++
-					c.completeOne()
-					return
-				}
+			delay := max(c.cfg.RetryBackoff.Delay(attempt, c.rng), floor)
+			c.backoffs[id] = c.clock.After(delay, func() {
+				delete(c.backoffs, id)
 				if c.Issue != nil {
 					c.Issue(id)
 				}
 				c.armDeadline(id)
 			})
-			return
+			return true
 		}
 		delete(c.retries, id)
 	}
 	c.stats.Failed++
 	c.completeOne()
+	return false
 }
 
 func (c *Client) completeOne() {
@@ -293,7 +298,7 @@ func (c *Client) completeOne() {
 		c.outstanding--
 	}
 	c.expireBacklog()
-	for c.outstanding < c.window() && len(c.backlog) > 0 {
+	for !c.stopped && c.outstanding < c.window() && len(c.backlog) > 0 {
 		e := c.backlog[0]
 		c.backlog = c.backlog[1:]
 		c.issue(e.id)

@@ -117,7 +117,7 @@ func TestFailedAlsoFreesWindow(t *testing.T) {
 	c := New(simclock.New(loop), Config{Pacer: poisson(5, 1), Seed: 7}, idGen())
 	c.Issue = func(id core.RequestID) {
 		// Fail instantly (OFF-mode busy reply).
-		loop.After(time.Millisecond, func() { c.RequestFailed(id) })
+		loop.After(time.Millisecond, func() { c.RequestFailed(id, 0) })
 	}
 	c.Start()
 	loop.Run(60 * time.Second)

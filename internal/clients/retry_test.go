@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"speakup/internal/core"
+	"speakup/internal/faults"
 	"speakup/internal/sim"
 	"speakup/internal/simclock"
 )
@@ -22,7 +23,7 @@ func TestRetryBudgetReissues(t *testing.T) {
 	c.Issue = func(id core.RequestID) {
 		issues[id] = append(issues[id], clock.Now())
 		// Fail instantly: the transport bounced the request.
-		loop.After(0, func() { c.RequestFailed(id) })
+		loop.After(0, func() { c.RequestFailed(id, 0) })
 	}
 	c.Start()
 	loop.Run(100 * time.Second)
@@ -80,7 +81,7 @@ func TestRetryHoldsWindowSlot(t *testing.T) {
 		if c.Outstanding() > maxOut {
 			maxOut = c.Outstanding()
 		}
-		loop.After(time.Millisecond, func() { c.RequestFailed(id) })
+		loop.After(time.Millisecond, func() { c.RequestFailed(id, 0) })
 	}
 	c.Start()
 	loop.Run(30 * time.Second)
@@ -105,7 +106,7 @@ func TestDeadlineAbandons(t *testing.T) {
 	c.Issue = func(id core.RequestID) { issuedAt = append(issuedAt, clock.Now()) }
 	c.Abandon = func(id core.RequestID) {
 		abandonedAt = append(abandonedAt, clock.Now())
-		c.RequestFailed(id) // the transport's teardown reports failure
+		c.RequestFailed(id, 0) // the transport's teardown reports failure
 	}
 	c.Start()
 	loop.Run(60 * time.Second)
@@ -156,7 +157,7 @@ func TestDeadlineRearmsPerAttempt(t *testing.T) {
 	}, idGen())
 	attempts := map[core.RequestID]int{}
 	c.Issue = func(id core.RequestID) { attempts[id]++ }
-	c.Abandon = func(id core.RequestID) { c.RequestFailed(id) }
+	c.Abandon = func(id core.RequestID) { c.RequestFailed(id, 0) }
 	c.Start()
 	loop.Run(200 * time.Second)
 	st := c.Stats()
@@ -170,5 +171,63 @@ func TestDeadlineRearmsPerAttempt(t *testing.T) {
 		if n != 3 {
 			t.Fatalf("request %d attempted %d times, want 3", id, n)
 		}
+	}
+}
+
+// TestRetryFloor: a failure reported with a floor (a server's
+// Retry-After) waits at least that long before the retry, where the
+// backoff alone would wait under a second.
+func TestRetryFloor(t *testing.T) {
+	loop := sim.NewLoop(6)
+	clock := simclock.New(loop)
+	c := New(clock, Config{
+		Pacer: poisson(0.099, 1), Seed: 6, RetryBudget: 2,
+	}, idGen())
+	issues := map[core.RequestID][]time.Duration{}
+	c.Issue = func(id core.RequestID) {
+		issues[id] = append(issues[id], clock.Now())
+		loop.After(0, func() { c.RequestFailed(id, 3*time.Second) })
+	}
+	c.Start()
+	loop.Run(100 * time.Second)
+	if c.Stats().Retried == 0 {
+		t.Fatal("no retries exercised")
+	}
+	for id, at := range issues {
+		for n := 0; n+1 < len(at); n++ {
+			if gap := at[n+1] - at[n]; gap < 3*time.Second {
+				t.Fatalf("request %d retry %d came %v after its failure, under the 3s floor", id, n, gap)
+			}
+		}
+	}
+}
+
+// TestStopSettlesBackoffs: Stop counts a request waiting out its
+// backoff Failed at once and frees its slot; its retry never runs, and
+// the backlog is not issued.
+func TestStopSettlesBackoffs(t *testing.T) {
+	loop := sim.NewLoop(7)
+	c := New(simclock.New(loop), Config{
+		Pacer: poisson(50, 1), Seed: 7, RetryBudget: 3,
+		RetryBackoff: faults.Backoff{Base: time.Hour, Cap: time.Hour},
+	}, idGen())
+	issues := 0
+	c.Issue = func(id core.RequestID) {
+		issues++
+		loop.After(0, func() { c.RequestFailed(id, 0) })
+	}
+	c.Start()
+	loop.Run(time.Second)
+	if st := c.Stats(); st.Retried != 1 || c.BacklogLen() == 0 {
+		t.Fatalf("before Stop: %+v with backlog %d, want one request in backoff and a backlog", st, c.BacklogLen())
+	}
+	c.Stop()
+	st := c.Stats()
+	if st.Failed != 1 || c.Outstanding() != 0 {
+		t.Fatalf("after Stop: %+v, outstanding %d; want the backoff counted Failed and its slot free", st, c.Outstanding())
+	}
+	loop.Run(3 * time.Hour)
+	if issues != 1 || c.Stats() != st {
+		t.Fatalf("after Stop: %d issues, stats %+v then %+v", issues, st, c.Stats())
 	}
 }

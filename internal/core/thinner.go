@@ -27,6 +27,8 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"speakup/internal/metrics"
@@ -45,6 +47,34 @@ type Clock interface {
 	Now() time.Duration
 	// After schedules fn after d; the returned function cancels it.
 	After(d time.Duration, fn func()) (cancel func())
+}
+
+// WallClock is Clock over real time: Now is the time since Epoch, and
+// each After callback runs under Mu, so it serializes with the
+// caller's other work on the state Mu guards. A cancelled callback
+// never runs, even one already waiting for Mu, as on a virtual clock.
+type WallClock struct {
+	Mu    *sync.Mutex
+	Epoch time.Time
+}
+
+// Now implements Clock.
+func (c *WallClock) Now() time.Duration { return time.Since(c.Epoch) }
+
+// After implements Clock.
+func (c *WallClock) After(d time.Duration, fn func()) func() {
+	var cancelled atomic.Bool
+	t := time.AfterFunc(d, func() {
+		c.Mu.Lock()
+		defer c.Mu.Unlock()
+		if !cancelled.Load() {
+			fn()
+		}
+	})
+	return func() {
+		cancelled.Store(true)
+		t.Stop()
+	}
 }
 
 // Policy is an admission policy: the Thinner (§3.3, or §5 with a

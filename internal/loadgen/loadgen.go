@@ -1,26 +1,30 @@
-// Package loadgen reproduces the paper's client workloads (§7.1) over
-// real sockets against the internal/web front-end: arrivals, a window
-// of outstanding requests and payment sizes from an adversary.Strategy
-// (the paper's good and bad clients are its poisson profile), an
-// upload shaped by a token bucket (the Emulab 2 Mbit/s access link),
-// and the speak-up protocol — re-issue the request and stream 1 MB
-// payment POSTs when told to pay.
+// Package loadgen runs the paper's client workloads (§7.1) over real
+// sockets against the internal/web front-end. Each Client binds one
+// internal/clients workload, the client process the simulator runs, to
+// a wall clock: the workload owns arrivals and the window (from an
+// adversary.Strategy; the paper's good and bad clients are its poisson
+// profile), the 10 s backlog and its denials, retries and per-attempt
+// deadlines. The binding keeps only the transport: an upload shaped by
+// a token bucket (the Emulab 2 Mbit/s access link) and the speak-up
+// exchange over HTTP or the wire transport — re-issue the request and
+// stream 1 MB payment POSTs when told to pay.
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"speakup/internal/adversary"
+	"speakup/internal/clients"
 	"speakup/internal/core"
-	"speakup/internal/faults"
 	"speakup/internal/metrics"
 	"speakup/internal/trace"
 	"speakup/internal/wire"
@@ -34,26 +38,22 @@ type Config struct {
 	UploadBits float64
 	// PostBytes is the payment POST size. Default 1 MB.
 	PostBytes int
-	// Strategy drives arrival pacing, the outstanding window, and
-	// payment sizing (see internal/adversary). Required. The same
-	// strategy implementations that drive the simulator drive real
-	// traffic here.
+	// PayConns is the number of payment POST loops run in parallel per
+	// request over HTTP; they share the request's paid count and the
+	// client's upload. The wire transport has one channel per request
+	// and ignores it. Default 1.
+	PayConns int
+	// Strategy paces arrivals, sets the outstanding window, and sizes
+	// payments (see internal/adversary). Required. The same strategy
+	// implementations that drive the simulator drive real traffic here.
 	Strategy adversary.Strategy
-	// Seed seeds the arrival process.
-	Seed int64
+	// Workload is the §7.1 client process the transport binds to: its
+	// seed, retry budget and backoff, per-attempt deadline and backlog
+	// timeout. Its Pacer is Strategy.
+	Workload clients.Config
 	// Client optionally overrides the HTTP client (tests inject
 	// in-process transports).
 	Client *http.Client
-	// RetryBudget is the max re-issues per request after a retryable
-	// failure (transport error, 502/503/504, eviction). 0 disables.
-	RetryBudget int
-	// RetryBase/RetryCap bound the jittered exponential backoff between
-	// retries (defaults from faults.Backoff: 200ms base, 5s cap).
-	RetryBase, RetryCap time.Duration
-	// RequestTimeout is the per-request deadline covering the whole
-	// speak-up exchange (initial GET through payment to response).
-	// 0 means no deadline.
-	RequestTimeout time.Duration
 	// Transport selects how the client speaks to the front: "http"
 	// (default) walks GET /request + POST /pay; "wire" multiplexes
 	// OPEN/CREDIT frames over one persistent binary connection
@@ -77,68 +77,79 @@ func (c Config) withDefaults() Config {
 	if c.PostBytes == 0 {
 		c.PostBytes = 1 << 20
 	}
+	if c.PayConns == 0 {
+		c.PayConns = 1
+	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
 	if c.Transport == "" {
 		c.Transport = "http"
 	}
+	c.Workload.Pacer = c.Strategy
 	return c
 }
 
-// Stats counts a client's outcomes. Fields are atomics: read with the
-// corresponding Load methods or via Snapshot.
+// Stats holds the transport's own counters; the workload's (issued,
+// served, failed, denied, retried, abandoned) are Client.Workload.
 type Stats struct {
-	Issued    atomic.Uint64
-	Dropped   atomic.Uint64 // arrivals discarded because the window was full
-	Served    atomic.Uint64
-	Failed    atomic.Uint64
-	Retried   atomic.Uint64 // re-issues after retryable failures
 	PaidBytes atomic.Int64
-	// Latency records issue-to-response time of served requests, in
-	// the same log₂ buckets as the thinner's lifecycle histograms.
+	// Latency records the time from a served request's first attempt
+	// to its response, in the same log₂ buckets as the thinner's
+	// lifecycle histograms.
 	Latency metrics.Hist
 }
 
-// Offered returns the demand the client presented: issued plus
-// window-overflow arrivals (the analog of the simulator's backlog
-// denials at small scale).
-func (s *Stats) Offered() uint64 { return s.Issued.Load() + s.Dropped.Load() }
-
-// Client is one workload generator over real HTTP.
+// Client binds one §7.1 workload (internal/clients) to real sockets.
+// The workload decides when each attempt starts, how many are
+// outstanding, and what a failure or deadline costs; the client runs
+// each attempt's exchange in its own goroutine and reports the
+// outcome. Every workload callback runs under mu.
 type Client struct {
 	cfg    Config
 	bucket *TokenBucket
-	rng    *rand.Rand
-	rngMu  sync.Mutex
-	ids    *atomic.Uint64 // shared across clients for unique ids
 
-	started     time.Time    // strategy clocks run on elapsed time
-	outstanding atomic.Int64 // in-flight requests, held against the window
+	mu    sync.Mutex
+	clock core.WallClock
+	wl    *clients.Client
+	reqs  map[core.RequestID]*request // issued, not yet served or failed
+	// sampled collects the issued ids the server's tracer co-sampled
+	// (Config.TraceSample > 0).
+	sampled []uint64
 
 	// wire is the lazily dialed persistent binary connection all of
 	// this client's channels multiplex over (Transport "wire").
 	wireMu sync.Mutex
 	wire   *wire.Client
 
-	// sampled collects the issued ids the server's tracer co-sampled
-	// (Config.TraceSample > 0).
-	sampledMu sync.Mutex
-	sampled   []uint64
-
 	Stats Stats
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	ctx    context.Context // cancelled by Stop; parents every attempt
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+}
+
+// request is one issued request across its attempts.
+type request struct {
+	first  time.Time          // when its first attempt started
+	cancel context.CancelFunc // ends the running attempt
+}
+
+// result is one attempt's outcome: served or not, the payment bytes it
+// pushed, and the server's Retry-After, if it sent one.
+type result struct {
+	served     bool
+	paid       int64
+	retryAfter time.Duration
 }
 
 // NewClient creates a client; ids must be shared by all clients of one
 // run so request IDs are unique.
 func NewClient(cfg Config, ids *atomic.Uint64) *Client {
-	cfg = cfg.withDefaults()
 	if cfg.Strategy == nil {
 		panic("loadgen: Strategy required")
 	}
+	cfg = cfg.withDefaults()
 	switch cfg.Transport {
 	case "http":
 	case "wire":
@@ -148,13 +159,30 @@ func NewClient(cfg Config, ids *atomic.Uint64) *Client {
 	default:
 		panic("loadgen: Transport must be \"http\" or \"wire\", got " + cfg.Transport)
 	}
-	return &Client{
+	c := &Client{
 		cfg:    cfg,
 		bucket: NewTokenBucket(cfg.UploadBits, 32<<10),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		ids:    ids,
-		stop:   make(chan struct{}),
+		reqs:   make(map[core.RequestID]*request),
 	}
+	c.clock.Mu = &c.mu
+	c.ctx, c.cancel = context.WithCancel(context.Background())
+	c.wl = clients.New(&c.clock, cfg.Workload, func() core.RequestID {
+		return core.RequestID(ids.Add(1))
+	})
+	c.wl.Issue = c.issue
+	c.wl.Abandon = c.abandon
+	c.wl.OnDenial = func(core.RequestID) {
+		c.cfg.Strategy.Observe(adversary.Outcome{Denied: true, Now: c.clock.Now()})
+	}
+	return c
+}
+
+// Workload returns the workload's counters: arrivals, issues, serves,
+// failures, backlog denials, retries and abandons.
+func (c *Client) Workload() clients.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.wl.Stats()
 }
 
 // SampledIDs returns the issued request ids the server's tracer
@@ -162,162 +190,103 @@ func NewClient(cfg Config, ids *atomic.Uint64) *Client {
 // Config.TraceSample was set. Each is fetchable server-side as
 // /trace?id=N.
 func (c *Client) SampledIDs() []uint64 {
-	c.sampledMu.Lock()
-	defer c.sampledMu.Unlock()
-	out := make([]uint64, len(c.sampled))
-	copy(out, c.sampled)
-	return out
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.sampled)
 }
 
-// Run generates load until Stop is called.
+// Run starts the arrivals; the workload's clock starts now.
 func (c *Client) Run() {
-	c.started = time.Now()
-	c.wg.Add(1)
-	go c.arrivals()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.clock.Epoch = time.Now()
+	c.wl.Start()
 }
 
-// now is the strategy clock: elapsed time since Run.
-func (c *Client) now() time.Duration { return time.Since(c.started) }
-
-// Stop halts generation and waits for in-flight requests to wind down.
+// Stop halts the arrivals, cancels every running attempt and waits
+// for it to report. No counter moves after Stop returns.
 func (c *Client) Stop() {
-	close(c.stop)
+	c.mu.Lock()
+	c.wl.Stop()
+	c.mu.Unlock()
+	c.cancel()
 	c.wg.Wait()
-	c.closeWire()
-}
-
-func (c *Client) arrivals() {
-	defer c.wg.Done()
-	// One reusable timer for the whole arrival loop: time.After would
-	// allocate a fresh runtime timer per gap, which at high lambda is
-	// measurable garbage on the load-generation path.
-	gapTimer := time.NewTimer(time.Hour)
-	defer gapTimer.Stop()
-	for {
-		c.rngMu.Lock()
-		gap := c.cfg.Strategy.Gap(c.now(), c.rng)
-		c.rngMu.Unlock()
-		gapTimer.Reset(gap)
-		select {
-		case <-c.stop:
-			return
-		case <-gapTimer.C:
-		}
-		// Windows may change over time, so count in-flight requests
-		// against the cap in force right now. Window full: the paper's
-		// client would queue in a backlog; over real sockets we drop
-		// immediately (equivalent to an instant backlog timeout at
-		// small scale) and count it.
-		if c.outstanding.Load() >= int64(c.cfg.Strategy.Window(c.now())) {
-			c.Stats.Dropped.Add(1)
-			c.cfg.Strategy.Observe(adversary.Outcome{Denied: true, Now: c.now()})
-			continue
-		}
-		c.outstanding.Add(1)
-		c.launch()
+	if c.wire != nil { // no attempt is left to dial it
+		c.wire.Close()
 	}
 }
 
-// launch runs one request in its own goroutine, holding a window slot
-// until it completes. The slot stays held across retries, so a
-// retrying client offers no extra concurrency.
-func (c *Client) launch() {
-	id := core.RequestID(c.ids.Add(1))
-	c.Stats.Issued.Add(1)
-	if c.cfg.TraceSample > 0 && trace.Sampled(uint64(id), c.cfg.TraceSample) {
-		c.sampledMu.Lock()
-		c.sampled = append(c.sampled, uint64(id))
-		c.sampledMu.Unlock()
+// issue starts one attempt of id's exchange: the workload's Issue, for
+// a fresh request and for each retry.
+func (c *Client) issue(id core.RequestID) {
+	r := c.reqs[id]
+	if r == nil {
+		r = &request{first: time.Now()}
+		c.reqs[id] = r
+		if c.cfg.TraceSample > 0 && trace.Sampled(uint64(id), c.cfg.TraceSample) {
+			c.sampled = append(c.sampled, uint64(id))
+		}
 	}
+	var ctx context.Context
+	ctx, r.cancel = context.WithCancel(c.ctx)
 	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer c.outstanding.Add(-1)
-		backoff := faults.Backoff{Base: c.cfg.RetryBase, Cap: c.cfg.RetryCap}.WithDefaults()
-		start := time.Now()
-		var served bool
-		var paid int64
-		for attempt := 0; ; attempt++ {
-			var retry bool
-			var retryAfter time.Duration
-			served, paid, retry, retryAfter = c.doRequest(id)
-			if served || !retry || attempt >= c.cfg.RetryBudget {
-				break
-			}
-			c.rngMu.Lock()
-			d := backoff.Delay(attempt, c.rng)
-			c.rngMu.Unlock()
-			if retryAfter > d {
-				d = retryAfter
-			}
-			if !c.sleep(d) {
-				break // shutting down
-			}
-			c.Stats.Retried.Add(1)
-		}
-		if served {
-			c.Stats.Served.Add(1)
-			c.Stats.Latency.Observe(time.Since(start))
-		} else {
-			c.Stats.Failed.Add(1)
-		}
-		c.cfg.Strategy.Observe(adversary.Outcome{
-			Served: served, Paid: paid, Now: c.now(),
-		})
-	}()
+	go c.attempt(ctx, id, r)
 }
 
-// sleep waits for d or until Stop; it reports whether the client is
-// still running.
-func (c *Client) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.stop:
-		return false
-	case <-t.C:
-		return true
+// abandon ends id's running attempt at its deadline; the attempt then
+// reports its failure like any other.
+func (c *Client) abandon(id core.RequestID) {
+	if r := c.reqs[id]; r != nil {
+		r.cancel()
 	}
+}
+
+// attempt runs one exchange and reports its outcome to the workload
+// and the strategy, as the simulator's transport does.
+func (c *Client) attempt(ctx context.Context, id core.RequestID, r *request) {
+	defer c.wg.Done()
+	var res result
+	if c.cfg.Transport == "wire" {
+		res = c.exchangeWire(ctx, id)
+	} else {
+		res = c.exchangeHTTP(ctx, id)
+	}
+	done := time.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.cancel()
+	if res.served {
+		c.Stats.Latency.Observe(done.Sub(r.first))
+		delete(c.reqs, id)
+		c.wl.RequestServed(id)
+	} else if !c.wl.RequestFailed(id, res.retryAfter) {
+		delete(c.reqs, id)
+	}
+	c.cfg.Strategy.Observe(adversary.Outcome{Served: res.served, Paid: res.paid, Now: c.clock.Now()})
 }
 
 func (c *Client) url(path string, id core.RequestID, extra string) string {
 	return fmt.Sprintf("%s%s?id=%d%s", c.cfg.BaseURL, path, uint64(id), extra)
 }
 
-// doRequest walks the speak-up protocol once; it reports success, the
-// payment bytes this attempt pushed, whether a failure is worth
-// retrying (transport error, brownout-style 5xx, eviction), and any
-// server-suggested Retry-After delay.
-func (c *Client) doRequest(id core.RequestID) (served bool, paid int64, retry bool, retryAfter time.Duration) {
-	if c.cfg.Transport == "wire" {
-		return c.doRequestWire(id)
-	}
-	ctx := context.Background()
-	cancel := func() {}
-	if c.cfg.RequestTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	}
-	defer cancel()
+// exchangeHTTP walks the speak-up protocol once over HTTP: a GET
+// /request, and when told to pay, the held request plus payment POSTs.
+func (c *Client) exchangeHTTP(ctx context.Context, id core.RequestID) result {
 	// Requests cost a little upload budget, too.
 	c.bucket.Take(200)
-	resp, err := c.get(ctx, c.url("/request", id, ""))
+	resp, err := c.do(ctx, http.MethodGet, c.url("/request", id, ""), nil)
 	if err != nil {
-		return false, 0, true, 0
+		return result{}
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		return true, 0, false, 0
+		return result{served: true}
 	case http.StatusPaymentRequired:
-		ok, paid := c.payAndWait(ctx, id)
-		// Not served after paying means evicted or deadline-expired:
-		// both are transient, so the retry budget applies.
-		return ok, paid, !ok, 0
-	case http.StatusServiceUnavailable, http.StatusBadGateway, http.StatusGatewayTimeout:
-		return false, 0, true, parseRetryAfter(resp)
+		return c.payAndWait(ctx, id)
 	default:
-		return false, 0, false, 0
+		return result{retryAfter: parseRetryAfter(resp)}
 	}
 }
 
@@ -335,86 +304,66 @@ func parseRetryAfter(resp *http.Response) time.Duration {
 	return time.Duration(n) * time.Second
 }
 
-func (c *Client) get(ctx context.Context, url string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+// do sends one request of the exchange; body is nil for a GET.
+func (c *Client) do(ctx context.Context, method, url string, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	return c.cfg.Client.Do(req)
 }
 
-func (c *Client) post(ctx context.Context, url string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	return c.cfg.Client.Do(req)
-}
-
-// payAndWait re-issues the actual request and streams payment POSTs
-// until admitted (then collects the held response) or evicted. Each
-// POST is sized by the strategy; a zero size defects — payment stops
-// while the request stays open, camping on its bid.
-func (c *Client) payAndWait(ctx context.Context, id core.RequestID) (bool, int64) {
-	done := make(chan bool, 1)
+// payAndWait re-issues the actual request, held by the thinner until
+// admitted or evicted, while PayConns loops stream payment POSTs. The
+// loops outlive the verdict only until the attempt's context ends.
+func (c *Client) payAndWait(ctx context.Context, id core.RequestID) result {
 	var stopped atomic.Bool
 	var paid atomic.Int64
-	// The actual request (1), held by the thinner until served.
-	go func() {
-		c.bucket.Take(200)
-		resp, err := c.get(ctx, c.url("/request", id, "&wait=1"))
-		if err != nil {
-			done <- false
-			return
-		}
+	c.wg.Add(c.cfg.PayConns)
+	for range c.cfg.PayConns {
+		go c.pay(ctx, id, &paid, &stopped)
+	}
+	c.bucket.Take(200)
+	served := false
+	if resp, err := c.do(ctx, http.MethodGet, c.url("/request", id, "&wait=1"), nil); err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		done <- resp.StatusCode == http.StatusOK
-	}()
-	// The payment channel (2): POSTs until admitted/evicted/defected.
-	go func() {
-		for !stopped.Load() {
-			size := c.cfg.Strategy.PostSize(c.now(), paid.Load(), c.cfg.PostBytes)
-			if size <= 0 {
-				return // defect: stop paying, keep the waiter open
-			}
-			body := &shapedReader{
-				bucket:  c.bucket,
-				total:   size,
-				chunk:   16 << 10,
-				stopped: stopped.Load,
-			}
-			resp, err := c.post(ctx, c.url("/pay", id, ""), io.NopCloser(body))
-			if err != nil {
-				return
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			paid.Add(body.Sent())
-			c.Stats.PaidBytes.Add(body.Sent())
-			if stopped.Load() || !isContinue(raw) {
-				return
-			}
-		}
-	}()
-	select {
-	case ok := <-done:
-		stopped.Store(true)
-		return ok, paid.Load()
-	case <-c.stop:
-		stopped.Store(true)
-		return false, paid.Load()
+		served = resp.StatusCode == http.StatusOK
 	}
+	stopped.Store(true)
+	return result{served: served, paid: paid.Load()}
 }
 
-// isContinue reports whether a /pay reply asks for another POST.
-func isContinue(raw []byte) bool {
-	// Cheap check to avoid a JSON decode on the hot path.
-	for i := 0; i+7 < len(raw); i++ {
-		if string(raw[i:i+8]) == "continue" {
-			return true
+// pay is one payment channel: POSTs until the verdict, an eviction, or
+// a defection. Each POST is sized by the strategy; a zero size
+// defects — payment stops while the request stays open, camping on its
+// bid.
+func (c *Client) pay(ctx context.Context, id core.RequestID, paid *atomic.Int64, stopped *atomic.Bool) {
+	defer c.wg.Done()
+	for !stopped.Load() {
+		size := c.cfg.Strategy.PostSize(c.clock.Now(), paid.Load(), c.cfg.PostBytes)
+		if size <= 0 {
+			return
+		}
+		body := &shapedReader{
+			bucket:  c.bucket,
+			total:   size,
+			chunk:   16 << 10,
+			stopped: stopped.Load,
+		}
+		resp, err := c.do(ctx, http.MethodPost, c.url("/pay", id, ""), io.NopCloser(body))
+		paid.Add(body.Sent())
+		c.Stats.PaidBytes.Add(body.Sent())
+		if err != nil {
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !bytes.Contains(raw, []byte("continue")) {
+			return
 		}
 	}
-	return false
 }

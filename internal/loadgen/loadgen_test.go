@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"speakup/internal/adversary"
+	"speakup/internal/clients"
 	"speakup/internal/core"
 	"speakup/internal/web"
 )
@@ -152,11 +153,11 @@ func TestEndToEndGoodVsBad(t *testing.T) {
 	var ids atomic.Uint64
 	good := NewClient(Config{
 		BaseURL: srv.URL, Strategy: poisson(4, 2),
-		UploadBits: 32e6, PostBytes: 64 << 10, Seed: 1,
+		UploadBits: 32e6, PostBytes: 64 << 10, Workload: clients.Config{Seed: 1},
 	}, &ids)
 	bad := NewClient(Config{
 		BaseURL: srv.URL, Strategy: poisson(40, 10),
-		UploadBits: 8e6, PostBytes: 64 << 10, Seed: 2,
+		UploadBits: 8e6, PostBytes: 64 << 10, Workload: clients.Config{Seed: 2},
 	}, &ids)
 	good.Run()
 	bad.Run()
@@ -164,9 +165,9 @@ func TestEndToEndGoodVsBad(t *testing.T) {
 	good.Stop()
 	bad.Stop()
 
-	g, b := good.Stats.Served.Load(), bad.Stats.Served.Load()
+	g, b := good.Workload().Served, bad.Workload().Served
 	t.Logf("good served=%d/%d bad served=%d/%d goodPaid=%dB badPaid=%dB",
-		g, good.Stats.Offered(), b, bad.Stats.Offered(),
+		g, good.Workload().Offered(), b, bad.Workload().Offered(),
 		good.Stats.PaidBytes.Load(), bad.Stats.PaidBytes.Load())
 	// This is a wall-clock test on a shared box, so it asserts only
 	// liveness: the protocol completes end-to-end for both classes,
@@ -216,7 +217,7 @@ func TestEndToEndAdversaryStrategies(t *testing.T) {
 			var ids atomic.Uint64
 			good := NewClient(Config{
 				BaseURL: srv.URL, Strategy: poisson(4, 2),
-				UploadBits: 16e6, PostBytes: 32 << 10, Seed: 1,
+				UploadBits: 16e6, PostBytes: 32 << 10, Workload: clients.Config{Seed: 1},
 			}, &ids)
 			spec := adversary.Spec{Name: name, Period: 2 * time.Second}
 			atk := NewClient(Config{
@@ -224,7 +225,7 @@ func TestEndToEndAdversaryStrategies(t *testing.T) {
 				Strategy: spec.New(adversary.NewCohort(spec, 1)),
 				// Tiny POSTs keep per-request pay time well under the
 				// run length at loopback speed.
-				UploadBits: 16e6, PostBytes: 32 << 10, Seed: 2,
+				UploadBits: 16e6, PostBytes: 32 << 10, Workload: clients.Config{Seed: 2},
 			}, &ids)
 			good.Run()
 			atk.Run()
@@ -232,15 +233,15 @@ func TestEndToEndAdversaryStrategies(t *testing.T) {
 			good.Stop()
 			atk.Stop()
 
-			if atk.Stats.Issued.Load() == 0 {
+			if atk.Workload().Issued == 0 {
 				t.Fatalf("%s issued nothing in 2.5s", name)
 			}
-			if good.Stats.Served.Load() == 0 {
+			if good.Workload().Served == 0 {
 				t.Fatalf("good client starved under %s in a live run", name)
 			}
-			t.Logf("%s: issued=%d served=%d failed=%d dropped=%d paid=%dB",
-				name, atk.Stats.Issued.Load(), atk.Stats.Served.Load(),
-				atk.Stats.Failed.Load(), atk.Stats.Dropped.Load(), atk.Stats.PaidBytes.Load())
+			t.Logf("%s: issued=%d served=%d failed=%d denied=%d paid=%dB",
+				name, atk.Workload().Issued, atk.Workload().Served,
+				atk.Workload().Failed, atk.Workload().Denied, atk.Stats.PaidBytes.Load())
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"context"
 	"time"
 
 	"speakup/internal/core"
@@ -35,102 +36,74 @@ func (c *Client) dropWire(wc *wire.Client) {
 	c.wireMu.Unlock()
 }
 
-func (c *Client) closeWire() {
-	c.wireMu.Lock()
-	wc := c.wire
-	c.wire = nil
-	c.wireMu.Unlock()
-	if wc != nil {
-		wc.Close()
-	}
-}
-
-// doRequestWire walks the speak-up protocol once over the binary
-// transport, mirroring the HTTP path's semantics and classification:
-// ADMIT is a 200, EVICT a retryable 503, SHED a retryable 503 with a
-// 1s Retry-After, REJECT a non-retryable 409, and any connection
-// failure a retryable transport error. Payment streams as CREDIT
-// frames shaped by the same token bucket that paces HTTP POSTs, and a
-// strategy's zero post size defects the same way: payment stops while
-// the opened request camps on its bid.
-func (c *Client) doRequestWire(id core.RequestID) (served bool, paid int64, retry bool, retryAfter time.Duration) {
+// exchangeWire walks the speak-up protocol once over the binary
+// transport, with the HTTP path's outcomes: ADMIT serves, EVICT,
+// REJECT and a connection failure fail, and SHED fails with the HTTP
+// front's 1 s Retry-After. Payment streams as CREDIT frames shaped by
+// the same token bucket that paces HTTP POSTs, and a strategy's zero
+// post size defects the same way: payment stops while the opened
+// request camps on its bid. An ended context (a deadline or Stop)
+// closes the channel.
+func (c *Client) exchangeWire(ctx context.Context, id core.RequestID) result {
 	wc, err := c.wireClient()
 	if err != nil {
-		return false, 0, true, 0
+		return result{}
 	}
 	// The OPEN costs a little upload budget, like the HTTP GETs.
 	c.bucket.Take(200)
 	res, err := wc.Open(id)
 	if err != nil {
 		c.dropWire(wc)
-		return false, 0, true, 0
+		return result{}
 	}
-	var deadline <-chan time.Time
-	if c.cfg.RequestTimeout > 0 {
-		t := time.NewTimer(c.cfg.RequestTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
-	var paidN int64
-	finish := func(r wire.Result) (bool, int64, bool, time.Duration) {
+	var paid int64
+	verdict := func(r wire.Result) result {
 		switch r.Status {
 		case wire.StatusAdmitted:
-			return true, paidN, false, 0
-		case wire.StatusEvicted:
-			return false, paidN, true, 0
+			return result{served: true, paid: paid}
 		case wire.StatusShed:
-			return false, paidN, true, time.Second
-		case wire.StatusRejected:
-			return false, paidN, false, 0
+			return result{paid: paid, retryAfter: time.Second}
+		case wire.StatusEvicted, wire.StatusRejected:
+			return result{paid: paid}
 		default: // connection failure before a verdict
 			c.dropWire(wc)
-			return false, paidN, true, 0
+			return result{paid: paid}
 		}
 	}
-	defect := false
+	abandon := func() result {
+		wc.CloseChannel(id)
+		return result{paid: paid}
+	}
 	burstLeft := 0
 	for {
-		if defect {
-			// Defected: no more payment, just await the verdict.
-			select {
-			case r := <-res:
-				return finish(r)
-			case <-c.stop:
-				wc.CloseChannel(id)
-				return false, paidN, false, 0
-			case <-deadline:
-				wc.CloseChannel(id)
-				return false, paidN, true, 0
-			}
-		}
 		select {
 		case r := <-res:
-			return finish(r)
-		case <-c.stop:
-			wc.CloseChannel(id)
-			return false, paidN, false, 0
-		case <-deadline:
-			wc.CloseChannel(id)
-			return false, paidN, true, 0
+			return verdict(r)
+		case <-ctx.Done():
+			return abandon()
 		default:
 		}
 		if burstLeft == 0 {
 			// One burst is the analog of one payment POST: sized by the
-			// strategy (zero defects).
-			size := c.cfg.Strategy.PostSize(c.now(), paidN, c.cfg.PostBytes)
-			if size <= 0 {
-				defect = true
-				continue
+			// strategy (zero defects: no more payment, just await the
+			// verdict).
+			burstLeft = c.cfg.Strategy.PostSize(c.clock.Now(), paid, c.cfg.PostBytes)
+			if burstLeft <= 0 {
+				select {
+				case r := <-res:
+					return verdict(r)
+				case <-ctx.Done():
+					return abandon()
+				}
 			}
-			burstLeft = size
 		}
 		chunk := min(burstLeft, 16<<10)
 		c.bucket.Take(chunk)
 		if err := wc.Credit(id, chunk); err != nil {
 			c.dropWire(wc)
-			return false, paidN, true, 0
+			return result{paid: paid}
 		}
-		paidN += int64(chunk)
+		paid += int64(chunk)
 		c.Stats.PaidBytes.Add(int64(chunk))
 		burstLeft -= chunk
 	}

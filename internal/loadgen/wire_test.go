@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"speakup/internal/clients"
 	"speakup/internal/core"
 	"speakup/internal/web"
 	"speakup/internal/wire"
@@ -44,12 +45,12 @@ func TestEndToEndWireTransport(t *testing.T) {
 	var ids atomic.Uint64
 	good := NewClient(Config{
 		BaseURL: srv.URL, Strategy: poisson(4, 2),
-		UploadBits: 32e6, PostBytes: 64 << 10, Seed: 1,
+		UploadBits: 32e6, PostBytes: 64 << 10, Workload: clients.Config{Seed: 1},
 		Transport: "wire", WireAddr: ln.Addr().String(),
 	}, &ids)
 	bad := NewClient(Config{
 		BaseURL: srv.URL, Strategy: poisson(40, 10),
-		UploadBits: 8e6, PostBytes: 64 << 10, Seed: 2,
+		UploadBits: 8e6, PostBytes: 64 << 10, Workload: clients.Config{Seed: 2},
 		Transport: "wire", WireAddr: ln.Addr().String(),
 	}, &ids)
 	good.Run()
@@ -58,9 +59,9 @@ func TestEndToEndWireTransport(t *testing.T) {
 	good.Stop()
 	bad.Stop()
 
-	g, b := good.Stats.Served.Load(), bad.Stats.Served.Load()
+	g, b := good.Workload().Served, bad.Workload().Served
 	t.Logf("good served=%d/%d bad served=%d/%d goodPaid=%dB badPaid=%dB",
-		g, good.Stats.Offered(), b, bad.Stats.Offered(),
+		g, good.Workload().Offered(), b, bad.Workload().Offered(),
 		good.Stats.PaidBytes.Load(), bad.Stats.PaidBytes.Load())
 	if g == 0 {
 		t.Fatal("good client starved over the wire transport")

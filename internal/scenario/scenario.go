@@ -129,6 +129,20 @@ func (g ClientGroup) Spec() adversary.Spec {
 	return s
 }
 
+// Workload is the §7.1 client process one member of the group runs:
+// its pacing, retry budget and backoff, and per-attempt deadline. The
+// simulator and the live load generator both build a group's clients
+// from it.
+func (g ClientGroup) Workload(seed int64, pacer clients.Pacer) clients.Config {
+	return clients.Config{
+		Seed:         seed,
+		Pacer:        pacer,
+		RetryBudget:  g.RetryBudget,
+		RetryBackoff: faults.Backoff{Base: g.RetryBase, Cap: g.RetryCap},
+		Deadline:     g.Deadline,
+	}
+}
+
 // Bottleneck is a shared link between a set of clients and the LAN.
 type Bottleneck struct {
 	Rate       float64
@@ -523,14 +537,7 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 		g := cfg.Groups[slot.group]
 		strat := g.Spec().New(cohorts[slot.group])
 		stack := tcpsim.NewStack(n, slot.node, tcpsim.Options{})
-		wl := clients.New(clock, clients.Config{
-			Good:         g.Good,
-			Seed:         cfg.Seed*1_000_003 + int64(si),
-			Pacer:        strat,
-			RetryBudget:  g.RetryBudget,
-			RetryBackoff: faults.Backoff{Base: g.RetryBase, Cap: g.RetryCap},
-			Deadline:     g.Deadline,
-		}, genFor(slot.group))
+		wl := clients.New(clock, g.Workload(cfg.Seed*1_000_003+int64(si), strat), genFor(slot.group))
 		app := appsim.NewClientApp(stack, wl, tn, cfg.Sizes, appsim.ClientAppConfig{
 			PayConns: g.PayConns,
 			Payer:    strat,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"speakup/internal/adversary"
+	"speakup/internal/clients"
 	"speakup/internal/core"
 	"speakup/internal/loadgen"
 )
@@ -299,7 +300,7 @@ func TestFrontAdversarialStress(t *testing.T) {
 				// Loopback-fast uploads and small POSTs: the stress is
 				// concurrency, not bandwidth.
 				UploadBits: 200e6, PostBytes: 32 << 10,
-				Seed: seed + int64(i),
+				Workload: clients.Config{Seed: seed + int64(i)},
 			}, &ids)
 		}
 		return out
@@ -309,11 +310,11 @@ func TestFrontAdversarialStress(t *testing.T) {
 	honest := []*loadgen.Client{
 		loadgen.NewClient(loadgen.Config{
 			BaseURL: srv.URL, Strategy: honestSpec.New(nil),
-			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 1,
+			UploadBits: 200e6, PostBytes: 32 << 10, Workload: clients.Config{Seed: 1},
 		}, &honestIDs),
 		loadgen.NewClient(loadgen.Config{
 			BaseURL: srv.URL, Strategy: honestSpec.New(nil),
-			UploadBits: 200e6, PostBytes: 32 << 10, Seed: 2,
+			UploadBits: 200e6, PostBytes: 32 << 10, Workload: clients.Config{Seed: 2},
 		}, &honestIDs),
 	}
 	honestIDs.Store(1_000_000_000)
@@ -344,7 +345,7 @@ func TestFrontAdversarialStress(t *testing.T) {
 
 	var honestServed uint64
 	for _, c := range honest {
-		honestServed += c.Stats.Served.Load()
+		honestServed += c.Workload().Served
 	}
 	st := front.Snapshot()
 	t.Logf("honest served=%d thinner=%+v", honestServed, st.ThinnerTotals)

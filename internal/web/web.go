@@ -202,7 +202,7 @@ func NewFront(origin Origin, cfg Config) *Front {
 	// constructor's writes (timer handle, callbacks) visible to the
 	// first sweep no matter how soon it fires. The tracer records its
 	// histograms into the thinner's registry, so it is built second.
-	clock := &ctlClock{epoch: f.started, mu: &f.ctl}
+	clock := &core.WallClock{Mu: &f.ctl, Epoch: f.started}
 	f.ctl.Lock()
 	f.th = core.NewThinner(clock, f.cfg.Thinner)
 	f.table = f.th.Table()
@@ -221,25 +221,6 @@ func NewFront(origin Origin, cfg Config) *Front {
 // changes.
 func (f *Front) rehash() {
 	f.cfgHash = config.HashThinner(config.ThinnerFromCore(f.th.Config()))
-}
-
-// ctlClock adapts wall-clock time to core.Clock, running timer
-// callbacks (the timeout sweep) under the Front's control mutex so
-// they serialize with arrivals and auctions.
-type ctlClock struct {
-	mu    *sync.Mutex
-	epoch time.Time
-}
-
-func (c *ctlClock) Now() time.Duration { return time.Since(c.epoch) }
-
-func (c *ctlClock) After(d time.Duration, fn func()) func() {
-	t := time.AfterFunc(d, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		fn()
-	})
-	return func() { t.Stop() }
 }
 
 // Now reads the front's clock (the epoch its thinner, payment
