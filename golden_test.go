@@ -70,7 +70,7 @@ func goldenConfigs() map[string]scenario.Config {
 			Seed: 9, Duration: 8 * time.Second, Capacity: 25,
 			Mode:        appsim.ModeAuction,
 			Bottlenecks: []scenario.Bottleneck{{Rate: 5e6, Delay: time.Millisecond}},
-			BystanderH:  &scenario.Bystander{FileSize: 64_000},
+			Bystander:   &scenario.Bystander{FileSize: 64_000},
 			Groups: []scenario.ClientGroup{
 				{Count: 2, Good: true, Bottleneck: 1},
 				{Count: 4, Good: false, Bottleneck: 1},

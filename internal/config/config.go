@@ -5,12 +5,13 @@
 // stack (cmd/thinnerd and cmd/loadgen consume the same files, with
 // command-line flags acting as overrides).
 //
-// The schema is a JSON mirror of scenario.Config. Conversion is
-// lossless in both directions: FromScenario followed by Config returns
-// the exact same scenario.Config value, and Encode produces one
-// canonical byte encoding (two-space indent, fixed field order,
-// durations as Go duration strings, trailing newline) so a decoded
-// file re-encodes byte-stably and a scenario has exactly one Hash.
+// The schema structs are declarations only: each field copies to the
+// runtime field of the same name (scenario.Config, faults.Event,
+// appsim.Sizes, core's configs). mode and hetero are the only hooks,
+// and TestEverySchemaFieldIsCopied fails on a field one side lacks.
+// FromScenario then Config returns the same scenario.Config, and Encode
+// produces one canonical encoding (two-space indent, fixed field order,
+// duration strings, trailing newline), so a scenario has one Hash.
 //
 // Decoding is strict — unknown fields, trailing data, and unsupported
 // versions are errors — so a typo in a knob name fails loudly instead
@@ -27,12 +28,13 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"reflect"
 	"strings"
+	"sync"
 	"time"
 
 	"speakup/internal/appsim"
 	"speakup/internal/core"
-	"speakup/internal/faults"
 	"speakup/internal/scenario"
 )
 
@@ -203,24 +205,10 @@ func DecodeThinner(r io.Reader) (Thinner, error) {
 
 // ThinnerFromCore converts a core config back to its schema section
 // (the shape /control/config reports).
-func ThinnerFromCore(c core.Config) Thinner {
-	return Thinner{
-		OrphanTimeout:     Duration(c.OrphanTimeout),
-		InactivityTimeout: Duration(c.InactivityTimeout),
-		SweepInterval:     Duration(c.SweepInterval),
-		Shards:            c.Shards,
-	}
-}
+func ThinnerFromCore(c core.Config) Thinner { return convert[Thinner](c) }
 
 // Core converts the section to the thinner core's config type.
-func (t Thinner) Core() core.Config {
-	return core.Config{
-		OrphanTimeout:     t.OrphanTimeout.D(),
-		InactivityTimeout: t.InactivityTimeout.D(),
-		SweepInterval:     t.SweepInterval.D(),
-		Shards:            t.Shards,
-	}
-}
+func (t Thinner) Core() core.Config { return convert[core.Config](t) }
 
 // Hetero is the §5 section: tau sets core.Config's Quantum, and the
 // other two its same-named fields (over the thinner section's).
@@ -261,96 +249,13 @@ func ParseMode(s string) (appsim.Mode, error) {
 	return 0, fmt.Errorf("config: unknown mode %q (have off, auction, random-drop, hetero, profiling)", s)
 }
 
-// FromScenario converts a scenario.Config to its schema document.
-// Sections that are entirely zero are omitted, so the round trip
-// through Config is exact.
+// FromScenario converts a scenario.Config to its schema document,
+// omitting all-zero sections so the round trip through Config is exact.
 func FromScenario(sc scenario.Config) Scenario {
-	s := Scenario{
-		Version:     Version,
-		Seed:        sc.Seed,
-		Duration:    Duration(sc.Duration),
-		Warmup:      Duration(sc.Warmup),
-		Capacity:    sc.Capacity,
-		Mode:        sc.Mode.String(),
-		Transport:   sc.Transport,
-		TrunkRate:   sc.TrunkRate,
-		TrunkDelay:  Duration(sc.TrunkDelay),
-		TrunkQueue:  sc.TrunkQueue,
-		AccessQueue: sc.AccessQueue,
-	}
-	for _, g := range sc.Groups {
-		s.Groups = append(s.Groups, ClientGroup{
-			Name:           g.Name,
-			Count:          g.Count,
-			Good:           g.Good,
-			Strategy:       g.Strategy,
-			Aggressiveness: g.Aggressiveness,
-			Bandwidth:      g.Bandwidth,
-			LinkDelay:      Duration(g.LinkDelay),
-			Lambda:         g.Lambda,
-			Window:         g.Window,
-			Bottleneck:     g.Bottleneck,
-			PayConns:       g.PayConns,
-			Work:           Duration(g.Work),
-			RetryBudget:    g.RetryBudget,
-			RetryBase:      Duration(g.RetryBase),
-			RetryCap:       Duration(g.RetryCap),
-			Deadline:       Duration(g.Deadline),
-		})
-	}
-	for _, f := range sc.Faults {
-		s.Faults = append(s.Faults, Fault{
-			Kind:      string(f.Kind),
-			Target:    f.Target,
-			At:        Duration(f.At),
-			Duration:  Duration(f.Duration),
-			Magnitude: f.Magnitude,
-			Seed:      f.Seed,
-		})
-	}
-	for _, b := range sc.Bottlenecks {
-		s.Bottlenecks = append(s.Bottlenecks, Bottleneck{
-			Rate: b.Rate, Delay: Duration(b.Delay), QueueBytes: b.QueueBytes,
-		})
-	}
-	if sc.BystanderH != nil {
-		s.Bystander = &Bystander{
-			FileSize:     sc.BystanderH.FileSize,
-			MaxDownloads: sc.BystanderH.MaxDownloads,
-			Bandwidth:    sc.BystanderH.Bandwidth,
-			LinkDelay:    Duration(sc.BystanderH.LinkDelay),
-		}
-	}
-	if sc.Sizes != (appsim.Sizes{}) {
-		s.Sizes = &Sizes{
-			Initial: sc.Sizes.Initial, Please: sc.Sizes.Please,
-			Request: sc.Sizes.Request, Post: sc.Sizes.Post,
-			Continue: sc.Sizes.Continue, Response: sc.Sizes.Response,
-			Busy: sc.Sizes.Busy, Retry: sc.Sizes.Retry,
-		}
-	}
-	if t := ThinnerFromCore(sc.Thinner); t != (Thinner{}) {
-		s.Thinner = &t
-	}
-	if sc.Thinner.Quantum != 0 || sc.Thinner.AbortAfter != 0 {
-		s.Hetero = &Hetero{Tau: Duration(sc.Thinner.Quantum), AbortAfter: Duration(sc.Thinner.AbortAfter)}
-	}
-	if sc.RandomDrop != (core.RandomDropConfig{}) {
-		s.RandomDrop = &RandomDrop{
-			Capacity:   sc.RandomDrop.Capacity,
-			AdaptEvery: Duration(sc.RandomDrop.AdaptEvery),
-			MaxQueue:   sc.RandomDrop.MaxQueue,
-			Seed:       sc.RandomDrop.Seed,
-		}
-	}
-	if sc.Profiler != (core.ProfilerConfig{}) {
-		s.Profiler = &Profiler{
-			BaselineRate:   sc.Profiler.BaselineRate,
-			Slack:          sc.Profiler.Slack,
-			Burst:          sc.Profiler.Burst,
-			BlacklistAfter: sc.Profiler.BlacklistAfter,
-			BlacklistFor:   Duration(sc.Profiler.BlacklistFor),
-		}
+	s := convert[Scenario](sc)
+	s.Version, s.Mode = Version, sc.Mode.String()
+	if th := sc.Thinner; th.Quantum != 0 || th.AbortAfter != 0 {
+		s.Hetero = &Hetero{Tau: Duration(th.Quantum), AbortAfter: Duration(th.AbortAfter)}
 	}
 	return s
 }
@@ -367,96 +272,87 @@ func (s Scenario) Config() (scenario.Config, error) {
 	if err != nil {
 		return scenario.Config{}, err
 	}
-	sc := scenario.Config{
-		Seed:        s.Seed,
-		Duration:    s.Duration.D(),
-		Warmup:      s.Warmup.D(),
-		Capacity:    s.Capacity,
-		Mode:        mode,
-		Transport:   s.Transport,
-		TrunkRate:   s.TrunkRate,
-		TrunkDelay:  s.TrunkDelay.D(),
-		TrunkQueue:  s.TrunkQueue,
-		AccessQueue: s.AccessQueue,
-	}
-	for _, g := range s.Groups {
-		sc.Groups = append(sc.Groups, scenario.ClientGroup{
-			Name:           g.Name,
-			Count:          g.Count,
-			Good:           g.Good,
-			Strategy:       g.Strategy,
-			Aggressiveness: g.Aggressiveness,
-			Bandwidth:      g.Bandwidth,
-			LinkDelay:      g.LinkDelay.D(),
-			Lambda:         g.Lambda,
-			Window:         g.Window,
-			Bottleneck:     g.Bottleneck,
-			PayConns:       g.PayConns,
-			Work:           g.Work.D(),
-			RetryBudget:    g.RetryBudget,
-			RetryBase:      g.RetryBase.D(),
-			RetryCap:       g.RetryCap.D(),
-			Deadline:       g.Deadline.D(),
-		})
-	}
-	for _, f := range s.Faults {
-		sc.Faults = append(sc.Faults, faults.Event{
-			Kind:      faults.Kind(f.Kind),
-			Target:    f.Target,
-			At:        f.At.D(),
-			Duration:  f.Duration.D(),
-			Magnitude: f.Magnitude,
-			Seed:      f.Seed,
-		})
-	}
-	for _, b := range s.Bottlenecks {
-		sc.Bottlenecks = append(sc.Bottlenecks, scenario.Bottleneck{
-			Rate: b.Rate, Delay: b.Delay.D(), QueueBytes: b.QueueBytes,
-		})
-	}
-	if s.Bystander != nil {
-		sc.BystanderH = &scenario.Bystander{
-			FileSize:     s.Bystander.FileSize,
-			MaxDownloads: s.Bystander.MaxDownloads,
-			Bandwidth:    s.Bystander.Bandwidth,
-			LinkDelay:    s.Bystander.LinkDelay.D(),
-		}
-	}
-	if s.Sizes != nil {
-		sc.Sizes = appsim.Sizes{
-			Initial: s.Sizes.Initial, Please: s.Sizes.Please,
-			Request: s.Sizes.Request, Post: s.Sizes.Post,
-			Continue: s.Sizes.Continue, Response: s.Sizes.Response,
-			Busy: s.Sizes.Busy, Retry: s.Sizes.Retry,
-		}
-	}
-	if s.Thinner != nil {
-		sc.Thinner = s.Thinner.Core()
-	}
+	sc := convert[scenario.Config](s)
+	sc.Mode = mode
 	if h := s.Hetero; h != nil {
 		sc.Thinner.Quantum, sc.Thinner.AbortAfter = h.Tau.D(), h.AbortAfter.D()
 		if h.OrphanTimeout != 0 {
 			sc.Thinner.OrphanTimeout = h.OrphanTimeout.D()
 		}
 	}
-	if s.RandomDrop != nil {
-		sc.RandomDrop = core.RandomDropConfig{
-			Capacity:   s.RandomDrop.Capacity,
-			AdaptEvery: s.RandomDrop.AdaptEvery.D(),
-			MaxQueue:   s.RandomDrop.MaxQueue,
-			Seed:       s.RandomDrop.Seed,
-		}
-	}
-	if s.Profiler != nil {
-		sc.Profiler = core.ProfilerConfig{
-			BaselineRate:   s.Profiler.BaselineRate,
-			Slack:          s.Profiler.Slack,
-			Burst:          s.Profiler.Burst,
-			BlacklistAfter: s.Profiler.BlacklistAfter,
-			BlacklistFor:   s.Profiler.BlacklistFor.D(),
-		}
-	}
 	return sc, nil
+}
+
+// convert copies src into a new T, field by name (see copyValue).
+func convert[T any](src any) T {
+	var dst T
+	copyValue(reflect.ValueOf(&dst).Elem(), reflect.ValueOf(src))
+	return dst
+}
+
+// copyValue copies src into dst through pointers, structs and slices,
+// converting scalars (Duration and time.Duration, string and
+// faults.Kind). A nil section copies as the zero value; a value copies
+// to a nil section when the section it copied is all zero.
+func copyValue(dst, src reflect.Value) {
+	switch {
+	case dst.Kind() == reflect.Pointer:
+		if src.Kind() == reflect.Pointer && src.IsNil() {
+			return
+		}
+		v := reflect.New(dst.Type().Elem())
+		copyValue(v.Elem(), src)
+		if src.Kind() == reflect.Pointer || !v.Elem().IsZero() {
+			dst.Set(v)
+		}
+	case src.Kind() == reflect.Pointer:
+		if !src.IsNil() {
+			copyValue(dst, src.Elem())
+		}
+	case dst.Kind() == reflect.Struct:
+		copyFields(dst, src)
+	case dst.Kind() == reflect.Slice:
+		if n := src.Len(); n > 0 {
+			dst.Set(reflect.MakeSlice(dst.Type(), n, n))
+			for i := range n {
+				copyValue(dst.Index(i), src.Index(i))
+			}
+		}
+	default:
+		dst.Set(src.Convert(dst.Type()))
+	}
+}
+
+// copyFields copies each field of src to dst's field of the same name
+// and kind; the rest (mode is a string here, an appsim.Mode there) are
+// the hooks'. The matching is cached per pair of types, since reflect's
+// lookup by name costs more than the copy.
+func copyFields(dst, src reflect.Value) {
+	key := [2]reflect.Type{dst.Type(), src.Type()}
+	pairs, ok := fieldPairs.Load(key)
+	if !ok {
+		var match [][2]int
+		for i := range dst.NumField() {
+			d := key[0].Field(i)
+			if s, ok := key[1].FieldByName(d.Name); ok && elemKind(s.Type) == elemKind(d.Type) {
+				match = append(match, [2]int{i, s.Index[0]})
+			}
+		}
+		pairs, _ = fieldPairs.LoadOrStore(key, match)
+	}
+	for _, p := range pairs.([][2]int) {
+		copyValue(dst.Field(p[0]), src.Field(p[1]))
+	}
+}
+
+var fieldPairs sync.Map // [2]reflect.Type{dst, src} → [][2]int, for copyFields
+
+// elemKind is t's kind through a pointer, as an optional section's.
+func elemKind(t reflect.Type) reflect.Kind {
+	if t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	return t.Kind()
 }
 
 // Validate checks the document end to end: schema version, mode, and
@@ -491,21 +387,27 @@ func Decode(r io.Reader) (Scenario, error) {
 // Encode renders the canonical byte encoding: two-space indent, struct
 // field order, trailing newline. Canonical files re-encode byte-stably
 // (the round-trip test pins this for every shipped config).
-func Encode(s Scenario) []byte {
-	b, err := json.MarshalIndent(s, "", "  ")
+func Encode(s Scenario) []byte { return canonical(s) }
+
+// Hash returns the hex SHA-256 of the scenario's canonical encoding —
+// the identity BENCH entries and telemetry use to attribute results to
+// an exact configuration.
+func Hash(s Scenario) string { return digest(s) }
+
+// canonical is the schema's one byte encoding, shared by whole
+// documents and thinner sections.
+func canonical(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		// Only unsupported value kinds can fail here, and the schema has
-		// none.
+		// Only unsupported value kinds fail, and the schema has none.
 		panic(err)
 	}
 	return append(b, '\n')
 }
 
-// Hash returns the hex SHA-256 of the scenario's canonical encoding —
-// the identity BENCH entries and telemetry use to attribute results to
-// an exact configuration.
-func Hash(s Scenario) string {
-	sum := sha256.Sum256(Encode(s))
+// digest is the hex SHA-256 of v's canonical encoding.
+func digest(v any) string {
+	sum := sha256.Sum256(canonical(v))
 	return hex.EncodeToString(sum[:])
 }
 

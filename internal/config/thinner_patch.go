@@ -1,10 +1,6 @@
 package config
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-)
+import "reflect"
 
 // This file holds the patch/hash helpers the fleet controller
 // (internal/fleetctl) builds on. A rollout is expressed as a Thinner
@@ -15,39 +11,22 @@ import (
 // encoder, so the comparison is a pure string equality.
 
 // HashThinner returns the hex SHA-256 of a thinner section's canonical
-// encoding (the same two-space-indent, fixed-field-order, trailing-
-// newline form Encode uses for whole scenarios). This is the
-// config_hash /control/config and /stats report, and the identity the
-// fleet controller converges on.
-func HashThinner(t Thinner) string {
-	b, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		// Only unsupported value kinds can fail, and Thinner has none.
-		panic(err)
-	}
-	sum := sha256.Sum256(append(b, '\n'))
-	return hex.EncodeToString(sum[:])
-}
+// encoding, the one Encode uses: the config_hash /control/config and
+// /stats report, and the identity the fleet controller converges on.
+func HashThinner(t Thinner) string { return digest(t) }
 
 // MergeThinner applies patch over base with /control/config POST
 // semantics: non-zero patch fields win, zero fields keep base's value.
 // The result is what a front running base reports after accepting
 // patch — the fleet controller hashes it to know each front's target.
 func MergeThinner(base, patch Thinner) Thinner {
-	out := base
-	if patch.OrphanTimeout != 0 {
-		out.OrphanTimeout = patch.OrphanTimeout
+	out, p := reflect.ValueOf(&base).Elem(), reflect.ValueOf(patch)
+	for i := range p.NumField() {
+		if f := p.Field(i); !f.IsZero() {
+			out.Field(i).Set(f)
+		}
 	}
-	if patch.InactivityTimeout != 0 {
-		out.InactivityTimeout = patch.InactivityTimeout
-	}
-	if patch.SweepInterval != 0 {
-		out.SweepInterval = patch.SweepInterval
-	}
-	if patch.Shards != 0 {
-		out.Shards = patch.Shards
-	}
-	return out
+	return base
 }
 
 // ThinnerStatus is the body of /control/config responses (GET and a

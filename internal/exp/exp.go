@@ -75,15 +75,15 @@ func (o Opts) base(name string) scenario.Config {
 }
 
 // cell copies a base scenario and applies one grid cell's axis
-// overrides. Groups, Bottlenecks, and BystanderH are cloned first, so
+// overrides. Groups, Bottlenecks, and Bystander are cloned first, so
 // mutations never leak between cells of the same base (the sweep
 // engine runs cells concurrently).
 func cell(base scenario.Config, mut func(*scenario.Config)) scenario.Config {
 	base.Groups = append([]scenario.ClientGroup(nil), base.Groups...)
 	base.Bottlenecks = append([]scenario.Bottleneck(nil), base.Bottlenecks...)
-	if base.BystanderH != nil {
-		b := *base.BystanderH
-		base.BystanderH = &b
+	if base.Bystander != nil {
+		b := *base.Bystander
+		base.Bystander = &b
 	}
 	mut(&base)
 	return base

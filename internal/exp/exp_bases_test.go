@@ -111,7 +111,7 @@ func legacyBases() map[string]driverBase {
 				Groups: []scenario.ClientGroup{
 					{Name: "bn-good", Count: 10, Good: true, Bottleneck: 1},
 				},
-				BystanderH: &scenario.Bystander{FileSize: 1000, MaxDownloads: 100},
+				Bystander: &scenario.Bystander{FileSize: 1000, MaxDownloads: 100},
 			},
 		},
 		"variants.json": {
@@ -252,18 +252,18 @@ func TestCellIsolation(t *testing.T) {
 		Bottlenecks: []scenario.Bottleneck{
 			{Rate: 1e6},
 		},
-		BystanderH: &scenario.Bystander{FileSize: 10},
+		Bystander: &scenario.Bystander{FileSize: 10},
 	}
 	mutated := cell(base, func(c *scenario.Config) {
 		c.Groups[0].Count = 99
 		c.Bottlenecks[0].Rate = 5e6
-		c.BystanderH.FileSize = 77
+		c.Bystander.FileSize = 77
 		c.Mode = appsim.ModeAuction
 	})
-	if base.Groups[0].Count != 1 || base.Bottlenecks[0].Rate != 1e6 || base.BystanderH.FileSize != 10 || base.Mode != appsim.ModeOff {
+	if base.Groups[0].Count != 1 || base.Bottlenecks[0].Rate != 1e6 || base.Bystander.FileSize != 10 || base.Mode != appsim.ModeOff {
 		t.Fatalf("cell mutated the shared base: %+v", base)
 	}
-	if mutated.Groups[0].Count != 99 || mutated.BystanderH.FileSize != 77 {
+	if mutated.Groups[0].Count != 99 || mutated.Bystander.FileSize != 77 {
 		t.Fatalf("cell dropped the override: %+v", mutated)
 	}
 }

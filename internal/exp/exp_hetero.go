@@ -270,7 +270,7 @@ func Fig9(o Opts) *Fig9Result {
 		cfg := func(mode appsim.Mode) scenario.Config {
 			return cell(base, func(c *scenario.Config) {
 				c.Mode = mode
-				c.BystanderH.FileSize = kb * 1000
+				c.Bystander.FileSize = kb * 1000
 			})
 		}
 		cells[i].with = grid.Add(fmt.Sprintf("fig9/%dKB/on", sizeKB), cfg(appsim.ModeAuction))

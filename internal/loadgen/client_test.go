@@ -136,6 +136,31 @@ func TestDeadlineFreesTheWindow(t *testing.T) {
 	}
 }
 
+// TestStopCutsWithoutFailing: an attempt still waiting on the front
+// when Stop is called is cut, not failed: like a simulated request in
+// flight at the end of a run, it has no outcome.
+func TestStopCutsWithoutFailing(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	strat := &paced{gap: 10 * time.Millisecond, window: 1, n: 1}
+	cl := NewClient(Config{
+		BaseURL:  srv.URL,
+		Strategy: strat,
+		Workload: clients.Config{Seed: 1},
+	}, new(atomic.Uint64))
+	cl.Run()
+	time.Sleep(time.Second)
+	cl.Stop()
+	if st := cl.Workload(); st.Issued < 1 || st.Failed != 0 {
+		t.Errorf("workload %+v: want the issued attempt cut, none failed", st)
+	}
+	if got := strat.observed.Load(); got != 0 {
+		t.Errorf("strategy observed %d outcomes for a cut attempt", got)
+	}
+}
+
 // TestFullWindowBacklogs: an arrival over the window waits in the
 // backlog and counts as a denial once it times out, observed by the
 // strategy, instead of being dropped.

@@ -242,7 +242,10 @@ func (c *Client) abandon(id core.RequestID) {
 }
 
 // attempt runs one exchange and reports its outcome to the workload
-// and the strategy, as the simulator's transport does.
+// and the strategy, as the simulator's transport does. An attempt that
+// Stop cuts short has no outcome, like a simulated request still in
+// flight when the run ends; a deadline abandon ends only the attempt's
+// own context, so it still fails.
 func (c *Client) attempt(ctx context.Context, id core.RequestID, r *request) {
 	defer c.wg.Done()
 	var res result
@@ -255,11 +258,14 @@ func (c *Client) attempt(ctx context.Context, id core.RequestID, r *request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r.cancel()
-	if res.served {
+	switch {
+	case res.served:
 		c.Stats.Latency.Observe(done.Sub(r.first))
 		delete(c.reqs, id)
 		c.wl.RequestServed(id)
-	} else if !c.wl.RequestFailed(id, res.retryAfter) {
+	case c.ctx.Err() != nil:
+		return
+	case !c.wl.RequestFailed(id, res.retryAfter):
 		delete(c.reqs, id)
 	}
 	c.cfg.Strategy.Observe(adversary.Outcome{Served: res.served, Paid: res.paid, Now: c.clock.Now()})

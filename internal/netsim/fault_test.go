@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -98,6 +99,42 @@ func TestLinkFaultJitterKeepsOrder(t *testing.T) {
 	}
 	if !jittered {
 		t.Fatal("jitter fault added no delay to any of 200 packets")
+	}
+}
+
+// TestLinkFaultJitterEndKeepsOrder checks that order holds across the
+// end of a jitter window: packets sent after the fault is cleared, or
+// replaced by a loss-only fault, queue behind the jittered packets still
+// in flight instead of overtaking them on the base delay.
+func TestLinkFaultJitterEndKeepsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		end  func(*Link)
+	}{
+		{"cleared", (*Link).ClearFault},
+		{"replaced by loss", func(l *Link) { l.SetFault(FaultState{Loss: 1e-9}, 7) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop := sim.NewLoop(1)
+			n := New(loop)
+			a := n.AddNode("a", nil)
+			var order []int
+			b := n.AddNode("b", func(p *Packet) { order = append(order, p.Payload.(int)) })
+			ab, _ := n.Connect(a, b, 1e9, time.Millisecond, 1<<20)
+			n.ComputeRoutes()
+			ab.SetFault(FaultState{Jitter: 100 * time.Millisecond}, 42)
+			for i := range 5 {
+				n.Send(&Packet{Size: 1000, Src: a, Dst: b, Payload: i})
+			}
+			loop.After(time.Millisecond, func() {
+				tc.end(ab)
+				n.Send(&Packet{Size: 1000, Src: a, Dst: b, Payload: 99})
+			})
+			loop.RunAll()
+			if want := []int{0, 1, 2, 3, 4, 99}; !slices.Equal(order, want) {
+				t.Fatalf("delivery order %v, want %v", order, want)
+			}
+		})
 	}
 }
 

@@ -125,7 +125,11 @@ type Link struct {
 	to    NodeID
 	rate  float64 // bits per second
 	delay time.Duration
-	qcap  int // max queued bytes behind the packet in service; <=0 means unbounded
+	// lastArrival is the latest scheduled delivery time. Every delivery
+	// is clamped to it, so a link never reorders: not under jitter, and
+	// not when a jitter fault ends or is replaced with packets in flight.
+	lastArrival sim.Time
+	qcap        int // max queued bytes behind the packet in service; <=0 means unbounded
 
 	queued int // bytes waiting (excludes packet in service)
 	q      pktRing
@@ -154,9 +158,6 @@ type FaultState struct {
 type linkFault struct {
 	FaultState
 	rng *rand.Rand
-	// lastArrival is the latest scheduled delivery time; jittered
-	// deliveries are clamped to it so the link never reorders.
-	lastArrival time.Duration
 }
 
 // SetFault arms (or replaces) the link's injected fault; the RNG for
@@ -171,9 +172,6 @@ func (l *Link) SetFault(fs FaultState, seed int64) {
 	f := &linkFault{FaultState: fs}
 	if fs.Loss > 0 || fs.Jitter > 0 {
 		f.rng = rand.New(rand.NewSource(seed))
-	}
-	if old := l.fault; old != nil {
-		f.lastArrival = old.lastArrival
 	}
 	l.fault = f
 }
@@ -397,15 +395,13 @@ func linkTxDone(env, arg any) {
 	delay := l.delay
 	if f := l.fault; f != nil && f.Jitter > 0 {
 		delay += time.Duration(f.rng.Int63n(int64(f.Jitter) + 1))
-		// Clamp to the latest scheduled arrival: jitter stretches the
-		// pipe but never reorders it (the sim TCP assumes FIFO links).
-		now := l.net.loop.Now()
-		if now+delay < f.lastArrival {
-			delay = f.lastArrival - now
-		}
-		f.lastArrival = now + delay
 	}
-	l.net.loop.AfterTimer(delay, linkDeliver, l, pkt)
+	// Clamp to the latest scheduled arrival: jitter stretches the pipe
+	// but never reorders it (the sim TCP assumes FIFO links). Without
+	// jitter the clamp never binds, since tx-done times only grow.
+	at := max(l.net.loop.Now()+delay, l.lastArrival)
+	l.lastArrival = at
+	l.net.loop.ScheduleTimer(at, linkDeliver, l, pkt)
 	if next := l.q.pop(); next != nil {
 		l.queued -= next.Size
 		l.transmit(next)

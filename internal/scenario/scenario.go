@@ -172,7 +172,7 @@ type Config struct {
 	Groups   []ClientGroup
 
 	Bottlenecks []Bottleneck
-	BystanderH  *Bystander
+	Bystander   *Bystander
 
 	// Trunk is the LAN between switch and thinner. Defaults: 1 Gbit/s
 	// (the paper's thinner had gigabit interfaces, so client access
@@ -229,7 +229,7 @@ func (c Config) withDefaults() Config {
 		c.AccessQueue = 100 * 1500
 	}
 	// Copy before defaulting: callers may hand the same Groups,
-	// Bottlenecks, or BystanderH to several Configs (sweep grids do),
+	// Bottlenecks, or Bystander to several Configs (sweep grids do),
 	// and concurrent Runs must not write defaults into shared memory.
 	c.Groups = append([]ClientGroup(nil), c.Groups...)
 	for i := range c.Groups {
@@ -241,9 +241,9 @@ func (c Config) withDefaults() Config {
 			c.Bottlenecks[i].QueueBytes = 50 * 1500
 		}
 	}
-	if c.BystanderH != nil {
-		b := *c.BystanderH
-		c.BystanderH = &b
+	if c.Bystander != nil {
+		b := *c.Bystander
+		c.Bystander = &b
 	}
 	c.Faults = append(faults.Plan(nil), c.Faults...)
 	return c
@@ -294,8 +294,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("scenario: group %q: %v", name, err)
 		}
 	}
-	if c.BystanderH != nil && len(c.Bottlenecks) == 0 {
-		return fmt.Errorf("scenario: BystanderH requires a bottleneck")
+	if c.Bystander != nil && len(c.Bottlenecks) == 0 {
+		return fmt.Errorf("scenario: Bystander requires a bottleneck")
 	}
 	if len(c.Faults) > 0 {
 		// Fault targets name groups by their (possibly defaulted) name.
@@ -426,8 +426,8 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 	}
 
 	var webNode, bystanderNode netsim.NodeID
-	if cfg.BystanderH != nil {
-		b := cfg.BystanderH
+	if cfg.Bystander != nil {
+		b := cfg.Bystander
 		if b.Bandwidth == 0 {
 			b.Bandwidth = 2e6
 		}
@@ -576,13 +576,13 @@ func run(cfg Config) (*Result, *appsim.ThinnerApp) {
 
 	// --- bystander ---
 	var bystander *appsim.BystanderApp
-	if cfg.BystanderH != nil {
+	if cfg.Bystander != nil {
 		NewWebServer := appsim.NewWebServerApp
 		wstack := tcpsim.NewStack(n, webNode, tcpsim.Options{})
 		NewWebServer(wstack)
 		bstack := tcpsim.NewStack(n, bystanderNode, tcpsim.Options{})
-		bystander = appsim.NewBystanderApp(bstack, webNode, cfg.BystanderH.FileSize)
-		bystander.MaxDownloads = cfg.BystanderH.MaxDownloads
+		bystander = appsim.NewBystanderApp(bstack, webNode, cfg.Bystander.FileSize)
+		bystander.MaxDownloads = cfg.Bystander.MaxDownloads
 		bystander.Start()
 	}
 

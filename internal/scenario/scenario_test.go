@@ -144,7 +144,7 @@ func TestBystanderLatencyInflation(t *testing.T) {
 			// No clients behind the bottleneck: bystander rides alone.
 			{Name: "direct-good", Count: 2, Good: true},
 		},
-		BystanderH: &Bystander{FileSize: 16_000},
+		Bystander: &Bystander{FileSize: 16_000},
 	})
 	loaded := Run(Config{
 		Seed: 7, Duration: 60 * time.Second, Capacity: 2,
@@ -154,7 +154,7 @@ func TestBystanderLatencyInflation(t *testing.T) {
 			{Name: "bn-good", Count: 4, Good: true, Bottleneck: 1},
 			{Name: "direct-good", Count: 2, Good: true},
 		},
-		BystanderH: &Bystander{FileSize: 16_000},
+		Bystander: &Bystander{FileSize: 16_000},
 	})
 	if base.BystanderLatencies.N() == 0 || loaded.BystanderLatencies.N() == 0 {
 		t.Fatalf("bystander completed no downloads: base=%d loaded=%d",
