@@ -154,8 +154,10 @@ func classSummary(cs []*loadgen.Client, elapsed time.Duration) classJSON {
 		out.LatencyMaxMs = max(out.LatencyMaxMs, ms(c.Stats.Latency.Max()))
 		out.LatencyMeanMs = max(out.LatencyMeanMs, ms(c.Stats.Latency.Mean()))
 	}
-	if out.Issued > 0 {
-		out.SuccessRate = float64(out.Served) / float64(out.Issued)
+	// Only settled requests count: one still in flight when the run
+	// ends has no outcome.
+	if settled := out.Served + out.Failed; settled > 0 {
+		out.SuccessRate = float64(out.Served) / float64(settled)
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		out.AdmissionsPerSec = float64(out.Served) / sec

@@ -5,9 +5,11 @@ import (
 	"time"
 
 	"speakup/internal/appsim"
-	"speakup/internal/auction"
+	"speakup/internal/core"
 	"speakup/internal/metrics"
 	"speakup/internal/scenario"
+	"speakup/internal/sim"
+	"speakup/internal/simclock"
 	"speakup/internal/sweep"
 )
 
@@ -60,9 +62,172 @@ func Variants(o Opts) *VariantsResult {
 
 // --- A2: Theorem 3.1 timing adversaries vs the ε/2 bound ---
 
-// TheoremPoint is one adversary strategy's outcome.
+// Theorem 3.1 (§3.4): requests are served at regular intervals; between
+// auctions a good client X pays at a fixed rate, while an adversary who
+// may bank its bandwidth and time its reveals, and always has a
+// contending request, tries to win auctions. X still wins at least ε/2
+// of them, ε being X's share of the bytes the thinner received, or
+// (1−2δ)·ε/2 when service intervals jitter by ±δ. playTheorem plays
+// that game against the real core.Thinner in virtual time,
+// pessimistically for X: the adversary sees X's balance before it
+// reveals, and wins ties.
+
+const (
+	// theoremUnit is the bytes one unit of rate delivers per interval.
+	// Bytes stay integers, as in the thinner: an outbidder's reveal of
+	// exactly X's balance must tie it, not fall a rounding error short.
+	theoremUnit = 1000
+	// theoremInterval is the nominal service interval, 1/c at c = 100.
+	theoremInterval = 10 * time.Millisecond
+)
+
+// bidFunc is an adversary strategy: before each auction it sees the
+// round, its bank and X's balance, and returns the banked bytes to
+// reveal on its contending request. The game clamps the reveal to
+// [0, bank]. rng is the game loop's generator.
+type bidFunc func(round int, bank, xBal int64, rng *sim.Rand) int64
+
+// constantBid reveals the whole bank every round (a naive flooder).
+func constantBid(_ int, bank, _ int64, _ *sim.Rand) int64 { return bank }
+
+// outbidderBid is the proof's worst case: it reveals exactly X's
+// balance (a tie suffices) when it can, and otherwise banks, wasting
+// nothing.
+func outbidderBid(_ int, bank, xBal int64, _ *sim.Rand) int64 {
+	if bank >= xBal {
+		return xBal
+	}
+	return 0
+}
+
+// burstBid saves for period rounds, then dumps the whole bank.
+func burstBid(period int) bidFunc {
+	return func(round int, bank, _ int64, _ *sim.Rand) int64 {
+		if (round+1)%period == 0 {
+			return bank
+		}
+		return 0
+	}
+}
+
+// randomBid reveals a uniformly random part of the bank each round.
+func randomBid(_ int, bank, _ int64, rng *sim.Rand) int64 { return rng.Int63n(bank + 1) }
+
+// thresholdBid outbids X only once the bank holds k times X's balance:
+// a "wait until overwhelming" attacker.
+func thresholdBid(k int64) bidFunc {
+	return func(_ int, bank, xBal int64, _ *sim.Rand) int64 {
+		if xBal > 0 && bank >= k*xBal {
+			return xBal
+		}
+		return 0
+	}
+}
+
+// theoremAdversaries are the A2 strategies, by label.
+var theoremAdversaries = []struct {
+	name string
+	bid  bidFunc
+}{
+	{"constant", constantBid},
+	{"outbidder", outbidderBid},
+	{"burst/10", burstBid(10)},
+	{"burst/50", burstBid(50)},
+	{"random", randomBid},
+	{"threshold/3", thresholdBid(3)},
+}
+
+// theoremGame parameterizes one game. Rates are in units per interval.
+type theoremGame struct {
+	Rounds         int
+	XRate, AdvRate float64
+	Delta          float64 // jitter δ: intervals are drawn from U[1−δ, 1+δ]
+	Seed           int64
+}
+
+// playTheorem plays g against a core.Thinner over a virtual clock. A
+// filler request holds the server first; X and the adversary's
+// champion then contend. Each round, after a jittered interval, X
+// credits its accrual, the adversary banks its own and reveals what
+// bid chooses onto the champion, and the server frees up: the
+// thinner's auction admits the winner, which then opens a fresh
+// request. The adversary's ids sit below X's, so the thinner's
+// (paid desc, id asc) order hands it every tie. A champion the thinner
+// times out for inactivity is reissued, so the adversary always
+// contends. ε is X's share of all credited bytes.
+func playTheorem(g theoremGame, bid bidFunc) TheoremPoint {
+	loop := sim.NewLoop(g.Seed)
+	rng := loop.Rand()
+	th := core.NewThinner(simclock.New(loop), core.Config{})
+	defer th.Stop()
+	adv, x := core.RequestID(1), core.RequestID(1<<40)
+	active := core.RequestID(0) // the filler
+	th.Admit = func(id core.RequestID, _ int64) { active = id }
+	th.Evict = func(id core.RequestID, _ int64, wasted bool) {
+		if wasted && id == adv {
+			adv++
+			th.RequestArrived(adv)
+		}
+	}
+	th.RequestArrived(active)
+	th.RequestArrived(x)
+	th.RequestArrived(adv)
+
+	var bank, xBytes, advBytes int64
+	round, xWins, f := 0, 0, 1.0
+	var tick func()
+	next := func() {
+		if g.Delta > 0 {
+			f = 1 - g.Delta + 2*g.Delta*rng.Float64()
+		}
+		loop.After(time.Duration(f*float64(theoremInterval)), tick)
+	}
+	tick = func() {
+		xPay := int64(g.XRate * theoremUnit * f)
+		th.PaymentReceived(x, xPay)
+		xBytes += xPay
+		bank += int64(g.AdvRate * theoremUnit * f)
+		reveal := min(max(bid(round, bank, th.Table().Balance(x), rng), 0), bank)
+		if reveal > 0 {
+			th.PaymentReceived(adv, reveal)
+			bank -= reveal
+			advBytes += reveal
+		}
+		th.ServerDone(active)
+		switch active {
+		case x:
+			xWins++
+			x++
+			th.RequestArrived(x)
+		case adv:
+			adv++
+			th.RequestArrived(adv)
+		}
+		if round++; round == g.Rounds {
+			loop.Halt() // else the thinner's sweep timer runs on forever
+			return
+		}
+		next()
+	}
+	if g.Rounds > 0 {
+		next()
+		loop.RunAll()
+	}
+
+	p := TheoremPoint{Delta: g.Delta, Share: float64(xWins) / float64(max(g.Rounds, 1))}
+	if xBytes+advBytes > 0 {
+		p.Epsilon = float64(xBytes) / float64(xBytes+advBytes)
+	}
+	p.Bound = (1 - 2*g.Delta) * p.Epsilon / 2
+	// One round of slack for integer effects on short games.
+	p.Holds = p.Share >= p.Bound-1/float64(g.Rounds+1)
+	return p
+}
+
+// TheoremPoint is one adversary strategy's outcome at one jitter.
 type TheoremPoint struct {
 	Strategy string
+	Delta    float64
 	Epsilon  float64
 	Share    float64
 	Bound    float64
@@ -75,30 +240,28 @@ type TheoremResult struct{ Points []TheoremPoint }
 // Table renders the theorem check.
 func (r *TheoremResult) Table() *metrics.Table {
 	t := metrics.NewTable(
-		"Ablation A2: Theorem 3.1 — X's service share vs the ε/2 bound under timing adversaries",
-		"adversary", "epsilon", "share", "bound", "holds")
+		"Ablation A2: Theorem 3.1 — X's service share vs the (1−2δ)·ε/2 bound under timing adversaries",
+		"adversary", "delta", "epsilon", "share", "bound", "holds")
 	for _, p := range r.Points {
-		t.AddRow(p.Strategy, p.Epsilon, p.Share, p.Bound, p.Holds)
+		t.AddRow(p.Strategy, p.Delta, p.Epsilon, p.Share, p.Bound, p.Holds)
 	}
 	return t
 }
 
-// Theorem31 plays the abstract auction game against every built-in
-// adversary strategy (X at 1/3 of total bandwidth, 20k auctions).
+// Theorem31 plays the Theorem 3.1 game against the real core.Thinner
+// in virtual time: every adversary strategy, X at 1/3 of the total
+// bandwidth, 20k auctions, at jitter δ = 0 and δ = 0.25.
 func Theorem31(o Opts) *TheoremResult {
 	o = o.withDefaults()
 	res := &TheoremResult{}
-	for _, s := range auction.All(o.Seed) {
-		r := auction.Run(auction.Config{
-			Rounds: 20000, XRate: 1, AdvRate: 2, Seed: o.Seed,
-		}, s)
-		res.Points = append(res.Points, TheoremPoint{
-			Strategy: s.Name(),
-			Epsilon:  r.Epsilon,
-			Share:    r.XServiceShare,
-			Bound:    r.Bound,
-			Holds:    r.Holds(),
-		})
+	for _, a := range theoremAdversaries {
+		for _, delta := range []float64{0, 0.25} {
+			p := playTheorem(theoremGame{
+				Rounds: 20000, XRate: 1, AdvRate: 2, Delta: delta, Seed: o.Seed,
+			}, a.bid)
+			p.Strategy = a.name
+			res.Points = append(res.Points, p)
+		}
 	}
 	return res
 }

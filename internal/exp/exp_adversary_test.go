@@ -16,8 +16,8 @@ import (
 // guard the same bytes.
 var goldenOpts = Opts{Duration: 6 * time.Second, Seed: 1}
 
-var updateAdversaryGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden/adversary_frontier.txt")
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite the golden files under testdata/golden (adversary_frontier.txt, theorem.txt)")
 
 // TestAdversarySweepDeterminism reruns the robustness-frontier sweep
 // serially and with 8 workers: every point and frontier row must be
@@ -46,7 +46,7 @@ func TestAdversaryFrontierGolden(t *testing.T) {
 	r := Adversary(goldenOpts)
 	got := r.Table().String() + "\n" + r.FrontierTable().String()
 	path := filepath.Join("testdata", "golden", "adversary_frontier.txt")
-	if *updateAdversaryGolden {
+	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

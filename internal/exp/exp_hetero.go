@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"speakup/internal/appsim"
@@ -160,21 +161,7 @@ func (r *Fig8Result) Table() *metrics.Table {
 }
 
 func formatSplit(g, b int) string {
-	return itoa(g) + "g/" + itoa(b) + "b"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return strconv.Itoa(g) + "g/" + strconv.Itoa(b) + "b"
 }
 
 // Fig8 reproduces the shared-bottleneck experiment: 30 clients behind
@@ -215,17 +202,10 @@ func Fig8(o Opts) *Fig8Result {
 		totalBW := float64(ng+nb)*bnBW + 20*2e6
 		serverShare := float64(ng) * bnBW / totalBW * 50 // req/s for bn-good
 		demand := float64(ng) * 2                        // λ=2 each
-		p.FracGoodServedIdeal = minF(1, serverShare/demand)
+		p.FracGoodServedIdeal = min(1, serverShare/demand)
 		res.Points = append(res.Points, p)
 	}
 	return res
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- Figure 9: impact on other traffic ---

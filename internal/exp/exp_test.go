@@ -238,12 +238,16 @@ func TestVariantsShape(t *testing.T) {
 	}
 }
 
+// TestTheorem31AllHold checks the A2 table itself: every strategy at
+// δ = 0 and δ = 0.25 holds (1−2δ)·ε/2 against the real thinner.
 func TestTheorem31AllHold(t *testing.T) {
-	skipIfShort(t)
 	r := Theorem31(short)
+	if len(r.Points) != 2*len(theoremAdversaries) {
+		t.Fatalf("points = %d, want every strategy at two jitters", len(r.Points))
+	}
 	for _, p := range r.Points {
 		if !p.Holds {
-			t.Errorf("strategy %s violates the bound: share %.3f < %.3f", p.Strategy, p.Share, p.Bound)
+			t.Errorf("strategy %s at delta %v violates the bound: share %.3f < %.3f", p.Strategy, p.Delta, p.Share, p.Bound)
 		}
 	}
 }

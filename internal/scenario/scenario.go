@@ -180,8 +180,8 @@ type Config struct {
 	TrunkRate  float64
 	TrunkDelay time.Duration
 	TrunkQueue int
-	// AccessQueue is each access link's queue in bytes (default 50
-	// packets).
+	// AccessQueue is each access link's queue in bytes (default 100
+	// full-size packets, 150,000 bytes).
 	AccessQueue int
 
 	Sizes appsim.Sizes

@@ -312,7 +312,7 @@ func (c *Conn) teardown() {
 func connSYNTimeout(env, _ any) {
 	c := env.(*Conn)
 	if !c.established && !c.closed {
-		c.rto = minDur(c.rto*2, c.stack.opts.RTOMax)
+		c.rto = min(c.rto*2, c.stack.opts.RTOMax)
 		c.sendSYN()
 	}
 }
@@ -485,7 +485,7 @@ func (c *Conn) advanceTo(end int64) {
 		if r.start >= end {
 			break
 		}
-		lo, hi := maxI64(r.start, from), minI64(r.end, end)
+		lo, hi := max(r.start, from), min(r.end, end)
 		if hi > lo && c.OnBytes != nil {
 			c.OnBytes(int(hi-lo), r.meta)
 		}
@@ -524,13 +524,13 @@ func (c *Conn) processAck(ackNo int64, withData bool) {
 				// NewReno partial ACK: retransmit the next hole; deflate
 				// the window by the amount acked, then inflate by one MSS.
 				c.retransmit(c.sndUna)
-				c.cwnd = maxF(c.cwnd-float64(acked)+mss, mss)
+				c.cwnd = max(c.cwnd-float64(acked)+mss, mss)
 			}
 		} else {
 			c.dupAcks = 0
 			if c.cwnd < c.ssthresh {
 				// Slow start with appropriate byte counting (cap 2*MSS).
-				c.cwnd += minF(float64(acked), 2*mss)
+				c.cwnd += min(float64(acked), 2*mss)
 				if c.cwnd > c.ssthresh {
 					c.cwnd = c.ssthresh
 				}
@@ -553,7 +553,7 @@ func (c *Conn) processAck(ackNo int64, withData bool) {
 			// duplicate ACK to keep the ACK clock alive; without it,
 			// small-window tail loss degenerates into RTO stalls.
 			c.limitedTransmit()
-		} else if int64(c.dupAcks) >= maxI64(1, (c.sndNxt-c.sndUna)/int64(opts.MSS)-1) {
+		} else if int64(c.dupAcks) >= max(1, (c.sndNxt-c.sndUna)/int64(opts.MSS)-1) {
 			// RFC 5827 early retransmit: with too little in flight to
 			// ever produce three duplicate ACKs, lower the threshold.
 			c.enterRecovery()
@@ -567,7 +567,7 @@ func (c *Conn) limitedTransmit() {
 	if avail <= 0 {
 		return
 	}
-	length := int(minI64(int64(c.stack.opts.MSS), avail))
+	length := int(min(int64(c.stack.opts.MSS), avail))
 	seg := c.stack.newSegment()
 	seg.seq, seg.length = c.sndNxt, length
 	c.sndNxt += int64(length)
@@ -578,7 +578,7 @@ func (c *Conn) limitedTransmit() {
 func (c *Conn) enterRecovery() {
 	mss := float64(c.stack.opts.MSS)
 	flight := float64(c.sndNxt - c.sndUna)
-	c.ssthresh = maxF(flight/2, 2*mss)
+	c.ssthresh = max(flight/2, 2*mss)
 	c.cwnd = c.ssthresh + 3*mss
 	c.inRecovery = true
 	c.recoverSeq = c.sndNxt
@@ -589,7 +589,7 @@ func (c *Conn) enterRecovery() {
 // retransmit resends one segment starting at seq. The length never
 // exceeds what was originally sent (no resegmentation past sndNxt).
 func (c *Conn) retransmit(seq int64) {
-	length := int(minI64(int64(c.stack.opts.MSS), c.sndNxt-seq))
+	length := int(min(int64(c.stack.opts.MSS), c.sndNxt-seq))
 	if length <= 0 {
 		return
 	}
@@ -639,7 +639,7 @@ func (c *Conn) onRTO() {
 	c.Timeouts++
 	mss := float64(c.stack.opts.MSS)
 	flight := float64(c.sndNxt - c.sndUna)
-	c.ssthresh = maxF(flight/2, 2*mss)
+	c.ssthresh = max(flight/2, 2*mss)
 	c.cwnd = mss
 	c.dupAcks = 0
 	c.inRecovery = false
@@ -665,7 +665,7 @@ func (c *Conn) trySend() {
 		if avail <= 0 {
 			return
 		}
-		length := int(minI64(int64(opts.MSS), avail))
+		length := int(min(int64(opts.MSS), avail))
 		if !c.timing {
 			c.timing = true
 			c.timedSeq = c.sndNxt
@@ -695,41 +695,6 @@ func (c *Conn) gcRecords() {
 		c.records = append([]record(nil), c.records[c.recBase:]...)
 		c.recBase = 0
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func clampDur(d, lo, hi time.Duration) time.Duration {
