@@ -369,8 +369,8 @@ func TestHeteroOrphanPaymentClosed(t *testing.T) {
 	})
 	var closedAt time.Duration
 	conn := tcpsim.NewStack(n, cn, tcpsim.Options{}).Dial(tn, nil)
-	conn.OnClose = func() { closedAt = loop.Now() }
-	conn.Write(10_000_000, &msg{kind: kindPost, id: 77}) // a 40 s POST at 2 Mbit/s
+	conn.OnClose = func(*tcpsim.Conn) { closedAt = loop.Now() }
+	conn.Write(10_000_000, newMsg(kindPost, 77)) // a 40 s POST at 2 Mbit/s
 	loop.Run(5 * time.Second)
 
 	if closedAt == 0 {

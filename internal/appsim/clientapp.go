@@ -34,7 +34,11 @@ type ClientApp struct {
 	cfg     ClientAppConfig
 
 	Workload *clients.Client
-	reqs     map[core.RequestID]*clientReq
+	// reqs holds the live requests, each at its slot; free holds
+	// finished ones for reuse, so a request costs no allocation once
+	// the client has had as many in flight before.
+	reqs []*clientReq
+	free []*clientReq
 
 	// OnOutcome observes every finished request (served or failed).
 	OnOutcome func(RequestOutcome)
@@ -70,11 +74,16 @@ func (c ClientAppConfig) withDefaults() ClientAppConfig {
 	return c
 }
 
+// clientReq is one request's state. Each of its connections carries it
+// in Ctx, and it knows its app, so the connection callbacks are plain
+// functions and wiring a connection allocates nothing.
 type clientReq struct {
+	app      *ClientApp
 	id       core.RequestID
+	slot     int // index in ClientApp.reqs
 	issuedAt time.Duration
-	reqConn  *tcpsim.Conn
-	payConns []*tcpsim.Conn
+	reqConn  tcpsim.Ref // zero once the request has finished
+	payConns []tcpsim.Ref
 	paying   bool
 	payStart time.Duration
 	payEnd   time.Duration
@@ -95,7 +104,6 @@ func NewClientApp(stack *tcpsim.Stack, workload *clients.Client, thinner netsim.
 		sizes:    sizes.withDefaults(),
 		cfg:      cfg.withDefaults(),
 		Workload: workload,
-		reqs:     make(map[core.RequestID]*clientReq),
 	}
 	workload.Issue = a.issue
 	workload.Abandon = a.abandon
@@ -105,37 +113,47 @@ func NewClientApp(stack *tcpsim.Stack, workload *clients.Client, thinner netsim.
 // abandon tears down a deadline-expired request's half-open exchange;
 // finish reports the failure to the workload, which may retry it.
 func (a *ClientApp) abandon(id core.RequestID) {
-	if r, ok := a.reqs[id]; ok {
-		a.finish(r, false)
-		return
+	for _, r := range a.reqs {
+		if r.id == id {
+			a.finish(r, false)
+			return
+		}
 	}
 	a.Workload.RequestFailed(id, 0)
 }
 
 // issue opens the request connection and sends the initial GET.
 func (a *ClientApp) issue(id core.RequestID) {
-	r := &clientReq{id: id, issuedAt: a.loop.Now()}
-	a.reqs[id] = r
-	r.reqConn = a.stack.Dial(a.thinner, nil)
-	r.reqConn.Write(a.sizes.Initial, &msg{kind: kindInitial, id: id})
-	r.reqConn.OnRecord = func(meta any) { a.onReqConnRecord(r, meta) }
-	r.reqConn.OnClose = func() {
-		// Thinner aborted us (§5) or tore down: count as failure.
-		if _, live := a.reqs[id]; live {
-			a.finish(r, false)
-		}
+	var r *clientReq
+	if k := len(a.free); k > 0 {
+		r = a.free[k-1]
+		a.free = a.free[:k-1]
+	} else {
+		r = &clientReq{app: a}
 	}
+	r.id, r.slot, r.issuedAt = id, len(a.reqs), a.loop.Now()
+	a.reqs = append(a.reqs, r)
+	conn := a.stack.Dial(a.thinner, nil)
+	r.reqConn = conn.Ref()
+	conn.Ctx = r
+	conn.Write(a.sizes.Initial, newMsg(kindInitial, id))
+	conn.OnRecord = reqRecord
+	conn.OnClose = reqClosed
 }
 
-func (a *ClientApp) onReqConnRecord(r *clientReq, meta any) {
-	m, ok := meta.(*msg)
-	if !ok {
+// reqRecord handles a reply on a request connection. A reply after the
+// request finished (its connection closed by finish while the same
+// segment still delivers) finds the request no longer owning it.
+func reqRecord(c *tcpsim.Conn, tag uint64) {
+	r := c.Ctx.(*clientReq)
+	if r.reqConn.Conn() != c {
 		return
 	}
-	switch m.kind {
+	a := r.app
+	switch msg(tag).kind() {
 	case kindPlease:
 		// Issue the actual request (1) and the payment POST(s) (2).
-		r.reqConn.Write(a.sizes.Request, &msg{kind: kindRequest, id: r.id})
+		c.Write(a.sizes.Request, newMsg(kindRequest, r.id))
 		a.openPayment(r)
 	case kindResponse:
 		a.finish(r, true)
@@ -148,12 +166,20 @@ func (a *ClientApp) onReqConnRecord(r *clientReq, meta any) {
 			r.retries--
 		}
 		for r.retries < a.cfg.MaxRetryPipeline {
-			r.reqConn.Write(a.sizes.Request, &msg{kind: kindRequest, id: r.id})
+			c.Write(a.sizes.Request, newMsg(kindRequest, r.id))
 			r.retries += 1
 			if r.retries >= 2 { // growth batch per reply
 				break
 			}
 		}
+	}
+}
+
+// reqClosed fails a live request whose request connection the thinner
+// closed (a §5 abort or a crashed origin).
+func reqClosed(c *tcpsim.Conn) {
+	if r := c.Ctx.(*clientReq); r.reqConn.Conn() == c {
+		r.app.finish(r, false)
 	}
 }
 
@@ -164,56 +190,66 @@ func (a *ClientApp) openPayment(r *clientReq) {
 	}
 	r.paying = true
 	r.payStart = a.loop.Now()
-	// One metadata record serves every POST of the request: receivers
-	// only read kind/id, so repeated payments (hundreds per request at
-	// 1 MB each) need not allocate a msg apiece.
-	postMsg := &msg{kind: kindPost, id: r.id}
 	for i := 0; i < a.cfg.PayConns; i++ {
 		conn := a.stack.Dial(a.thinner, nil)
-		r.payConns = append(r.payConns, conn)
-		post := func() {
-			if conn.Closed() {
-				return
-			}
-			size := a.cfg.Payer.PostSize(a.loop.Now(), r.paid, a.sizes.Post)
-			if size <= 0 {
-				return // defect: stop paying, keep the request open
-			}
-			conn.Write(size, postMsg)
-			r.paid += int64(size)
-		}
-		post()
-		conn.OnRecord = func(meta any) {
-			m, ok := meta.(*msg)
-			if ok && m.kind == kindContinue {
-				post()
-			}
-		}
-		conn.OnClose = func() {
-			// Thinner terminated the channel (win or eviction): stop
-			// sending immediately. In-flight bytes still drain.
-			r.paid -= conn.AbortPending()
-			if r.payEnd == 0 {
-				r.payEnd = a.loop.Now()
-			}
-		}
+		conn.Ctx = r
+		r.payConns = append(r.payConns, conn.Ref())
+		a.post(r, conn)
+		conn.OnRecord = payRecord
+		conn.OnClose = payClosed
 	}
 }
 
-// finish closes the request's connections and reports the outcome.
+// post writes r's next payment POST on conn. An open payment
+// connection always belongs to a live request: finish closes them all.
+func (a *ClientApp) post(r *clientReq, conn *tcpsim.Conn) {
+	if conn.Closed() {
+		return
+	}
+	size := a.cfg.Payer.PostSize(a.loop.Now(), r.paid, a.sizes.Post)
+	if size <= 0 {
+		return // defect: stop paying, keep the request open
+	}
+	conn.Write(size, newMsg(kindPost, r.id))
+	r.paid += int64(size)
+}
+
+// payRecord posts again when the thinner asks for another POST.
+func payRecord(c *tcpsim.Conn, tag uint64) {
+	if msg(tag).kind() == kindContinue {
+		r := c.Ctx.(*clientReq)
+		r.app.post(r, c)
+	}
+}
+
+// payClosed runs when the thinner terminates a payment channel (win or
+// eviction): stop sending immediately. In-flight bytes still drain.
+func payClosed(c *tcpsim.Conn) {
+	r := c.Ctx.(*clientReq)
+	r.paid -= c.AbortPending()
+	if r.payEnd == 0 {
+		r.payEnd = r.app.loop.Now()
+	}
+}
+
+// finish closes the request's connections, returns its state to the
+// free list and reports the outcome.
 func (a *ClientApp) finish(r *clientReq, served bool) {
-	delete(a.reqs, r.id)
+	last := a.reqs[len(a.reqs)-1]
+	a.reqs[r.slot], last.slot = last, r.slot
+	a.reqs[len(a.reqs)-1] = nil
+	a.reqs = a.reqs[:len(a.reqs)-1]
 	if r.payEnd == 0 && r.paying {
 		r.payEnd = a.loop.Now()
 	}
-	for _, conn := range r.payConns {
-		if !conn.Closed() {
+	for _, ref := range r.payConns {
+		if conn := ref.Conn(); conn != nil && !conn.Closed() {
 			r.paid -= conn.AbortPending()
 			conn.Close()
 		}
 	}
-	if !r.reqConn.Closed() {
-		r.reqConn.Close()
+	if conn := r.reqConn.Conn(); conn != nil && !conn.Closed() {
+		conn.Close()
 	}
 	out := RequestOutcome{
 		ID:        r.id,
@@ -224,10 +260,13 @@ func (a *ClientApp) finish(r *clientReq, served bool) {
 	if r.paying {
 		out.PayTime = r.payEnd - r.payStart
 	}
+	clear(r.payConns)
+	*r = clientReq{app: a, payConns: r.payConns[:0]}
+	a.free = append(a.free, r)
 	if served {
-		a.Workload.RequestServed(r.id)
+		a.Workload.RequestServed(out.ID)
 	} else {
-		a.Workload.RequestFailed(r.id, 0)
+		a.Workload.RequestFailed(out.ID, 0)
 	}
 	if a.OnOutcome != nil {
 		a.OnOutcome(out)

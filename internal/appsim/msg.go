@@ -17,8 +17,7 @@ package appsim
 
 import "speakup/internal/core"
 
-// msgKind labels protocol messages. They ride as tcpsim record
-// metadata; sizes are configurable via Sizes.
+// msgKind labels protocol messages; sizes are configurable via Sizes.
 type msgKind uint8
 
 const (
@@ -34,12 +33,17 @@ const (
 	kindFile                    // web server -> bystander: file payload
 )
 
-// msg is the record metadata for one protocol message.
-type msg struct {
-	kind msgKind
-	id   core.RequestID
-	n    int // auxiliary: file size for kindGet
-}
+// msg is one protocol message, carried as its tcpsim record's tag: the
+// kind in the low byte and the request id above it (for kindGet, the
+// requested file size in place of the id). A message is a plain word,
+// so sending one allocates nothing and nothing has to outlive it.
+type msg uint64
+
+// newMsg returns the tag of a kind message for id.
+func newMsg(kind msgKind, id core.RequestID) uint64 { return uint64(id)<<8 | uint64(kind) }
+
+func (m msg) kind() msgKind      { return msgKind(m) }
+func (m msg) id() core.RequestID { return core.RequestID(m >> 8) }
 
 // Sizes configures on-the-wire message sizes in bytes. Zero fields
 // take the defaults, which follow the paper's prototype (§6: one

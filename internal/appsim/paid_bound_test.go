@@ -58,8 +58,8 @@ func TestLivePaidBytesBoundedByUplink(t *testing.T) {
 		var sent, paying int64
 		for _, r := range app.reqs {
 			out := r.paid
-			for _, pc := range r.payConns {
-				if !pc.Closed() {
+			for _, ref := range r.payConns {
+				if pc := ref.Conn(); pc != nil && !pc.Closed() {
 					out -= pc.PendingBytes()
 				}
 			}

@@ -52,13 +52,31 @@ type ThinnerApp struct {
 	prof   *core.Profiler // ModeProfiling's address profile, ahead of the pass-through
 	srv    *server.Server
 
-	reqConns map[core.RequestID]*tcpsim.Conn   // request connection per id
-	payConns map[core.RequestID][]*tcpsim.Conn // payment connection(s) per id
+	// reqs holds each open request's connections; entries go back to
+	// free once a request has neither, so a request costs no allocation
+	// once as many have been open before.
+	reqs map[core.RequestID]*thinReq
+	free []*thinReq
+
+	// The connection callbacks, built once for every accepted Conn.
+	onBytes  func(*tcpsim.Conn, int, uint64)
+	onRecord func(*tcpsim.Conn, uint64)
 
 	// OnAdmit observes every served request's price: the winning bid
 	// at admission, or under §5 the lifetime charge at completion.
 	OnAdmit func(id core.RequestID, paid int64)
 }
+
+// thinReq is one request's connections, as Refs: the client may close
+// either kind, and a closed pair is soon reused for another request.
+type thinReq struct {
+	conn tcpsim.Ref   // the request connection; zero once answered or dropped
+	pay  []tcpsim.Ref // the payment connection(s), in the order they registered
+}
+
+// paymentConn marks an accepted Conn's Ctx once it is registered as a
+// payment channel.
+type paymentConn struct{}
 
 // ThinnerConfig assembles a ThinnerApp.
 type ThinnerConfig struct {
@@ -83,11 +101,12 @@ type ThinnerConfig struct {
 // server's Done and Failed callbacks are taken over by the app.
 func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cfg ThinnerConfig) *ThinnerApp {
 	a := &ThinnerApp{
-		sizes:    cfg.Sizes.withDefaults(),
-		srv:      srv,
-		reqConns: make(map[core.RequestID]*tcpsim.Conn),
-		payConns: make(map[core.RequestID][]*tcpsim.Conn),
+		sizes: cfg.Sizes.withDefaults(),
+		srv:   srv,
+		reqs:  make(map[core.RequestID]*thinReq),
 	}
+	a.onBytes = a.bytesArrived
+	a.onRecord = a.recordArrived
 	cb := core.Callbacks{
 		Admit:   a.serve,
 		Evict:   a.evict,
@@ -170,85 +189,124 @@ func (a *ThinnerApp) evict(id core.RequestID, paid int64, wasted bool) {
 	}
 }
 
+// entry returns id's connections, creating the entry if absent.
+func (a *ThinnerApp) entry(id core.RequestID) *thinReq {
+	if e := a.reqs[id]; e != nil {
+		return e
+	}
+	var e *thinReq
+	if k := len(a.free); k > 0 {
+		e = a.free[k-1]
+		a.free = a.free[:k-1]
+	} else {
+		e = &thinReq{}
+	}
+	a.reqs[id] = e
+	return e
+}
+
+// tidy frees id's entry once it holds no connection.
+func (a *ThinnerApp) tidy(id core.RequestID, e *thinReq) {
+	if e.conn == (tcpsim.Ref{}) && len(e.pay) == 0 {
+		delete(a.reqs, id)
+		a.free = append(a.free, e)
+	}
+}
+
+// forget drops id's request connection, closing it first if close is
+// set and it is still open.
+func (a *ThinnerApp) forget(id core.RequestID, close bool) {
+	e := a.reqs[id]
+	if e == nil || e.conn == (tcpsim.Ref{}) {
+		return
+	}
+	if conn := e.conn.Conn(); close && conn != nil && !conn.Closed() {
+		conn.Close()
+	}
+	e.conn = tcpsim.Ref{}
+	a.tidy(id, e)
+}
+
 // respond sends the final response on the request connection.
 func (a *ThinnerApp) respond(id core.RequestID) {
-	if conn, ok := a.reqConns[id]; ok {
-		if !conn.Closed() {
-			conn.Write(a.sizes.Response, &msg{kind: kindResponse, id: id})
-		}
-		delete(a.reqConns, id)
-	}
+	a.reply(id, kindResponse, a.sizes.Response)
+	a.forget(id, false)
 }
 
 // reply sends a small control message on the request connection.
 func (a *ThinnerApp) reply(id core.RequestID, kind msgKind, size int) {
-	if conn, ok := a.reqConns[id]; ok && !conn.Closed() {
-		conn.Write(size, &msg{kind: kind, id: id})
+	if e := a.reqs[id]; e != nil {
+		if conn := e.conn.Conn(); conn != nil && !conn.Closed() {
+			conn.Write(size, newMsg(kind, id))
+		}
 	}
 }
 
 // replyAndForget replies and drops the request state (a refusal).
 func (a *ThinnerApp) replyAndForget(id core.RequestID, kind msgKind, size int) {
 	a.reply(id, kind, size)
-	delete(a.reqConns, id)
+	a.forget(id, false)
 }
 
 // failRequest tears down a request the origin lost (a crash, or a §5
 // abort): the closed request connection is how the client learns.
 func (a *ThinnerApp) failRequest(id core.RequestID) {
 	a.closePayment(id)
-	if conn, ok := a.reqConns[id]; ok {
-		if !conn.Closed() {
-			conn.Close()
-		}
-		delete(a.reqConns, id)
-	}
+	a.forget(id, true)
 }
 
 // closePayment tears down all payment channels for id.
 func (a *ThinnerApp) closePayment(id core.RequestID) {
-	for _, conn := range a.payConns[id] {
-		if !conn.Closed() {
+	e := a.reqs[id]
+	if e == nil {
+		return
+	}
+	for _, ref := range e.pay {
+		if conn := ref.Conn(); conn != nil && !conn.Closed() {
 			conn.Close()
 		}
 	}
-	delete(a.payConns, id)
+	clear(e.pay)
+	e.pay = e.pay[:0]
+	a.tidy(id, e)
 }
 
 // accept handles a new inbound connection: its records drive the
 // protocol.
 func (a *ThinnerApp) accept(conn *tcpsim.Conn) {
-	// Payment bytes may arrive long before the first full POST record
-	// completes, so the channel is registered on first bytes — eviction
-	// must be able to close it mid-POST.
-	registered := false
-	conn.OnBytes = func(n int, meta any) {
-		m, ok := meta.(*msg)
-		if !ok || m.kind != kindPost {
-			return
-		}
-		if !registered {
-			a.payConns[m.id] = append(a.payConns[m.id], conn)
-			registered = true
-		}
-		a.policy.PaymentReceived(m.id, int64(n))
+	conn.OnBytes = a.onBytes
+	conn.OnRecord = a.onRecord
+}
+
+// bytesArrived credits payment bytes. They may arrive long before the
+// first full POST record completes, so the channel is registered on
+// its first bytes: eviction must be able to close it mid-POST.
+func (a *ThinnerApp) bytesArrived(conn *tcpsim.Conn, n int, tag uint64) {
+	m := msg(tag)
+	if m.kind() != kindPost {
+		return
 	}
-	conn.OnRecord = func(meta any) {
-		m, ok := meta.(*msg)
-		if !ok {
-			return
-		}
-		switch m.kind {
-		case kindInitial:
-			a.reqConns[m.id] = conn
-			a.initialArrived(m.id, core.Address(conn.Remote()))
-		case kindRequest:
-			a.policy.RequestArrived(m.id) // the re-issued request (1)
-		case kindPost:
-			// Full POST delivered without a win: ask for another.
-			if !conn.Closed() {
-				conn.Write(a.sizes.Continue, &msg{kind: kindContinue, id: m.id})
-			}
+	if conn.Ctx == nil {
+		e := a.entry(m.id())
+		e.pay = append(e.pay, conn.Ref())
+		conn.Ctx = paymentConn{}
+	}
+	a.policy.PaymentReceived(m.id(), int64(n))
+}
+
+// recordArrived handles one complete client message.
+func (a *ThinnerApp) recordArrived(conn *tcpsim.Conn, tag uint64) {
+	m := msg(tag)
+	switch m.kind() {
+	case kindInitial:
+		a.entry(m.id()).conn = conn.Ref()
+		a.initialArrived(m.id(), core.Address(conn.Remote()))
+	case kindRequest:
+		a.policy.RequestArrived(m.id()) // the re-issued request (1)
+	case kindPost:
+		// Full POST delivered without a win: ask for another.
+		if !conn.Closed() {
+			conn.Write(a.sizes.Continue, newMsg(kindContinue, m.id()))
 		}
 	}
 }

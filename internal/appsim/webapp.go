@@ -3,6 +3,7 @@ package appsim
 import (
 	"time"
 
+	"speakup/internal/core"
 	"speakup/internal/metrics"
 	"speakup/internal/netsim"
 	"speakup/internal/sim"
@@ -18,18 +19,16 @@ type WebServerApp struct {
 // NewWebServerApp installs the file server on a stack.
 func NewWebServerApp(stack *tcpsim.Stack) *WebServerApp {
 	a := &WebServerApp{stack: stack}
-	stack.Listen(func(conn *tcpsim.Conn) {
-		conn.OnRecord = func(meta any) {
-			m, ok := meta.(*msg)
-			if !ok || m.kind != kindGet {
-				return
-			}
-			if !conn.Closed() {
-				conn.Write(m.n, &msg{kind: kindFile, id: m.id})
-			}
-		}
-	})
+	stack.Listen(func(conn *tcpsim.Conn) { conn.OnRecord = serveFile })
 	return a
+}
+
+// serveFile answers a GET with a file of the size it asks for.
+func serveFile(conn *tcpsim.Conn, tag uint64) {
+	m := msg(tag)
+	if m.kind() == kindGet && !conn.Closed() {
+		conn.Write(int(m.id()), newMsg(kindFile, 0))
+	}
 }
 
 // BystanderApp emulates the paper's wget host H: it downloads a file
@@ -42,8 +41,8 @@ type BystanderApp struct {
 	fileSize int
 	reqSize  int
 
-	nextID    uint64
 	started   time.Duration
+	onRecord  func(*tcpsim.Conn, uint64) // built once for every download
 	Latencies metrics.Sample
 	Completed int
 
@@ -53,13 +52,15 @@ type BystanderApp struct {
 
 // NewBystanderApp creates the downloader; call Start to begin.
 func NewBystanderApp(stack *tcpsim.Stack, server netsim.NodeID, fileSize int) *BystanderApp {
-	return &BystanderApp{
+	b := &BystanderApp{
 		loop:     stack.Net().Loop(),
 		stack:    stack,
 		server:   server,
 		fileSize: fileSize,
 		reqSize:  200,
 	}
+	b.onRecord = b.fileArrived
+	return b
 }
 
 // Start begins the download loop.
@@ -69,20 +70,19 @@ func (b *BystanderApp) download() {
 	if b.MaxDownloads > 0 && b.Completed >= b.MaxDownloads {
 		return
 	}
-	b.nextID++
-	id := b.nextID
 	b.started = b.loop.Now()
 	conn := b.stack.Dial(b.server, nil)
-	conn.Write(b.reqSize, &msg{kind: kindGet, id: 0, n: b.fileSize})
-	conn.OnRecord = func(meta any) {
-		m, ok := meta.(*msg)
-		if !ok || m.kind != kindFile {
-			return
-		}
-		b.Latencies.AddDuration(b.loop.Now() - b.started)
-		b.Completed++
-		conn.Close()
-		b.download()
+	conn.Write(b.reqSize, newMsg(kindGet, core.RequestID(b.fileSize)))
+	conn.OnRecord = b.onRecord
+}
+
+// fileArrived records a finished download and starts the next.
+func (b *BystanderApp) fileArrived(conn *tcpsim.Conn, tag uint64) {
+	if msg(tag).kind() != kindFile {
+		return
 	}
-	_ = id
+	b.Latencies.AddDuration(b.loop.Now() - b.started)
+	b.Completed++
+	conn.Close()
+	b.download()
 }

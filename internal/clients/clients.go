@@ -91,16 +91,22 @@ type Client struct {
 	rng   *rand.Rand
 
 	outstanding int
-	backlog     []backlogEntry
-	nextID      func() core.RequestID
-	stats       Stats
-	stopped     bool
-	stopArrival func()
-	arrivalFn   func() // built once; rescheduled every arrival
+	// backlog[head:] is the queue, oldest first. Popping advances head;
+	// a push into a full array shifts the queue down to the front if at
+	// least half of the array is popped, and grows it otherwise. So the
+	// copies cost O(1) per arrival, and a steady arrival and completion
+	// rate reuses one array.
+	backlog   []backlogEntry
+	head      int
+	nextID    func() core.RequestID
+	stats     Stats
+	stopped   bool
+	arrival   core.Timer
+	arrivalFn func() // built once; rescheduled every arrival
 
-	retries   map[core.RequestID]int    // attempts burned per in-flight id (retry mode only)
-	backoffs  map[core.RequestID]func() // pending retry cancels (retry mode only)
-	deadlines map[core.RequestID]func() // pending deadline cancels (deadline mode only)
+	retries   map[core.RequestID]int        // attempts burned per in-flight id (retry mode only)
+	backoffs  map[core.RequestID]core.Timer // pending retries (retry mode only)
+	deadlines map[core.RequestID]core.Timer // pending deadlines (deadline mode only)
 
 	// Issue starts the protocol exchange for a fresh request.
 	Issue func(id core.RequestID)
@@ -130,7 +136,7 @@ func New(clock core.Clock, cfg Config, nextID func() core.RequestID) *Client {
 		nextID: nextID,
 	}
 	c.arrivalFn = func() {
-		c.arrival()
+		c.arrive()
 		c.scheduleArrival()
 	}
 	return c
@@ -143,7 +149,7 @@ func (c *Client) Stats() Stats { return c.stats }
 func (c *Client) Outstanding() int { return c.outstanding }
 
 // BacklogLen returns the number of queued requests.
-func (c *Client) BacklogLen() int { return len(c.backlog) }
+func (c *Client) BacklogLen() int { return len(c.backlog) - c.head }
 
 // Start begins the arrival process.
 func (c *Client) Start() {
@@ -155,12 +161,10 @@ func (c *Client) Start() {
 // not issued; a request waiting out a retry backoff counts Failed now.
 func (c *Client) Stop() {
 	c.stopped = true
-	if c.stopArrival != nil {
-		c.stopArrival()
-		c.stopArrival = nil
-	}
-	for id, cancel := range c.backoffs {
-		cancel()
+	c.arrival.Stop()
+	c.arrival = core.Timer{}
+	for id, backoff := range c.backoffs {
+		backoff.Stop()
 		delete(c.backoffs, id)
 		delete(c.retries, id)
 		c.stats.Failed++
@@ -173,13 +177,13 @@ func (c *Client) scheduleArrival() {
 		return
 	}
 	gap := c.cfg.Pacer.Gap(c.clock.Now(), c.rng)
-	c.stopArrival = c.clock.After(gap, c.arrivalFn)
+	c.arrival = c.clock.After(gap, c.arrivalFn)
 }
 
 // window returns the cap in force now.
 func (c *Client) window() int { return c.cfg.Pacer.Window(c.clock.Now()) }
 
-func (c *Client) arrival() {
+func (c *Client) arrive() {
 	c.stats.Generated++
 	c.expireBacklog()
 	id := c.nextID()
@@ -187,7 +191,21 @@ func (c *Client) arrival() {
 		c.issue(id)
 		return
 	}
+	if len(c.backlog) == cap(c.backlog) && 2*c.head >= len(c.backlog) && c.head > 0 {
+		c.backlog = c.backlog[:copy(c.backlog, c.backlog[c.head:])]
+		c.head = 0
+	}
 	c.backlog = append(c.backlog, backlogEntry{id: id, enqueued: c.clock.Now()})
+}
+
+// popBacklog removes and returns the oldest queued arrival.
+func (c *Client) popBacklog() backlogEntry {
+	e := c.backlog[c.head]
+	c.head++
+	if c.head == len(c.backlog) {
+		c.backlog, c.head = c.backlog[:0], 0
+	}
+	return e
 }
 
 func (c *Client) issue(id core.RequestID) {
@@ -204,7 +222,7 @@ func (c *Client) armDeadline(id core.RequestID) {
 		return
 	}
 	if c.deadlines == nil {
-		c.deadlines = make(map[core.RequestID]func())
+		c.deadlines = make(map[core.RequestID]core.Timer)
 	}
 	c.deadlines[id] = c.clock.After(c.cfg.Deadline, func() {
 		delete(c.deadlines, id)
@@ -218,8 +236,8 @@ func (c *Client) armDeadline(id core.RequestID) {
 }
 
 func (c *Client) disarmDeadline(id core.RequestID) {
-	if cancel, ok := c.deadlines[id]; ok {
-		cancel()
+	if deadline, ok := c.deadlines[id]; ok {
+		deadline.Stop()
 		delete(c.deadlines, id)
 	}
 }
@@ -231,17 +249,12 @@ func (c *Client) disarmDeadline(id core.RequestID) {
 // run hundreds deep, and this runs on every arrival and completion).
 func (c *Client) expireBacklog() {
 	cutoff := c.clock.Now() - c.cfg.BacklogTimeout
-	n := 0
-	for n < len(c.backlog) && c.backlog[n].enqueued <= cutoff {
+	for c.head < len(c.backlog) && c.backlog[c.head].enqueued <= cutoff {
+		e := c.popBacklog()
 		c.stats.Denied++
 		if c.OnDenial != nil {
-			c.OnDenial(c.backlog[n].id)
+			c.OnDenial(e.id)
 		}
-		n++
-	}
-	if n > 0 {
-		rest := copy(c.backlog, c.backlog[n:])
-		c.backlog = c.backlog[:rest]
 	}
 }
 
@@ -270,7 +283,7 @@ func (c *Client) RequestFailed(id core.RequestID, floor time.Duration) (retrying
 	if c.cfg.RetryBudget > 0 && !c.stopped {
 		if c.retries == nil {
 			c.retries = make(map[core.RequestID]int)
-			c.backoffs = make(map[core.RequestID]func())
+			c.backoffs = make(map[core.RequestID]core.Timer)
 		}
 		attempt := c.retries[id]
 		if attempt < c.cfg.RetryBudget {
@@ -298,9 +311,7 @@ func (c *Client) completeOne() {
 		c.outstanding--
 	}
 	c.expireBacklog()
-	for !c.stopped && c.outstanding < c.window() && len(c.backlog) > 0 {
-		e := c.backlog[0]
-		c.backlog = c.backlog[1:]
-		c.issue(e.id)
+	for !c.stopped && c.outstanding < c.window() && c.head < len(c.backlog) {
+		c.issue(c.popBacklog().id)
 	}
 }

@@ -234,3 +234,35 @@ func TestPacerDrivesTimingAndWindow(t *testing.T) {
 		t.Fatal("collapsed window should leave arrivals in the backlog")
 	}
 }
+
+// A bad client runs hundreds of arrivals deep in its backlog, and each
+// completion issues the oldest of them while the next arrival queues at
+// the back. Cycling the two must keep reusing the backlog's array: a
+// pop that dropped the array's front capacity would make the appends
+// reallocate.
+func TestBacklogCycleZeroAlloc(t *testing.T) {
+	loop := sim.NewLoop(1)
+	c := New(simclock.New(loop), Config{Pacer: poisson(40, 1), Seed: 1}, idGen())
+	var last core.RequestID
+	c.Issue = func(id core.RequestID) { last = id }
+	for i := 0; i < 500; i++ {
+		c.arrive()
+	}
+	// AllocsPerRun truncates to whole objects per run, so each run
+	// cycles a thousand times.
+	cycles := func() {
+		for i := 0; i < 1000; i++ {
+			c.arrive()
+			c.RequestServed(last)
+		}
+	}
+	cycles() // the array settles at its final size
+	if avg := testing.AllocsPerRun(20, cycles); avg != 0 {
+		t.Fatalf("a thousand arrivals and completions over a deep backlog allocate %.0f objects, want 0", avg)
+	}
+	st := c.Stats()
+	if c.BacklogLen() != 499 || c.Outstanding() != 1 || st.Issued != 1+22*1000 || last != core.RequestID(st.Issued) {
+		t.Fatalf("backlog %d, outstanding %d, issued %d, last id %d: want 499 queued behind one in flight, issued in order",
+			c.BacklogLen(), c.Outstanding(), st.Issued, last)
+	}
+}

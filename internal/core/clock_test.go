@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+	"sync"
+	"testing"
 	"time"
 )
 
@@ -21,12 +23,14 @@ type fakeTimer struct {
 
 func (c *fakeClock) Now() time.Duration { return c.now }
 
-func (c *fakeClock) After(d time.Duration, fn func()) func() {
+func (c *fakeClock) After(d time.Duration, fn func()) Timer {
 	c.nextID++
 	t := &fakeTimer{id: c.nextID, at: c.now + d, fn: fn}
 	c.timers = append(c.timers, t)
-	return func() { t.dead = true }
+	return NewTimer(t, 0)
 }
+
+func (t *fakeTimer) CancelTimer(uint64) { t.dead = true }
 
 // Advance moves time forward, firing due timers in order.
 func (c *fakeClock) Advance(d time.Duration) {
@@ -59,4 +63,28 @@ func (c *fakeClock) Advance(d time.Duration) {
 	}
 	c.timers = live
 	sort.Slice(c.timers, func(i, j int) bool { return c.timers[i].at < c.timers[j].at })
+}
+
+// A WallClock callback that has fired but is still waiting for Mu when
+// its Timer is stopped never runs, as on a virtual clock. A later timer
+// shows it: had the stopped callback run, it would have taken Mu as
+// soon as the test released it, before the later one fired.
+func TestWallClockStoppedCallbackNeverRuns(t *testing.T) {
+	var mu sync.Mutex
+	c := &WallClock{Mu: &mu, Epoch: time.Now()}
+	ran := make(chan int, 2)
+	mu.Lock()
+	stopped := c.After(time.Millisecond, func() { ran <- 1 })
+	time.Sleep(20 * time.Millisecond) // the timer fires; its callback waits for mu
+	stopped.Stop()
+	mu.Unlock()
+	c.After(20*time.Millisecond, func() { ran <- 2 })
+	if got := <-ran; got != 2 {
+		t.Fatal("a stopped WallClock callback ran")
+	}
+	select {
+	case <-ran:
+		t.Fatal("a stopped WallClock callback ran")
+	default:
+	}
 }

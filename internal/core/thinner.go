@@ -45,8 +45,34 @@ type RequestID uint64
 type Clock interface {
 	// Now returns the elapsed time since an arbitrary epoch.
 	Now() time.Duration
-	// After schedules fn after d; the returned function cancels it.
-	After(d time.Duration, fn func()) (cancel func())
+	// After schedules fn after d and returns a handle that cancels it.
+	After(d time.Duration, fn func()) Timer
+}
+
+// Timer is a handle to a callback scheduled with Clock.After. It is a
+// small value, so a clock whose timers need no state of their own (the
+// simulator's) hands one out without allocating. The zero Timer refers
+// to nothing.
+type Timer struct {
+	c  TimerCanceler
+	id uint64
+}
+
+// TimerCanceler is the part of a Clock that cancels its timers: id is
+// whatever the clock stored in the Timer with NewTimer.
+type TimerCanceler interface {
+	CancelTimer(id uint64)
+}
+
+// NewTimer returns a Timer that Stop cancels by calling c.CancelTimer(id).
+func NewTimer(c TimerCanceler, id uint64) Timer { return Timer{c: c, id: id} }
+
+// Stop cancels the callback if it has not run yet. Stopping the zero
+// Timer, or one that already ran or was stopped, does nothing.
+func (t Timer) Stop() {
+	if t.c != nil {
+		t.c.CancelTimer(t.id)
+	}
 }
 
 // WallClock is Clock over real time: Now is the time since Epoch, and
@@ -62,19 +88,29 @@ type WallClock struct {
 func (c *WallClock) Now() time.Duration { return time.Since(c.Epoch) }
 
 // After implements Clock.
-func (c *WallClock) After(d time.Duration, fn func()) func() {
-	var cancelled atomic.Bool
-	t := time.AfterFunc(d, func() {
+func (c *WallClock) After(d time.Duration, fn func()) Timer {
+	w := &wallTimer{}
+	w.t = time.AfterFunc(d, func() {
 		c.Mu.Lock()
 		defer c.Mu.Unlock()
-		if !cancelled.Load() {
+		if !w.cancelled.Load() {
 			fn()
 		}
 	})
-	return func() {
-		cancelled.Store(true)
-		t.Stop()
-	}
+	return NewTimer(w, 0)
+}
+
+// wallTimer is one WallClock timer: the flag is what keeps a callback
+// already waiting for Mu from running once cancelled.
+type wallTimer struct {
+	t         *time.Timer
+	cancelled atomic.Bool
+}
+
+// CancelTimer implements TimerCanceler.
+func (w *wallTimer) CancelTimer(uint64) {
+	w.cancelled.Store(true)
+	w.t.Stop()
 }
 
 // Policy is an admission policy: the Thinner (§3.3, or §5 with a
@@ -247,9 +283,9 @@ type Thinner struct {
 	holdUntil time.Duration // HealthRecovering: evictions held until here
 	lastSweep time.Duration // when the sweep chain last ticked (liveness probe)
 
-	stopSweep func()
-	sweepGen  uint64      // invalidates fired-but-unrun sweep timers on Reconfigure
-	sweepIDs  []RequestID // reused eviction buffer; sweep is single-goroutine
+	sweepTimer Timer       // the pending sweep; zero once Stop ends the chain
+	sweepGen   uint64      // invalidates fired-but-unrun sweep timers on Reconfigure
+	sweepIDs   []RequestID // reused eviction buffer; sweep is single-goroutine
 
 	// Trace, if non-nil, receives sampled request-lifecycle events
 	// (arrive, auction rounds, settle). Set it before traffic, from the
@@ -331,12 +367,12 @@ func (t *Thinner) Reconfigure(cfg Config) error {
 	}
 	t.cfg = next
 	t.table.UpdateInactivityTimeout(next.InactivityTimeout)
-	if t.stopSweep != nil {
+	if t.sweepTimer != (Timer{}) {
 		// Restart the sweep chain at the new cadence. The old timer may
 		// already have fired and be blocked on the control mutex we hold;
 		// bumping the generation makes that stale callback a no-op
 		// instead of a second concurrent chain.
-		t.stopSweep()
+		t.sweepTimer.Stop()
 		t.sweepGen++
 		t.scheduleSweep()
 	}
@@ -345,10 +381,8 @@ func (t *Thinner) Reconfigure(cfg Config) error {
 
 // Stop cancels the timeout sweeper.
 func (t *Thinner) Stop() {
-	if t.stopSweep != nil {
-		t.stopSweep()
-		t.stopSweep = nil
-	}
+	t.sweepTimer.Stop()
+	t.sweepTimer = Timer{}
 }
 
 // Health returns the origin-health brownout state. It only moves on the
@@ -533,7 +567,7 @@ func (t *Thinner) scheduleSweep() {
 	if t.cfg.Quantum > 0 {
 		every = t.cfg.Quantum
 	}
-	t.stopSweep = t.clock.After(every, func() {
+	t.sweepTimer = t.clock.After(every, func() {
 		if t.sweepGen != gen {
 			return // Reconfigure restarted the chain after this timer fired
 		}

@@ -90,10 +90,11 @@ type RandomDrop struct {
 	rng   *rand.Rand
 	cfg   RandomDropConfig
 
-	prob     float64
-	arrived  int // requests in the current adaptation interval
-	stopTick func()
-	queue    []RequestID // admitted, waiting for the server
+	prob    float64
+	arrived int // requests in the current adaptation interval
+	tick    Timer
+	tickFn  func()      // built once; rescheduled every AdaptEvery
+	queue   []RequestID // admitted, waiting for the server
 }
 
 // RandomDropConfig tunes a RandomDrop front-end.
@@ -133,6 +134,7 @@ func NewRandomDrop(clock Clock, cfg RandomDropConfig) *RandomDrop {
 		cfg:   cfg.withDefaults(),
 		prob:  1,
 	}
+	r.tickFn = r.adapt
 	r.scheduleTick()
 	return r
 }
@@ -142,23 +144,23 @@ func (r *RandomDrop) Prob() float64 { return r.prob }
 
 // Stop cancels the adaptation timer.
 func (r *RandomDrop) Stop() {
-	if r.stopTick != nil {
-		r.stopTick()
-		r.stopTick = nil
-	}
+	r.tick.Stop()
+	r.tick = Timer{}
 }
 
-func (r *RandomDrop) scheduleTick() {
-	r.stopTick = r.clock.After(r.cfg.AdaptEvery, func() {
-		rate := float64(r.arrived) / r.cfg.AdaptEvery.Seconds()
-		r.arrived = 0
-		if rate <= r.cfg.Capacity {
-			r.prob = 1
-		} else {
-			r.prob = r.cfg.Capacity / rate
-		}
-		r.scheduleTick()
-	})
+func (r *RandomDrop) scheduleTick() { r.tick = r.clock.After(r.cfg.AdaptEvery, r.tickFn) }
+
+// adapt sets the admission probability from the last interval's
+// arrival rate and starts the next interval.
+func (r *RandomDrop) adapt() {
+	rate := float64(r.arrived) / r.cfg.AdaptEvery.Seconds()
+	r.arrived = 0
+	if rate <= r.cfg.Capacity {
+		r.prob = 1
+	} else {
+		r.prob = r.cfg.Capacity / rate
+	}
+	r.scheduleTick()
 }
 
 // RequestArrived applies the drop coin. Admitted requests go to the

@@ -89,3 +89,53 @@ func TestDropZeroAlloc(t *testing.T) {
 		t.Fatal("expected drops")
 	}
 }
+
+// poolPayload is a payload from a free list, the way tcpsim's segments
+// are pooled.
+type poolPayload struct{ free *[]*poolPayload }
+
+func (p *poolPayload) Recycle() { *p.free = append(*p.free, p) }
+
+// A payload lost to drop-tail or to a loss fault goes back to its pool,
+// and one delivered does not: with every packet's payload drawn from a
+// pool and returned on delivery by the handler, a lossy link allocates
+// nothing and the pool ends as deep as it began.
+func TestDropRecyclesPayload(t *testing.T) {
+	loop := sim.NewLoop(1)
+	loop.Grow(64)
+	n := New(loop)
+	var free []*poolPayload
+	for i := 0; i < 8; i++ {
+		free = append(free, &poolPayload{free: &free})
+	}
+	a := n.AddNode("a", nil)
+	delivered := 0
+	b := n.AddNode("b", func(p *Packet) {
+		delivered++
+		p.Payload.(*poolPayload).Recycle()
+	})
+	l, _ := n.Connect(a, b, 8e6, time.Millisecond, 1000) // tiny queue: bursts drop
+	n.ComputeRoutes()
+	l.SetFault(FaultState{Loss: 0.3}, 7)
+
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			pl := free[len(free)-1]
+			free = free[:len(free)-1]
+			pkt := n.NewPacket()
+			pkt.Size, pkt.Src, pkt.Dst, pkt.Payload = 1000, a, b, pl
+			n.Send(pkt)
+		}
+		loop.RunAll()
+	}
+	burst()
+	if avg := testing.AllocsPerRun(500, burst); avg != 0 {
+		t.Fatalf("lossy burst allocates %.1f objects/op, want 0", avg)
+	}
+	if len(free) != 8 {
+		t.Fatalf("pool holds %d payloads after the bursts, want all 8 back", len(free))
+	}
+	if l.Stats.PktsDropped == 0 || l.Stats.PktsLost == 0 || delivered == 0 {
+		t.Fatalf("stats %+v, %d delivered: want drops, losses and deliveries", l.Stats, delivered)
+	}
+}

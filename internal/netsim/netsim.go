@@ -13,8 +13,9 @@
 //
 // The per-packet path is allocation-free in steady state: packets come
 // from a per-Network free list (NewPacket / Send recycles them after
-// final delivery or drop), link queues are reusing ring buffers, and
-// the transmit/propagate hops are typed sim events rather than
+// final delivery or drop), a payload lost to a drop goes back to its
+// owner's pool through Recycler, link queues are reusing ring buffers,
+// and the transmit/propagate hops are typed sim events rather than
 // closures. Consequently the network owns every packet passed to Send:
 // handlers may read the packet (and keep its Payload) but must not
 // retain the *Packet itself past the callback.
@@ -40,6 +41,15 @@ type Packet struct {
 	Size     int
 	Src, Dst NodeID
 	Payload  any
+}
+
+// Recycler is implemented by payloads that belong to a pool. When the
+// network destroys a packet before delivery (a drop-tail overflow or
+// an injected loss), it calls Recycle on the payload, so the payload
+// goes back to its owner rather than to the garbage collector. A
+// delivered payload is the receiving handler's to recycle.
+type Recycler interface {
+	Recycle()
 }
 
 // Handler receives packets addressed to a node. The network reclaims
@@ -217,16 +227,25 @@ func New(loop *sim.Loop) *Network {
 // Loop returns the underlying event loop.
 func (n *Network) Loop() *sim.Loop { return n.loop }
 
-// NewPacket returns a zeroed packet from the network's free list (or a
-// fresh one). Packets given to Send return to the list automatically
-// on final delivery or drop.
+// pktBlock is how many packets the free list grows by at once: the
+// packets in flight keep climbing for a while after traffic starts,
+// and growing in blocks makes that one allocation per block.
+const pktBlock = 64
+
+// NewPacket returns a zeroed packet from the network's free list,
+// growing the list by a block when it is empty. Packets given to Send
+// return to the list automatically on final delivery or drop.
 func (n *Network) NewPacket() *Packet {
-	if k := len(n.pktFree); k > 0 {
-		p := n.pktFree[k-1]
-		n.pktFree = n.pktFree[:k-1]
-		return p
+	if len(n.pktFree) == 0 {
+		blk := new([pktBlock]Packet)
+		for i := range blk {
+			n.pktFree = append(n.pktFree, &blk[i])
+		}
 	}
-	return &Packet{}
+	k := len(n.pktFree) - 1
+	p := n.pktFree[k]
+	n.pktFree = n.pktFree[:k]
+	return p
 }
 
 // reclaim recycles a packet whose journey has ended. The Payload
@@ -346,20 +365,14 @@ func (l *Link) enqueue(pkt *Packet) {
 	if f := l.fault; f != nil && (f.Down || (f.Loss > 0 && f.rng.Float64() < f.Loss)) {
 		l.Stats.PktsLost++
 		l.Stats.BytesLost += uint64(pkt.Size)
-		if l.net.Trace != nil {
-			l.net.Trace("drop", l, pkt)
-		}
-		l.net.reclaim(pkt)
+		l.drop(pkt)
 		return
 	}
 	if l.busy {
 		if l.qcap > 0 && l.queued+pkt.Size > l.qcap {
 			l.Stats.PktsDropped++
 			l.Stats.BytesDropped += uint64(pkt.Size)
-			if l.net.Trace != nil {
-				l.net.Trace("drop", l, pkt)
-			}
-			l.net.reclaim(pkt)
+			l.drop(pkt)
 			return
 		}
 		l.queued += pkt.Size
@@ -367,6 +380,18 @@ func (l *Link) enqueue(pkt *Packet) {
 		return
 	}
 	l.transmit(pkt)
+}
+
+// drop destroys pkt on l: the tracer sees it, its payload goes back to
+// its pool, and the packet to the network's.
+func (l *Link) drop(pkt *Packet) {
+	if l.net.Trace != nil {
+		l.net.Trace("drop", l, pkt)
+	}
+	if r, ok := pkt.Payload.(Recycler); ok {
+		r.Recycle()
+	}
+	l.net.reclaim(pkt)
 }
 
 // transmit starts serializing pkt onto the wire. The tx-done and

@@ -54,7 +54,7 @@ type Server struct {
 	current     core.RequestID
 	startedAt   time.Duration
 	pendingWork time.Duration // total work of the in-service request
-	finish      func()        // cancels the completion timer
+	finish      core.Timer    // the completion timer
 	finishAt    time.Duration // when the completion timer fires (stalls push it)
 	stallUntil  time.Duration // the origin is frozen until this instant
 	suspended   map[core.RequestID]time.Duration
@@ -158,7 +158,7 @@ func (s *Server) complete() {
 	s.stats.TotalWork += s.pendingWork
 	s.stats.BusyTime += s.pendingWork
 	s.busy = false
-	s.finish = nil
+	s.finish = core.Timer{}
 	total := s.workOf[id]
 	delete(s.workOf, id)
 	if s.Observer != nil {
@@ -176,8 +176,8 @@ func (s *Server) Suspend(id core.RequestID) {
 		panic(fmt.Sprintf("server: Suspend(%d) not in service", id))
 	}
 	done := s.served(s.clock.Now())
-	s.finish()
-	s.finish = nil
+	s.finish.Stop()
+	s.finish = core.Timer{}
 	s.busy = false
 	s.stats.Suspends++
 	s.stats.BusyTime += done
@@ -249,7 +249,7 @@ func (s *Server) Stall(d time.Duration) {
 	s.stallUntil = until
 	s.stats.Stalls++
 	if s.busy {
-		s.finish()
+		s.finish.Stop()
 		s.finishAt += added
 		s.finish = s.clock.After(s.finishAt-now, s.completeFn)
 	}
@@ -272,8 +272,8 @@ func (s *Server) Crash(downFor time.Duration) {
 		return
 	}
 	id := s.current
-	s.finish()
-	s.finish = nil
+	s.finish.Stop()
+	s.finish = core.Timer{}
 	s.busy = false
 	s.stats.Lost++
 	s.stats.BusyTime += done

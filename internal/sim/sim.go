@@ -77,6 +77,13 @@ type Event struct {
 	gen  uint32
 }
 
+// Key packs the handle into one word, for holders that store handles
+// behind an interface (simclock's core.Timer); EventOfKey unpacks it.
+func (e Event) Key() uint64 { return uint64(e.slot)<<32 | uint64(e.gen) }
+
+// EventOfKey returns the handle whose Key is k.
+func EventOfKey(k uint64) Event { return Event{slot: uint32(k >> 32), gen: uint32(k)} }
+
 // slot states. A slot is queued, in the near or the far tier, from
 // Schedule until it runs or Cancel removes it (eager deletion: canceled
 // timers leave the queue immediately, so churny re-armed timers — TCP

@@ -11,10 +11,9 @@ import (
 // Steady-state regression fence for the TCP data path. An established
 // connection moving data allocates no segments (pooled per stack), no
 // packets (pooled per network), and no events (arena): without the
-// pools this loop costs ~30 objects per iteration. The only residual
-// allocation is the amortized record bookkeeping in Write/gcRecords
-// (a slice compaction every few hundred records), hence the small
-// threshold instead of a hard zero.
+// pools this loop costs ~30 objects per iteration. The threshold dates
+// from when the record log was compacted into a new slice every few
+// hundred records; it now shifts down in place, and the loop reads 0.
 func TestEstablishedDataFlowNearZeroAlloc(t *testing.T) {
 	loop := sim.NewLoop(1)
 	loop.Grow(256)
@@ -27,14 +26,14 @@ func TestEstablishedDataFlowNearZeroAlloc(t *testing.T) {
 	sb := NewStack(n, b, Options{})
 	sb.Listen(func(c *Conn) {})
 	conn := sa.Dial(b, nil)
-	conn.Write(100_000, "warm") // handshake + slow start + pool warm-up
+	conn.Write(100_000, 1) // handshake + slow start + pool warm-up
 	loop.RunAll()
 	if !conn.Established() {
 		t.Fatal("connection did not establish")
 	}
 
 	iter := func() {
-		conn.Write(10*sa.Options().MSS, "chunk")
+		conn.Write(10*sa.Options().MSS, 1)
 		loop.RunAll()
 	}
 	iter()
@@ -70,7 +69,7 @@ func segmentCensus(d time.Duration) (server, total int) {
 	mss := srv.Options().MSS
 	srv.Listen(func(c *Conn) {
 		got := 0
-		c.OnBytes = func(k int, _ any) {
+		c.OnBytes = func(_ *Conn, k int, _ uint64) {
 			if got += k; got >= 20*mss && !c.Closed() {
 				c.Close()
 			}
@@ -82,7 +81,7 @@ func segmentCensus(d time.Duration) (server, total int) {
 		stacks = append(stacks, cs)
 		var dial func()
 		dial = func() {
-			cs.Dial(sn, nil).Write(100*mss, "upload")
+			cs.Dial(sn, nil).Write(100*mss, 1)
 			if next := loop.Now() + 50*time.Millisecond; next < d {
 				loop.Schedule(next, dial)
 			}

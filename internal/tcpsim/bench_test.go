@@ -26,7 +26,7 @@ func BenchmarkConnTransfer(b *testing.B) {
 		n.Connect(sw, sn, 10e6, 5*time.Millisecond, 20000)
 		srv := NewStack(n, sn, Options{})
 		done := 0
-		srv.Listen(func(c *Conn) { c.OnRecord = func(any) { done++ } })
+		srv.Listen(func(c *Conn) { c.OnRecord = func(*Conn, uint64) { done++ } })
 		var stacks []*Stack
 		for k := 0; k < clients; k++ {
 			cn := n.AddNode("client", nil)
@@ -38,7 +38,7 @@ func BenchmarkConnTransfer(b *testing.B) {
 		var conns []*Conn
 		for _, s := range stacks {
 			c := s.Dial(sn, nil)
-			c.Write(upload, "upload")
+			c.Write(upload, 1)
 			conns = append(conns, c)
 		}
 		events += loop.RunAll()

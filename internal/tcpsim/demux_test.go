@@ -24,14 +24,14 @@ func TestOutOfOrderReassembly(t *testing.T) {
 	rcv.established = true
 	// Unestablished, so Write only records: [0,1000) [1000,3000)
 	// [3000,3500) [3500,6000).
-	snd.Write(1000, "A")
-	snd.Write(2000, "B")
-	snd.Write(500, "C")
-	snd.Write(2500, "D")
+	snd.Write(1000, 'A')
+	snd.Write(2000, 'B')
+	snd.Write(500, 'C')
+	snd.Write(2500, 'D')
 
 	var got []string
-	rcv.OnBytes = func(n int, meta any) { got = append(got, fmt.Sprintf("bytes %d %v", n, meta)) }
-	rcv.OnRecord = func(meta any) { got = append(got, fmt.Sprintf("record %v", meta)) }
+	rcv.OnBytes = func(_ *Conn, n int, meta uint64) { got = append(got, fmt.Sprintf("bytes %d %c", n, meta)) }
+	rcv.OnRecord = func(_ *Conn, meta uint64) { got = append(got, fmt.Sprintf("record %c", meta)) }
 	feed := func(start, end int64) {
 		seg := &segment{sender: snd, seq: start, length: int(end - start)}
 		p.b.dispatch(seg, p.a.Node())
@@ -76,7 +76,7 @@ func TestInOrderTransferBuffersNothing(t *testing.T) {
 	var server *Conn
 	p.b.Listen(func(c *Conn) { server = c })
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(100*1460, "blob")
+	c.Write(100*1460, 1)
 	p.loop.Run(5 * time.Second)
 	if server == nil || server.BytesDelivered != 100*1460 {
 		t.Fatal("transfer did not complete")
@@ -98,7 +98,7 @@ func TestRetransmittedSYNReSYNACKs(t *testing.T) {
 	var atServer int
 	p.b.Listen(func(c *Conn) {
 		accepted = append(accepted, c)
-		c.OnBytes = func(n int, _ any) { atServer += n }
+		c.OnBytes = func(_ *Conn, n int, _ uint64) { atServer += n }
 		if len(accepted) == 1 {
 			for i := 0; i < 3; i++ {
 				p.net.Send(&netsim.Packet{Size: 50, Src: p.b.Node(), Dst: p.a.Node(), Payload: &segment{}})
@@ -106,8 +106,8 @@ func TestRetransmittedSYNReSYNACKs(t *testing.T) {
 		}
 	})
 	var openAt sim.Time = -1
-	c := p.a.Dial(p.b.Node(), func() { openAt = p.loop.Now() })
-	c.Write(1000, "req")
+	c := p.a.Dial(p.b.Node(), func(*Conn) { openAt = p.loop.Now() })
+	c.Write(1000, 1)
 	p.loop.Run(5 * time.Second)
 	if p.ba.Stats.PktsDropped != 1 {
 		t.Fatalf("b->a drops = %d, want 1 (the SYNACK); test setup broken", p.ba.Stats.PktsDropped)
@@ -137,17 +137,17 @@ func TestInFlightSegmentsAfterTeardown(t *testing.T) {
 			var serverCalls, serverCloses int
 			p.b.Listen(func(c *Conn) {
 				server = c
-				c.OnBytes = func(int, any) { serverCalls++ }
-				c.OnRecord = func(any) { serverCalls++ }
-				c.OnClose = func() { serverCloses++ }
-				c.Write(1<<20, "response")
+				c.OnBytes = func(*Conn, int, uint64) { serverCalls++ }
+				c.OnRecord = func(*Conn, uint64) { serverCalls++ }
+				c.OnClose = func(*Conn) { serverCloses++ }
+				c.Write(1<<20, 1)
 			})
 			client := p.a.Dial(p.b.Node(), nil)
 			var clientCalls, clientCloses int
-			client.OnBytes = func(int, any) { clientCalls++ }
-			client.OnRecord = func(any) { clientCalls++ }
-			client.OnClose = func() { clientCloses++ }
-			client.Write(1<<20, "upload")
+			client.OnBytes = func(*Conn, int, uint64) { clientCalls++ }
+			client.OnRecord = func(*Conn, uint64) { clientCalls++ }
+			client.OnClose = func(*Conn) { clientCloses++ }
+			client.Write(1<<20, 1)
 			p.loop.Run(300 * time.Millisecond) // both directions mid-transfer
 
 			closed, calls, closes, peerCloses := client, &clientCalls, &clientCloses, &serverCloses

@@ -15,7 +15,7 @@ func TestLimitedTransmitKeepsAckClockAlive(t *testing.T) {
 	p := newPair(31, 8e6, 10*time.Millisecond, 0)
 	var done sim.Time = -1
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done = p.loop.Now() }
+		c.OnRecord = func(_ *Conn, meta uint64) { done = p.loop.Now() }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
 
@@ -33,7 +33,7 @@ func TestLimitedTransmitKeepsAckClockAlive(t *testing.T) {
 	}
 	p.net.SetHandler(p.b.Node(), handler)
 
-	c.Write(6*1460, "blob")
+	c.Write(6*1460, 1)
 	p.loop.Run(5 * time.Second)
 	if done < 0 {
 		t.Fatal("transfer never completed after single loss")
@@ -58,7 +58,7 @@ func TestEarlyRetransmitTinyFlight(t *testing.T) {
 	p := newPair(33, 8e6, 10*time.Millisecond, 0)
 	var done sim.Time = -1
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done = p.loop.Now() }
+		c.OnRecord = func(_ *Conn, meta uint64) { done = p.loop.Now() }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
 	droppedFirst := false
@@ -71,7 +71,7 @@ func TestEarlyRetransmitTinyFlight(t *testing.T) {
 		}
 		orig.handlePacket(pkt)
 	})
-	c.Write(2*1460, "blob")
+	c.Write(2*1460, 1)
 	p.loop.Run(5 * time.Second)
 	if done < 0 {
 		t.Fatal("transfer never completed")
@@ -99,7 +99,7 @@ func TestRTOBackoffExponential(t *testing.T) {
 		}
 		orig.handlePacket(pkt)
 	})
-	c.Write(1460, "blob")
+	c.Write(1460, 1)
 	p.loop.Run(60 * time.Second)
 	if len(arrivals) < 4 {
 		t.Fatalf("only %d retransmission attempts", len(arrivals))
@@ -122,7 +122,7 @@ func TestNewRenoPartialAckRecovery(t *testing.T) {
 	p := newPair(37, 8e6, 10*time.Millisecond, 0)
 	var done sim.Time = -1
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done = p.loop.Now() }
+		c.OnRecord = func(_ *Conn, meta uint64) { done = p.loop.Now() }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
 	toDrop := map[int]bool{3: true, 5: true}
@@ -139,7 +139,7 @@ func TestNewRenoPartialAckRecovery(t *testing.T) {
 		}
 		orig.handlePacket(pkt)
 	})
-	c.Write(30*1460, "blob")
+	c.Write(30*1460, 1)
 	p.loop.Run(10 * time.Second)
 	if done < 0 {
 		t.Fatal("transfer never completed with two losses")
@@ -153,7 +153,7 @@ func TestCwndFloorAfterRTO(t *testing.T) {
 	p := newPair(39, 2e6, 10*time.Millisecond, 3000)
 	p.b.Listen(func(c *Conn) {})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(1<<20, "blob")
+	c.Write(1<<20, 1)
 	p.loop.Run(30 * time.Second)
 	if c.Cwnd() < 1460 {
 		t.Fatalf("cwnd fell below 1 MSS: %v", c.Cwnd())

@@ -10,12 +10,23 @@
 // with NewReno partial-ACK recovery, and an RFC 6298-style
 // retransmission timer with exponential backoff.
 //
-// Applications write logical bytes annotated with metadata records
-// rather than real buffers: the simulator transfers byte *counts*
-// across the network and, because both endpoints live in one process,
-// hands the receiver the sender's record metadata once the covering
-// bytes have arrived in order. This keeps the hot path allocation-light
-// without changing any on-the-wire behaviour.
+// Applications write logical bytes annotated with record tags rather
+// than real buffers: the simulator transfers byte *counts* across the
+// network and, because both endpoints live in one process, hands the
+// receiver the sender's tag once the covering bytes have arrived in
+// order. A tag is a plain 64-bit word, so the record log holds no
+// pointers and a message costs no allocation.
+//
+// In steady state the stack allocates nothing. Segments come from a
+// per-stack free list and go back to it when delivered or when the
+// network drops them. A Conn goes back to its stack once both of its
+// ends have closed, keeping its record array for the next connection;
+// reassembly arrays are lent by the stack only while a connection has
+// out-of-order data. When the second end of a pair closes, both Conns'
+// generations move on: segments carry their sender's generation, and a
+// segment from an earlier generation is dropped like one for a closed
+// connection. Applications that keep a connection past its close hold
+// a Ref, which stops resolving once the pair is released for reuse.
 package tcpsim
 
 import (
@@ -67,7 +78,8 @@ func (o Options) withDefaults() Options {
 }
 
 type segment struct {
-	sender *Conn // sending endpoint; its peer is the receiving one
+	sender *Conn  // sending endpoint; its peer is the receiving one
+	gen    uint32 // sender's generation when sent
 	syn    bool
 	synAck bool
 	rst    bool
@@ -85,26 +97,57 @@ type Stack struct {
 	accept func(*Conn)
 
 	// segFree recycles the segments this stack allocated: a delivered
-	// segment returns to its sender's stack after dispatch, so each
-	// list stays as deep as that stack's own peak in flight and
-	// steady-state traffic allocates none, even when it is one-sided
-	// (thousands of clients uploading into one server). Segments lost
-	// to drops are simply collected by the GC.
+	// segment returns to its sender's stack after dispatch, and a
+	// dropped one when the network recycles it, so each list stays as
+	// deep as that stack's own peak in flight and steady-state traffic
+	// allocates none, even when it is one-sided (thousands of clients
+	// uploading into one server).
 	segFree []*segment
+
+	// connFree holds Conns ready for reuse. dead holds closed pairs
+	// waiting to join their stacks' free lists: a Conn closed inside a
+	// callback may still be on the call stack (advanceTo iterating its
+	// peer's records), so pairs are only reused once the packet being
+	// handled is done (depth 0).
+	connFree []*Conn
+	dead     []*Conn
+	depth    int
+
+	// oooFree lends reassembly arrays: a Conn holds one only while it
+	// has out-of-order data buffered, so the stack needs as many as
+	// connections reorder at once, not one per connection.
+	oooFree [][]oooRun
 }
 
-// newSegment returns a zeroed segment from the free list (or a fresh
-// one).
+// segBlock is how many segments the free list grows by at once. A
+// stack's peak in flight keeps rising for a while as its connections
+// open their windows; growing in blocks makes that one allocation per
+// block rather than one per segment.
+const segBlock = 32
+
+// newSegment returns a zeroed segment from the free list, growing the
+// list by a block when it is empty.
 func (s *Stack) newSegment() *segment {
-	if k := len(s.segFree); k > 0 {
-		seg := s.segFree[k-1]
-		s.segFree = s.segFree[:k-1]
-		return seg
+	if len(s.segFree) == 0 {
+		blk := new([segBlock]segment)
+		for i := range blk {
+			s.segFree = append(s.segFree, &blk[i])
+		}
 	}
-	return &segment{}
+	k := len(s.segFree) - 1
+	seg := s.segFree[k]
+	s.segFree = s.segFree[:k]
+	return seg
 }
 
-func (s *Stack) freeSegment(seg *segment) {
+// Recycle returns a segment to its sender's stack once it is delivered
+// or the network drops it. A segment with no sender came from no stack
+// and is left to the GC.
+func (seg *segment) Recycle() {
+	if seg.sender == nil {
+		return
+	}
+	s := seg.sender.stack
 	*seg = segment{}
 	s.segFree = append(s.segFree, seg)
 }
@@ -136,10 +179,10 @@ func (s *Stack) Options() Options { return s.opts }
 // installed there observe all data.
 func (s *Stack) Listen(accept func(*Conn)) { s.accept = accept }
 
-// record is a run of application bytes sharing one metadata value.
+// record is a run of application bytes sharing one tag.
 type record struct {
 	start, end int64 // [start, end) offsets in the stream
-	meta       any
+	tag        uint64
 	aborted    bool // truncated by AbortPending: suppress OnRecord
 }
 
@@ -149,23 +192,29 @@ type record struct {
 // incoming stream.
 type Conn struct {
 	stack  *Stack
-	peer   *Conn // opposite endpoint; both are linked when the SYN is accepted
+	peer   *Conn  // opposite endpoint; both are linked when the SYN is accepted
+	gen    uint32 // moves on when the pair is released for reuse; see Ref
 	remote netsim.NodeID
 
 	established bool
 	closed      bool
 
 	// OnOpen fires when the handshake completes (both sides). OnBytes
-	// fires as in-order payload bytes arrive, tagged with the record
-	// metadata they belong to. OnRecord fires when a record's last byte
+	// fires as in-order payload bytes arrive, with the tag of the
+	// record they belong to. OnRecord fires when a record's last byte
 	// arrives in order. OnClose fires on teardown caused by the peer.
-	OnOpen   func()
-	OnBytes  func(n int, meta any)
-	OnRecord func(meta any)
-	OnClose  func()
+	// Each gets the Conn, so one func can serve every connection.
+	OnOpen   func(c *Conn)
+	OnBytes  func(c *Conn, n int, tag uint64)
+	OnRecord func(c *Conn, tag uint64)
+	OnClose  func(c *Conn)
+	// Ctx is the application's: tcpsim never reads it, and clears it
+	// with the callbacks when the Conn is reused.
+	Ctx any
 
 	// --- sender state ---
-	records    []record
+	records    []record // starts in recBuf, which holds what a request exchange writes
+	recBuf     [2]record
 	recBase    int   // index of first record the receiver may still need
 	writeEnd   int64 // total bytes written
 	sndUna     int64
@@ -205,21 +254,68 @@ type Conn struct {
 // Dial opens a connection to the stack bound at the remote node. The
 // returned Conn accepts writes immediately; data flows once the
 // handshake completes. onOpen may be nil.
-func (s *Stack) Dial(remote netsim.NodeID, onOpen func()) *Conn {
+func (s *Stack) Dial(remote netsim.NodeID, onOpen func(*Conn)) *Conn {
 	c := s.newConn(remote)
 	c.OnOpen = onOpen
 	c.sendSYN()
 	return c
 }
 
+// newConn returns a fresh Conn, reusing a recycled one if there is one.
 func (s *Stack) newConn(remote netsim.NodeID) *Conn {
-	return &Conn{
-		stack:    s,
-		remote:   remote,
-		cwnd:     float64(s.opts.InitialCwndSegments * s.opts.MSS),
-		ssthresh: 1 << 30,
-		rto:      s.opts.RTOInit,
+	var c *Conn
+	if k := len(s.connFree); k > 0 {
+		c = s.connFree[k-1]
+		s.connFree = s.connFree[:k-1]
+	} else {
+		c = &Conn{stack: s}
+		c.records = c.recBuf[:0]
 	}
+	c.remote = remote
+	c.closed = false
+	c.cwnd = float64(s.opts.InitialCwndSegments * s.opts.MSS)
+	c.ssthresh = 1 << 30
+	c.rto = s.opts.RTOInit
+	return c
+}
+
+// reuseDead clears the closed pairs and moves each Conn to its own
+// stack's free list. A cleared Conn keeps its record array and its
+// generation, and reads as closed until newConn hands it out again.
+func (s *Stack) reuseDead() {
+	for i, c := range s.dead {
+		c.returnOOO()
+		*c = Conn{
+			stack:   c.stack,
+			gen:     c.gen,
+			closed:  true,
+			records: c.records[:0],
+		}
+		c.stack.connFree = append(c.stack.connFree, c)
+		s.dead[i] = nil
+	}
+	s.dead = s.dead[:0]
+}
+
+// Ref is a generation-checked reference to a Conn. Conns are reused
+// once both ends have closed, so an application that keeps a
+// connection past its close keeps a Ref instead of the *Conn.
+type Ref struct {
+	c   *Conn
+	gen uint32
+}
+
+// Ref returns a reference to c as it is now.
+func (c *Conn) Ref() Ref { return Ref{c: c, gen: c.gen} }
+
+// Conn returns the referenced connection, or nil for the zero Ref and
+// once the Conn is released for reuse. A Conn is only released after
+// both of its ends have closed, so a nil here means closed.
+func (r Ref) Conn() *Conn {
+	if r.c == nil || r.c.gen != r.gen {
+		return nil
+	}
+	return r.c
 }
 
 // Established reports whether the handshake has completed.
@@ -246,17 +342,17 @@ func (c *Conn) PendingBytes() int64 { return c.writeEnd - c.sndNxt }
 // Remote returns the node at the other end of the connection.
 func (c *Conn) Remote() netsim.NodeID { return c.remote }
 
-// Write appends n logical bytes tagged with meta to the outgoing
+// Write appends n logical bytes tagged with tag to the outgoing
 // stream. Record boundaries are preserved: the receiving side's
 // OnRecord fires once the record's final byte arrives in order.
-func (c *Conn) Write(n int, meta any) {
+func (c *Conn) Write(n int, tag uint64) {
 	if n <= 0 {
 		panic("tcpsim: Write of non-positive length")
 	}
 	if c.closed {
 		return
 	}
-	c.records = append(c.records, record{start: c.writeEnd, end: c.writeEnd + int64(n), meta: meta})
+	c.records = append(c.records, record{start: c.writeEnd, end: c.writeEnd + int64(n), tag: tag})
 	c.writeEnd += int64(n)
 	c.trySend()
 }
@@ -297,6 +393,7 @@ func (c *Conn) Close() {
 	rst.rst = true
 	c.fillAndSend(rst)
 	c.teardown()
+	c.release()
 }
 
 func (c *Conn) teardown() {
@@ -304,6 +401,21 @@ func (c *Conn) teardown() {
 	c.established = false
 	c.stack.loop.Cancel(c.rtoTimer)
 	c.stack.loop.Cancel(c.synTimer)
+}
+
+// release queues c and its peer for reuse if c was the second of a
+// linked pair to close. A peer relinked to a newer Conn (a SYN
+// accepted after its first partner closed) is left to that one. Both
+// generations move on now: from here the pair's segments in flight
+// and its Refs are stale, even before reuseDead hands the Conns on.
+func (c *Conn) release() {
+	p := c.peer
+	if p == nil || !p.closed || p.peer != c {
+		return
+	}
+	c.gen++
+	p.gen++
+	c.stack.dead = append(c.stack.dead, c, p)
 }
 
 // connSYNTimeout and connRTO are the typed timer entry points: the
@@ -332,7 +444,7 @@ func (c *Conn) sendSYN() {
 // fillAndSend stamps sender identity and piggybacked ACK, then hands
 // the segment to the network in a pooled packet.
 func (c *Conn) fillAndSend(seg *segment) {
-	seg.sender = c
+	seg.sender, seg.gen = c, c.gen
 	seg.ackNo = c.rcvNxt
 	pkt := c.stack.net.NewPacket()
 	pkt.Size = c.stack.opts.HeaderBytes + seg.length
@@ -344,28 +456,34 @@ func (c *Conn) fillAndSend(seg *segment) {
 
 // handlePacket dispatches one delivered segment, then recycles it to
 // the stack that allocated it. Nothing may retain the segment past
-// dispatch (peer identity is the sender *Conn*, which outlives it). A
-// segment with no sender came from no stack and is not recycled.
+// dispatch (peer identity is the sender *Conn*, which outlives it).
+// Once the outermost dispatch returns, the pairs it closed are reused.
 func (s *Stack) handlePacket(pkt *netsim.Packet) {
 	seg, ok := pkt.Payload.(*segment)
 	if !ok {
 		panic(fmt.Sprintf("tcpsim: non-TCP packet at node %d", s.node))
 	}
+	s.depth++
 	s.dispatch(seg, pkt.Src)
-	if seg.sender != nil {
-		seg.sender.stack.freeSegment(seg)
+	s.depth--
+	seg.Recycle()
+	if s.depth == 0 && len(s.dead) > 0 {
+		s.reuseDead()
 	}
 }
 
 // dispatch demultiplexes by pointer: the receiver of a segment is its
-// sender's peer, linked when the SYN was accepted.
+// sender's peer, linked when the SYN was accepted. A segment from an
+// earlier generation of its sender is stale: its sender and the
+// sender's peer had both closed, and the pair was released for reuse.
 func (s *Stack) dispatch(seg *segment, src netsim.NodeID) {
 	from := seg.sender
 	if from == nil {
 		return
 	}
+	stale := seg.gen != from.gen
 	c := from.peer
-	live := c != nil && !c.closed
+	live := !stale && c != nil && !c.closed
 	if seg.syn {
 		if live {
 			// Retransmitted SYN for an accepted connection: re-SYNACK.
@@ -378,14 +496,16 @@ func (s *Stack) dispatch(seg *segment, src netsim.NodeID) {
 			return // no listener: silently drop
 		}
 		c = s.newConn(src)
-		c.peer, from.peer = from, c
+		if !stale {
+			c.peer, from.peer = from, c
+		}
 		c.established = true
 		s.accept(c)
 		synAck := s.newSegment()
 		synAck.synAck = true
 		c.fillAndSend(synAck)
 		if c.OnOpen != nil {
-			c.OnOpen()
+			c.OnOpen(c)
 		}
 		return
 	}
@@ -399,8 +519,9 @@ func (c *Conn) handleSegment(seg *segment) {
 	if seg.rst {
 		c.teardown()
 		if c.OnClose != nil {
-			c.OnClose()
+			c.OnClose(c)
 		}
+		c.release()
 		return
 	}
 	if seg.synAck {
@@ -409,7 +530,7 @@ func (c *Conn) handleSegment(seg *segment) {
 			c.stack.loop.Cancel(c.synTimer)
 			c.rto = c.stack.opts.RTOInit // discard handshake backoff
 			if c.OnOpen != nil {
-				c.OnOpen()
+				c.OnOpen(c)
 			}
 			c.trySend()
 		}
@@ -454,7 +575,25 @@ func (c *Conn) bufferOutOfOrder(start, end int64) {
 		c.ooo[i-1].end = max(c.ooo[i-1].end, end)
 		return
 	}
+	if c.ooo == nil {
+		if k := len(c.stack.oooFree); k > 0 {
+			c.ooo = c.stack.oooFree[k-1]
+			c.stack.oooFree = c.stack.oooFree[:k-1]
+		} else {
+			// Runs are not merged, so one loss buffers a run per
+			// segment behind it: start with room for a window's worth.
+			c.ooo = make([]oooRun, 0, 32)
+		}
+	}
 	c.ooo = slices.Insert(c.ooo, i, oooRun{start, end})
+}
+
+// returnOOO lends c's reassembly array back to the stack.
+func (c *Conn) returnOOO() {
+	if c.ooo != nil {
+		c.stack.oooFree = append(c.stack.oooFree, c.ooo[:0])
+		c.ooo = nil
+	}
 }
 
 // drainOutOfOrder folds, in start order, the buffered runs the
@@ -468,10 +607,13 @@ func (c *Conn) drainOutOfOrder() {
 		}
 	}
 	c.ooo = c.ooo[:copy(c.ooo, c.ooo[k:])]
+	if len(c.ooo) == 0 {
+		c.returnOOO()
+	}
 }
 
 // advanceTo moves rcvNxt forward and fires application callbacks with
-// the metadata attached by the peer's sender.
+// the tags the peer's sender wrote.
 func (c *Conn) advanceTo(end int64) {
 	from := c.rcvNxt
 	c.rcvNxt = end
@@ -487,10 +629,10 @@ func (c *Conn) advanceTo(end int64) {
 		}
 		lo, hi := max(r.start, from), min(r.end, end)
 		if hi > lo && c.OnBytes != nil {
-			c.OnBytes(int(hi-lo), r.meta)
+			c.OnBytes(c, int(hi-lo), r.tag)
 		}
 		if r.end <= end && r.end > from && !r.aborted && c.OnRecord != nil {
-			c.OnRecord(r.meta)
+			c.OnRecord(c, r.tag)
 		}
 	}
 }
@@ -686,13 +828,16 @@ func (c *Conn) trySend() {
 // gcRecords forgets fully-acked record prefixes so long-lived
 // connections (payment channels send tens of megabytes) do not grow
 // without bound. Acked implies delivered, so the peer no longer needs
-// those records.
+// those records. Once at least half the log is acked, the unacked tail
+// shifts down to the front of the same array: the copy is amortized
+// over the records acked since the last one, and the array stays as
+// small as the records in flight.
 func (c *Conn) gcRecords() {
 	for c.recBase < len(c.records) && c.records[c.recBase].end <= c.sndUna {
 		c.recBase++
 	}
-	if c.recBase > 256 && c.recBase*2 > len(c.records) {
-		c.records = append([]record(nil), c.records[c.recBase:]...)
+	if c.recBase > 0 && c.recBase*2 >= len(c.records) {
+		c.records = c.records[:copy(c.records, c.records[c.recBase:])]
 		c.recBase = 0
 	}
 }

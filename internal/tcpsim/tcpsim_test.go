@@ -38,9 +38,9 @@ func TestHandshake(t *testing.T) {
 	p := newPair(1, 2e6, 10*time.Millisecond, 0)
 	var clientOpen, serverOpen sim.Time = -1, -1
 	p.b.Listen(func(c *Conn) {
-		c.OnOpen = func() { serverOpen = p.loop.Now() }
+		c.OnOpen = func(*Conn) { serverOpen = p.loop.Now() }
 	})
-	p.a.Dial(p.b.Node(), func() { clientOpen = p.loop.Now() })
+	p.a.Dial(p.b.Node(), func(*Conn) { clientOpen = p.loop.Now() })
 	p.loop.Run(time.Second)
 	// SYN: 40B @2Mbit/s = 160us + 10ms; SYNACK same back.
 	if serverOpen < 10*time.Millisecond || serverOpen > 11*time.Millisecond {
@@ -54,19 +54,19 @@ func TestHandshake(t *testing.T) {
 func TestSmallTransferDelivery(t *testing.T) {
 	p := newPair(1, 2e6, 10*time.Millisecond, 0)
 	var gotBytes int
-	var gotRecord any
+	var gotRecord uint64
 	var at sim.Time
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { gotBytes += n }
-		c.OnRecord = func(meta any) { gotRecord = meta; at = p.loop.Now() }
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { gotBytes += n }
+		c.OnRecord = func(_ *Conn, meta uint64) { gotRecord = meta; at = p.loop.Now() }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(1000, "req-1")
+	c.Write(1000, 7)
 	p.loop.Run(time.Second)
 	if gotBytes != 1000 {
 		t.Fatalf("delivered %d bytes, want 1000", gotBytes)
 	}
-	if gotRecord != "req-1" {
+	if gotRecord != 7 {
 		t.Fatalf("record meta = %v", gotRecord)
 	}
 	// Handshake ~20.3ms + data 1040B*8/2e6 = 4.16ms + 10ms prop.
@@ -77,21 +77,21 @@ func TestSmallTransferDelivery(t *testing.T) {
 
 func TestRecordBoundariesAndOrder(t *testing.T) {
 	p := newPair(2, 8e6, 5*time.Millisecond, 0)
-	perMeta := map[string]int{}
-	var order []string
+	perMeta := map[uint64]int{}
+	var order []uint64
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { perMeta[meta.(string)] += n }
-		c.OnRecord = func(meta any) { order = append(order, meta.(string)) }
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { perMeta[meta] += n }
+		c.OnRecord = func(_ *Conn, meta uint64) { order = append(order, meta) }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(100, "a")
-	c.Write(5000, "b")
-	c.Write(1, "c")
+	c.Write(100, 'a')
+	c.Write(5000, 'b')
+	c.Write(1, 'c')
 	p.loop.Run(5 * time.Second)
-	if perMeta["a"] != 100 || perMeta["b"] != 5000 || perMeta["c"] != 1 {
+	if perMeta['a'] != 100 || perMeta['b'] != 5000 || perMeta['c'] != 1 {
 		t.Fatalf("per-record bytes = %v", perMeta)
 	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+	if len(order) != 3 || order[0] != 'a' || order[1] != 'b' || order[2] != 'c' {
 		t.Fatalf("record order = %v", order)
 	}
 }
@@ -103,10 +103,10 @@ func TestBulkThroughput(t *testing.T) {
 	var done sim.Time = -1
 	total := 1 << 20
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done = p.loop.Now() }
+		c.OnRecord = func(_ *Conn, meta uint64) { done = p.loop.Now() }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(total, "blob")
+	c.Write(total, 1)
 	p.loop.Run(30 * time.Second)
 	if done < 0 {
 		t.Fatal("transfer did not complete in 30s")
@@ -124,7 +124,7 @@ func TestSlowStartGrowth(t *testing.T) {
 	if got, want := c.Cwnd(), float64(2*1460); got != want {
 		t.Fatalf("initial cwnd = %v, want %v", got, want)
 	}
-	c.Write(200*1460, "blob")
+	c.Write(200*1460, 1)
 	// After ~4 RTTs of slow start the window must have grown well
 	// beyond the initial 2 MSS.
 	p.loop.Run(260 * time.Millisecond)
@@ -141,10 +141,10 @@ func TestLossRecoveryCompletes(t *testing.T) {
 	var done bool
 	total := 300 * 1460
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done = true }
+		c.OnRecord = func(_ *Conn, meta uint64) { done = true }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(total, "blob")
+	c.Write(total, 1)
 	p.loop.Run(60 * time.Second)
 	if !done {
 		t.Fatalf("transfer did not complete; delivered=%d/%d outstanding=%d",
@@ -163,10 +163,10 @@ func TestDeliveredBytesExactUnderLoss(t *testing.T) {
 	var delivered int
 	total := 100 * 1460
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { delivered += n }
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { delivered += n }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(total, "x")
+	c.Write(total, 1)
 	p.loop.Run(120 * time.Second)
 	if delivered != total {
 		t.Fatalf("delivered %d, want %d (loss must not corrupt the stream)", delivered, total)
@@ -186,7 +186,7 @@ func TestSYNLossRetransmission(t *testing.T) {
 	}
 	p.b.Listen(func(c *Conn) {})
 	var openAt sim.Time = -1
-	p.a.Dial(p.b.Node(), func() { openAt = p.loop.Now() })
+	p.a.Dial(p.b.Node(), func(*Conn) { openAt = p.loop.Now() })
 	p.loop.Run(5 * time.Second)
 	if openAt < 0 {
 		t.Fatal("connection never established after SYN loss")
@@ -204,11 +204,11 @@ func TestAbortPendingTruncatesRecord(t *testing.T) {
 	var recordFired bool
 	var delivered int
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { delivered += n }
-		c.OnRecord = func(meta any) { recordFired = true }
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { delivered += n }
+		c.OnRecord = func(_ *Conn, meta uint64) { recordFired = true }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(1<<20, "post")
+	c.Write(1<<20, 1)
 	p.loop.Run(500 * time.Millisecond) // mid-transfer
 	cut := c.AbortPending()
 	if cut <= 0 {
@@ -226,18 +226,18 @@ func TestAbortPendingTruncatesRecord(t *testing.T) {
 
 func TestAbortPendingDropsWholeUnsentRecords(t *testing.T) {
 	p := newPair(9, 2e6, 10*time.Millisecond, 0)
-	var records []string
+	var records []uint64
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { records = append(records, meta.(string)) }
+		c.OnRecord = func(_ *Conn, meta uint64) { records = append(records, meta) }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(100000, "first")
-	c.Write(100000, "second") // entirely unsent at abort time
+	c.Write(100000, 1)
+	c.Write(100000, 2) // entirely unsent at abort time
 	p.loop.Run(150 * time.Millisecond)
 	c.AbortPending()
 	p.loop.Run(10 * time.Second)
 	for _, r := range records {
-		if r == "second" {
+		if r == 2 {
 			t.Fatal("fully-unsent record was delivered")
 		}
 	}
@@ -249,10 +249,10 @@ func TestCloseSendsRSTAndPeerSeesIt(t *testing.T) {
 	var server *Conn
 	p.b.Listen(func(c *Conn) {
 		server = c
-		c.OnClose = func() { peerClosed = true }
+		c.OnClose = func(*Conn) { peerClosed = true }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(1000, "x")
+	c.Write(1000, 1)
 	p.loop.Run(100 * time.Millisecond)
 	c.Close()
 	p.loop.Run(time.Second)
@@ -263,18 +263,18 @@ func TestCloseSendsRSTAndPeerSeesIt(t *testing.T) {
 		t.Fatal("peer did not observe RST")
 	}
 	// Writing after close is a no-op, not a panic.
-	c.Write(10, "y")
+	c.Write(10, 1)
 }
 
 func TestServerSideClose(t *testing.T) {
 	p := newPair(11, 2e6, 10*time.Millisecond, 0)
 	var clientClosed bool
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { c.Close() } // evict on first payment bytes
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { c.Close() } // evict on first payment bytes
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.OnClose = func() { clientClosed = true }
-	c.Write(1<<20, "payment")
+	c.OnClose = func(*Conn) { clientClosed = true }
+	c.Write(1<<20, 1)
 	p.loop.Run(5 * time.Second)
 	if !clientClosed {
 		t.Fatal("client did not observe server-side eviction")
@@ -288,12 +288,12 @@ func TestBidirectionalData(t *testing.T) {
 	p := newPair(12, 8e6, 5*time.Millisecond, 0)
 	var atServer, atClient int
 	p.b.Listen(func(c *Conn) {
-		c.OnBytes = func(n int, meta any) { atServer += n }
-		c.OnRecord = func(meta any) { c.Write(5000, "resp") }
+		c.OnBytes = func(_ *Conn, n int, meta uint64) { atServer += n }
+		c.OnRecord = func(_ *Conn, meta uint64) { c.Write(5000, 1) }
 	})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.OnBytes = func(n int, meta any) { atClient += n }
-	c.Write(2000, "req")
+	c.OnBytes = func(_ *Conn, n int, meta uint64) { atClient += n }
+	c.Write(2000, 1)
 	p.loop.Run(5 * time.Second)
 	if atServer != 2000 || atClient != 5000 {
 		t.Fatalf("server got %d (want 2000), client got %d (want 5000)", atServer, atClient)
@@ -304,7 +304,7 @@ func TestSRTTTracksLinkRTT(t *testing.T) {
 	p := newPair(13, 8e6, 50*time.Millisecond, 0)
 	p.b.Listen(func(c *Conn) {})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(50*1460, "blob")
+	c.Write(50*1460, 1)
 	p.loop.Run(10 * time.Second)
 	// RTT is ~100ms + serialization+queueing; srtt must be in range.
 	if c.SRTT() < 100*time.Millisecond || c.SRTT() > 200*time.Millisecond {
@@ -335,8 +335,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	})
 	d1 := s1.Dial(srv, nil)
 	d2 := s2.Dial(srv, nil)
-	d1.Write(1<<30, "f1")
-	d2.Write(1<<30, "f2")
+	d1.Write(1<<30, 1)
+	d2.Write(1<<30, 1)
 	loop.Run(60 * time.Second)
 	if len(conns) != 2 {
 		t.Fatalf("server accepted %d conns", len(conns))
@@ -358,11 +358,11 @@ func TestManyConnectionsOneHost(t *testing.T) {
 	p := newPair(15, 10e6, 5*time.Millisecond, 50000)
 	done := 0
 	p.b.Listen(func(c *Conn) {
-		c.OnRecord = func(meta any) { done++ }
+		c.OnRecord = func(_ *Conn, meta uint64) { done++ }
 	})
 	for i := 0; i < 20; i++ {
 		c := p.a.Dial(p.b.Node(), nil)
-		c.Write(50000, i)
+		c.Write(50000, uint64(i))
 	}
 	p.loop.Run(60 * time.Second)
 	if done != 20 {
@@ -373,7 +373,7 @@ func TestManyConnectionsOneHost(t *testing.T) {
 func TestDialNoListenerTimesOutSilently(t *testing.T) {
 	p := newPair(16, 2e6, 5*time.Millisecond, 0)
 	opened := false
-	c := p.a.Dial(p.b.Node(), func() { opened = true })
+	c := p.a.Dial(p.b.Node(), func(*Conn) { opened = true })
 	p.loop.Run(3 * time.Second)
 	if opened || c.Established() {
 		t.Fatal("connection established with no listener")
@@ -389,14 +389,14 @@ func TestWriteZeroPanics(t *testing.T) {
 			t.Fatal("Write(0) did not panic")
 		}
 	}()
-	c.Write(0, nil)
+	c.Write(0, 0)
 }
 
 func TestOutstandingAndPending(t *testing.T) {
 	p := newPair(18, 2e6, 10*time.Millisecond, 0)
 	p.b.Listen(func(c *Conn) {})
 	c := p.a.Dial(p.b.Node(), nil)
-	c.Write(100000, "x")
+	c.Write(100000, 1)
 	if c.PendingBytes() != 100000 {
 		t.Fatalf("pending before handshake = %d", c.PendingBytes())
 	}
@@ -424,15 +424,15 @@ func TestQuickStreamIntegrity(t *testing.T) {
 		var delivered int
 		var order []int
 		p.b.Listen(func(c *Conn) {
-			c.OnBytes = func(n int, meta any) { delivered += n }
-			c.OnRecord = func(meta any) { order = append(order, meta.(int)) }
+			c.OnBytes = func(_ *Conn, n int, meta uint64) { delivered += n }
+			c.OnRecord = func(_ *Conn, meta uint64) { order = append(order, int(meta)) }
 		})
 		c := p.a.Dial(p.b.Node(), nil)
 		total := 0
 		for i, s := range sizes {
 			n := int(s)%50000 + 1
 			total += n
-			c.Write(n, i)
+			c.Write(n, uint64(i))
 		}
 		p.loop.Run(240 * time.Second)
 		if delivered != total {
@@ -462,11 +462,11 @@ func TestQuickAbortSafety(t *testing.T) {
 		var recordFired bool
 		var delivered int64
 		p.b.Listen(func(c *Conn) {
-			c.OnBytes = func(n int, meta any) { delivered += int64(n) }
-			c.OnRecord = func(meta any) { recordFired = true }
+			c.OnBytes = func(_ *Conn, n int, meta uint64) { delivered += int64(n) }
+			c.OnRecord = func(_ *Conn, meta uint64) { recordFired = true }
 		})
 		c := p.a.Dial(p.b.Node(), nil)
-		c.Write(1<<20, "post")
+		c.Write(1<<20, 1)
 		p.loop.Run(time.Duration(abortMs) * time.Millisecond)
 		cut := c.AbortPending()
 		p.loop.Run(120 * time.Second)
