@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -129,9 +130,26 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 	if th.Health() != HealthStalled {
 		t.Fatalf("Health diverged from the registry: %v", th.Health())
 	}
+	if lat := &th.Registry().Latency().AuctionLatency; lat.Count() != 0 {
+		t.Fatalf("a thinner on a virtual clock timed %d auctions; their wall time means nothing there", lat.Count())
+	}
+}
+
+// On the wall clock the thinner times every auction's settle, and the
+// time is real: the fake clock in TestThinnerFeedsRegistry never moves
+// inside a callback, so a positive sum is read off the wall.
+func TestWallClockThinnerTimesAuctions(t *testing.T) {
+	var mu sync.Mutex
+	th := NewThinner(&WallClock{Mu: &mu, Epoch: time.Now()}, Config{SweepInterval: time.Hour})
+	mu.Lock()
+	defer mu.Unlock()
+	defer th.Stop()
+
+	th.RequestArrived(1) // direct admission
+	th.PaymentReceived(2, 500)
+	th.RequestArrived(2)
+	th.ServerDone(1) // auction: 2 wins
 	if lat := &th.Registry().Latency().AuctionLatency; lat.Count() != 1 || lat.Sum() <= 0 {
-		// The fake clock never moves inside the settle: a zero sum
-		// means the latency was read off the thinner's clock.
 		t.Fatalf("the auction's settle latency was not observed: count=%d sum=%v", lat.Count(), lat.Sum())
 	}
 }

@@ -263,8 +263,11 @@ func (h HealthState) String() string {
 type Thinner struct {
 	Callbacks
 
-	clock  Clock
-	cfg    Config
+	clock Clock
+	cfg   Config
+	// timed is set on a WallClock: only real time gives the auction
+	// latency a meaning, so only then is it measured.
+	timed  bool
 	table  *BidTable
 	busy   bool
 	active RequestID // §5: the request holding the server, while busy
@@ -304,6 +307,7 @@ type suspension struct {
 func NewThinner(clock Clock, cfg Config) *Thinner {
 	cfg = cfg.withDefaults()
 	t := &Thinner{clock: clock, cfg: cfg, table: NewBidTable(cfg.Shards)}
+	_, t.timed = clock.(*WallClock)
 	t.lastSweep = clock.Now()
 	// Align the table's inactivity wheel with the sweep's cutoff so
 	// deadline checks fire exactly when channels come due.
@@ -519,10 +523,14 @@ func (t *Thinner) settle(id RequestID, direct bool) int64 {
 // charge: v is then suspended and bids with that payment; otherwise
 // it is charged for the next quantum (for free if nobody contends).
 func (t *Thinner) auction(now time.Duration) {
-	// The settle is timed on the wall clock: in the simulator the
-	// thinner's clock is virtual and does not move inside a callback.
+	// The settle is timed on the wall clock, and only when the thinner
+	// runs on one: a virtual clock does not move inside a callback, and
+	// the wall time a simulated auction takes means nothing there.
 	// Nothing but the latency histogram reads the measurement.
-	start := time.Now()
+	var start time.Time
+	if t.timed {
+		start = time.Now()
+	}
 	u, uPaid, ok := t.table.Winner()
 	if !ok {
 		return // no contenders; server idles until the next request
@@ -558,7 +566,9 @@ func (t *Thinner) auction(now time.Duration) {
 	}
 	// Full settle cost: winner selection through the callbacks that
 	// release the admitted waiter.
-	t.reg.Latency().AuctionLatency.Observe(time.Since(start))
+	if t.timed {
+		t.reg.Latency().AuctionLatency.Observe(time.Since(start))
+	}
 }
 
 func (t *Thinner) scheduleSweep() {

@@ -117,7 +117,8 @@ func (h *Hist) Quantile(p float64) time.Duration {
 // control path, and how old channels were when the sweep evicted them.
 // WaitToAdmit, CreditGap, and TimeToEvict are fed from sampled trace
 // records (internal/trace), so they populate only when tracing is on;
-// AuctionLatency is fed by the thinner core on every auction. Their
+// AuctionLatency is fed by the thinner core on every auction when it
+// runs on the wall clock (a simulated thinner records none). Their
 // tags declare them the way registry.go declares the counters.
 type LatencyHists struct {
 	WaitToAdmit    Hist `prom:"speakup_wait_to_admit_seconds" kind:"histogram" unit:"s" help:"Request arrival to admission (sampled traces)."`

@@ -15,10 +15,25 @@
 // from a per-Network free list (NewPacket / Send recycles them after
 // final delivery or drop), a payload lost to a drop goes back to its
 // owner's pool through Recycler, link queues are reusing ring buffers,
-// and the transmit/propagate hops are typed sim events rather than
-// closures. Consequently the network owns every packet passed to Send:
+// and the transmit/propagate hops are events on shared sim.Streams
+// (lanes, see below), which take no arena slot and no closure.
+// Consequently the network owns every packet passed to Send:
 // handlers may read the packet (and keep its Payload) but must not
 // retain the *Packet itself past the callback.
+//
+// # Lanes
+//
+// A hop event runs a fixed offset after it is scheduled: a tx-done one
+// serialization time after the packet starts onto the wire, a delivery
+// one propagation delay after its tx-done. Virtual time never goes
+// back, so the events any links schedule at one offset d come in time
+// order, which is all a sim.Stream asks of its pushes. The network
+// therefore keeps one stream, a lane, per kind of hop and offset, shared
+// by every link: the event queue holds one entry per lane instead of
+// one per busy link, and each event keeps the (at, seq) key it would
+// have had as a timer, so the run order is unchanged. A delivery that
+// jitter or the no-reorder clamp puts later than one delay out goes to
+// its link's own stream instead.
 package netsim
 
 import (
@@ -41,6 +56,8 @@ type Packet struct {
 	Size     int
 	Src, Dst NodeID
 	Payload  any
+
+	link *Link // the link the packet is on, for its hop events
 }
 
 // Recycler is implemented by payloads that belong to a pool. When the
@@ -145,6 +162,19 @@ type Link struct {
 	q      pktRing
 	busy   bool
 
+	// txTime is the serialization time of a txSize-byte packet and
+	// txLane the lane of tx-done events that far out: a link carries
+	// few distinct sizes, so most transmits skip the division and the
+	// lane lookup.
+	txSize int
+	txTime time.Duration
+	txLane *sim.Stream
+	rxLane *sim.Stream // deliveries one propagation delay out
+	// late carries the deliveries that jitter or the clamp to
+	// lastArrival put later than one delay out. SetFault makes it when
+	// it first arms jitter, which is what such deliveries need.
+	late *sim.Stream
+
 	// fault, when non-nil, impairs the link (internal/faults plans
 	// arm it via SetFault). It stays nil on healthy links so the
 	// steady-state packet path never branches on fault state beyond
@@ -183,6 +213,9 @@ func (l *Link) SetFault(fs FaultState, seed int64) {
 	if fs.Loss > 0 || fs.Jitter > 0 {
 		f.rng = rand.New(rand.NewSource(seed))
 	}
+	if fs.Jitter > 0 && l.late == nil {
+		l.late = l.net.loop.NewStream(linkDeliver, nil)
+	}
 	l.fault = f
 }
 
@@ -213,6 +246,9 @@ type Network struct {
 
 	pktFree []*Packet // recycled packets
 
+	// The lanes by offset: tx-done events and deliveries.
+	txLanes, rxLanes map[time.Duration]*sim.Stream
+
 	// Trace, when non-nil, observes packet events: "send" (enqueued on
 	// a link), "drop" (drop-tail), "recv" (delivered to final handler).
 	// The packet is reclaimed after a "drop"/"recv" callback returns.
@@ -221,7 +257,22 @@ type Network struct {
 
 // New creates an empty network on the given loop.
 func New(loop *sim.Loop) *Network {
-	return &Network{loop: loop}
+	return &Network{
+		loop:    loop,
+		txLanes: map[time.Duration]*sim.Stream{},
+		rxLanes: map[time.Duration]*sim.Stream{},
+	}
+}
+
+// lane returns the lane in lanes for offset d, whose events run h,
+// making it on first use.
+func (n *Network) lane(lanes map[time.Duration]*sim.Stream, d time.Duration, h sim.Handler) *sim.Stream {
+	s := lanes[d]
+	if s == nil {
+		s = n.loop.NewStream(h, nil)
+		lanes[d] = s
+	}
+	return s
 }
 
 // Loop returns the underlying event loop.
@@ -283,6 +334,7 @@ func (n *Network) AddLink(from, to NodeID, rate float64, delay time.Duration, qu
 		delay: delay,
 		qcap:  queueBytes,
 	}
+	l.rxLane = n.lane(n.rxLanes, delay, linkDeliver)
 	n.links = append(n.links, l)
 	n.nodes[from].links = append(n.nodes[from].links, l)
 	return l
@@ -395,26 +447,29 @@ func (l *Link) drop(pkt *Packet) {
 }
 
 // transmit starts serializing pkt onto the wire. The tx-done and
-// propagation hops are typed events (linkTxDone, linkDeliver)
-// dispatched by the loop, not closures: nothing here allocates.
+// propagation hops are events on lanes, dispatched by the loop to
+// linkTxDone and linkDeliver: nothing here allocates once the link
+// has sent each of its packet sizes.
 func (l *Link) transmit(pkt *Packet) {
 	l.busy = true
 	if l.net.Trace != nil {
 		l.net.Trace("send", l, pkt)
 	}
-	tx := time.Duration(float64(pkt.Size) * 8 / l.rate * float64(time.Second))
-	if tx < time.Nanosecond {
-		tx = time.Nanosecond
+	if pkt.Size != l.txSize {
+		l.txSize = pkt.Size
+		l.txTime = max(time.Duration(float64(pkt.Size)*8/l.rate*float64(time.Second)), time.Nanosecond)
+		l.txLane = l.net.lane(l.net.txLanes, l.txTime, linkTxDone)
 	}
-	l.net.loop.AfterTimer(tx, linkTxDone, l, pkt)
+	pkt.link = l
+	l.txLane.Push(l.net.loop.Now()+l.txTime, pkt)
 }
 
 // linkTxDone fires when the last bit of pkt leaves the link's sender:
 // the packet starts propagating and the link is free to serialize the
 // next queued packet.
-func linkTxDone(env, arg any) {
-	l := env.(*Link)
+func linkTxDone(_, arg any) {
 	pkt := arg.(*Packet)
+	l := pkt.link
 	l.Stats.PktsSent++
 	l.Stats.BytesSent += uint64(pkt.Size)
 	delay := l.delay
@@ -424,9 +479,14 @@ func linkTxDone(env, arg any) {
 	// Clamp to the latest scheduled arrival: jitter stretches the pipe
 	// but never reorders it (the sim TCP assumes FIFO links). Without
 	// jitter the clamp never binds, since tx-done times only grow.
-	at := max(l.net.loop.Now()+delay, l.lastArrival)
+	now := l.net.loop.Now()
+	at := max(now+delay, l.lastArrival)
 	l.lastArrival = at
-	l.net.loop.ScheduleTimer(at, linkDeliver, l, pkt)
+	if at == now+l.delay {
+		l.rxLane.Push(at, pkt)
+	} else {
+		l.late.Push(at, pkt)
+	}
 	if next := l.q.pop(); next != nil {
 		l.queued -= next.Size
 		l.transmit(next)
@@ -436,9 +496,9 @@ func linkTxDone(env, arg any) {
 }
 
 // linkDeliver fires when pkt reaches the link's far node.
-func linkDeliver(env, arg any) {
-	l := env.(*Link)
+func linkDeliver(_, arg any) {
 	pkt := arg.(*Packet)
+	l := pkt.link
 	l.net.forward(l.net.nodes[l.to], pkt)
 }
 

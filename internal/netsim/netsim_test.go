@@ -417,3 +417,46 @@ func TestPacketsRecycled(t *testing.T) {
 		t.Fatalf("recycled packet not zeroed: %+v", p)
 	}
 }
+
+// Links with one propagation delay share a delivery lane, and links
+// sending one size at one rate share a tx-done lane; a shared lane
+// still runs each hop at its own time, and hops due at the same
+// instant in the order they were scheduled, as timers would.
+func TestLanesShareOffsetsAndKeepOrder(t *testing.T) {
+	loop := sim.NewLoop(1)
+	n := New(loop)
+	x := n.AddNode("x", nil)
+	var srcs []NodeID
+	for _, name := range []string{"a", "b", "c"} {
+		s := n.AddNode(name, nil)
+		n.AddLink(s, x, 8e6, 2*time.Millisecond, 0)
+		srcs = append(srcs, s)
+	}
+	type arrival struct {
+		id int
+		at sim.Time
+	}
+	var got []arrival
+	n.SetHandler(x, func(p *Packet) { got = append(got, arrival{p.Payload.(int), loop.Now()}) })
+	n.ComputeRoutes()
+	// Packet i leaves srcs[i%3] at i/3 ms: 1000 bytes at 8 Mbit/s take
+	// 1 ms, so each link sends back to back, and the three links' hops
+	// tie at every millisecond.
+	for i := range 9 {
+		loop.Schedule(time.Duration(i/3)*time.Millisecond, func() {
+			n.Send(&Packet{Size: 1000, Src: srcs[i%3], Dst: x, Payload: i})
+		})
+	}
+	loop.RunAll()
+	if len(n.rxLanes) != 1 || len(n.txLanes) != 1 {
+		t.Fatalf("%d delivery lanes and %d tx-done lanes, want one of each", len(n.rxLanes), len(n.txLanes))
+	}
+	if len(got) != 9 {
+		t.Fatalf("got %d arrivals, want 9", len(got))
+	}
+	for i, a := range got {
+		if want := (arrival{i, time.Duration(i/3+3) * time.Millisecond}); a != want {
+			t.Fatalf("arrival %d is %+v, want %+v (all: %v)", i, a, want, got)
+		}
+	}
+}

@@ -82,3 +82,29 @@ func TestRandZeroAlloc(t *testing.T) {
 		t.Fatalf("RNG draws allocate %.1f objects/op, want 0", avg)
 	}
 }
+
+// Stream events skip the arena, and once a stream's ring has grown to
+// its high-water mark, pushing and running them must not allocate
+// either: a burst queued behind the head, run while other events
+// interleave with it.
+func TestStreamPushRunZeroAlloc(t *testing.T) {
+	l := NewLoop(1)
+	l.Grow(64)
+	env := &struct{ n int }{}
+	s := l.NewStream(nopHandler, env)
+	burst := func() {
+		for i := range 8 {
+			at := l.Now() + time.Duration(i)*time.Microsecond
+			s.Push(at, env)
+			l.AfterTimer(time.Duration(i)*time.Microsecond, nopHandler, env, nil)
+		}
+		l.RunAll()
+	}
+	burst() // grow the ring
+	if avg := testing.AllocsPerRun(1000, burst); avg != 0 {
+		t.Fatalf("stream push+run allocates %.1f objects/op, want 0", avg)
+	}
+	if s.Len() != 0 || l.QueueLen() != 0 {
+		t.Fatalf("stream holds %d events and the loop %d after RunAll, want 0", s.Len(), l.QueueLen())
+	}
+}

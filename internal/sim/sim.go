@@ -11,9 +11,17 @@
 // free list; the queue holds small value entries (no interface
 // boxing, no virtual dispatch); and hot callers use ScheduleTimer with
 // a typed Handler plus two untyped pointer arguments instead of
-// closures, so scheduling a packet hop never touches the garbage
-// collector. Schedule/After with ordinary closures remain available
-// for cold paths and tests.
+// closures, so re-arming a timer never touches the garbage collector.
+// Schedule/After with ordinary closures remain available for cold
+// paths and tests.
+//
+// The hottest events go through a Stream: a FIFO of events that share
+// one handler and one env and are pushed in time order, such as
+// netsim's packet hops, which each run a fixed offset after they are
+// scheduled. Stream events skip the arena: each is an (at, seq, arg)
+// record in the stream's own ring, and only the stream's head sits in
+// the queue. They cannot be canceled, which is what lets them go
+// without slots and generations.
 //
 // # Two tiers
 //
@@ -29,6 +37,9 @@
 //     it is an append, and canceling from it a swap-remove, both O(1)
 //     (each slot records its tier and its index there).
 //
+// A stream's head lives in whichever tier its time belongs to, like
+// any event; the rest of the stream waits in its ring.
+//
 // When the heap runs dry, a refill advances limit by span and moves
 // the far entries now at or before it into the heap. span adapts so
 // the refill's scan of the far tier stays amortised against the events
@@ -41,10 +52,25 @@
 // when scheduled, wherever it lives; every near entry precedes every
 // far one because at <= limit < at'; so the heap root is always the
 // earliest queued event, and when the heap is empty the refill moves
-// the earliest far event (at least) into it. Cancel removes entries
-// eagerly from either tier, and Processed counts only events that ran,
-// so order, event counts and every derived output are the same as a
-// single heap's.
+// the earliest far event (at least) into it. A stream event takes its
+// seq from the same counter when it is pushed, and a stream's events
+// are in (at, seq) order, so its head is its earliest and the merged
+// order is what one heap of every event would give. Cancel removes
+// entries eagerly from either tier, and Processed counts only events
+// that ran, stream events included, so order, event counts and every
+// derived output are the same as a single heap's.
+//
+// # The vacant root
+//
+// Running an event leaves its root entry vacant instead of sifting the
+// heap. Most callbacks schedule at least one event, and the first
+// near-tier push takes the vacant root with one siftDown: the pop's
+// sift and the push's sift become one (a replace-top). When the
+// running event is a stream's head, the stream's next event is pushed
+// the same way before the callback runs. If the root is still vacant
+// when the callback returns, settle pops it then; Cancel settles
+// before it removes a heap entry, and QueueLen never counts the vacant
+// root.
 package sim
 
 import (
@@ -97,7 +123,6 @@ const (
 // eventSlot is one arena cell. Callback state is cleared eagerly on
 // cancel/run so the arena never retains dead closures or payloads.
 type eventSlot struct {
-	at    Time
 	fn    func() // closure form (Schedule/After)
 	h     Handler
 	env   any
@@ -109,12 +134,16 @@ type eventSlot struct {
 
 // entry is one queue element. The ordering key (at, seq) is stored
 // inline so sift operations and far-tier scans compare without
-// dereferencing the arena.
+// dereferencing the arena. slot is an arena index, or streamTag plus
+// the index of a stream whose head the entry is; stream entries have
+// no slot, so moving them records no position.
 type entry struct {
 	at   Time
 	seq  uint64
 	slot uint32
 }
+
+const streamTag = 1 << 31
 
 func (a entry) less(b entry) bool { return lessBit(a, b) != 0 }
 
@@ -143,12 +172,17 @@ type Loop struct {
 	q    []entry
 	heap []entry
 	nFar int
+	// vacant is set while the running event's root entry waits to be
+	// replaced by a push or removed by settle.
+	vacant bool
 
-	slots  []eventSlot
-	free   []uint32 // recycled arena indices
-	rng    Rand
-	nRun   uint64
-	halted bool
+	slots   []eventSlot
+	free    []uint32 // recycled arena indices
+	streams []*Stream
+	behind  int // stream events queued behind their stream's head
+	rng     Rand
+	nRun    uint64
+	halted  bool
 }
 
 // NewLoop returns a Loop whose RNG is seeded with seed. Two loops
@@ -241,7 +275,6 @@ func (l *Loop) alloc(at Time) Event {
 		idx = uint32(len(l.slots) - 1)
 	}
 	s := &l.slots[idx]
-	s.at = at
 	e := entry{at: at, seq: l.seq, slot: idx}
 	if at <= l.limit {
 		s.state = slotNear
@@ -265,6 +298,7 @@ func (l *Loop) Cancel(e Event) {
 		return
 	}
 	if s.state == slotNear {
+		l.settle()
 		l.removeAt(int(s.pos))
 	} else {
 		l.removeFar(int(s.pos))
@@ -296,14 +330,7 @@ func (l *Loop) Run(deadline Time) uint64 {
 	l.halted = false
 	start := l.nRun
 	for !l.halted && l.due(deadline) {
-		at, fn, h, env, arg := l.pop()
-		l.now = at
-		if h != nil {
-			h(env, arg)
-		} else {
-			fn()
-		}
-		l.nRun++
+		l.step()
 	}
 	if l.now < deadline && !l.halted {
 		l.now = deadline
@@ -318,16 +345,44 @@ func (l *Loop) RunAll() uint64 {
 	l.halted = false
 	start := l.nRun
 	for !l.halted && l.due(maxTime) {
-		at, fn, h, env, arg := l.pop()
-		l.now = at
+		l.step()
+	}
+	return l.nRun - start
+}
+
+// step runs the heap root's event, leaving its entry vacant (see the
+// package doc). An arena slot is retired to the free list, with its
+// generation bumped so stale handles die, before the callback runs, so
+// callbacks may reschedule freely.
+func (l *Loop) step() {
+	e := l.heap[0]
+	l.vacant = true
+	l.now = e.at
+	if e.slot >= streamTag {
+		l.streams[e.slot-streamTag].run()
+	} else {
+		s := &l.slots[e.slot]
+		fn, h, env, arg := s.fn, s.h, s.env, s.arg
+		s.fn, s.h, s.env, s.arg = nil, nil, nil, nil
+		s.state = slotFree
+		s.gen++
+		l.free = append(l.free, e.slot)
 		if h != nil {
 			h(env, arg)
 		} else {
 			fn()
 		}
-		l.nRun++
 	}
-	return l.nRun - start
+	l.settle()
+	l.nRun++
+}
+
+// settle pops the vacant root, if the running event left it vacant.
+func (l *Loop) settle() {
+	if l.vacant {
+		l.vacant = false
+		l.popRoot()
+	}
 }
 
 // due reports whether the earliest queued event is at or before
@@ -378,7 +433,9 @@ func (l *Loop) pull(limit Time) (moved bool, earliest Time) {
 			continue
 		}
 		l.removeFar(k)
-		l.slots[e.slot].state = slotNear
+		if e.slot < streamTag {
+			l.slots[e.slot].state = slotNear
+		}
 		l.push(e)
 		moved = true
 	}
@@ -391,7 +448,9 @@ func (l *Loop) farAt(k int) *entry { return &l.q[len(l.q)-1-k] }
 func (l *Loop) pushFar(e entry) {
 	l.reserve()
 	*l.farAt(l.nFar) = e
-	l.slots[e.slot].pos = int32(l.nFar)
+	if e.slot < streamTag {
+		l.slots[e.slot].pos = int32(l.nFar)
+	}
 	l.nFar++
 }
 
@@ -401,7 +460,9 @@ func (l *Loop) removeFar(k int) {
 	if k != l.nFar {
 		e := *l.farAt(l.nFar)
 		*l.farAt(k) = e
-		l.slots[e.slot].pos = int32(k)
+		if e.slot < streamTag {
+			l.slots[e.slot].pos = int32(k)
+		}
 	}
 }
 
@@ -429,24 +490,14 @@ func addSat(t, d Time) Time {
 	return t + d
 }
 
-// pop removes the earliest heap entry, retires its slot to the free
-// list (bumping the generation so stale handles die), and returns the
-// callback. The slot is recycled before the callback runs, so
-// callbacks may reschedule freely.
-func (l *Loop) pop() (at Time, fn func(), h Handler, env, arg any) {
-	e := l.heap[0]
-	l.popRoot()
-	s := &l.slots[e.slot]
-	at, fn, h, env, arg = s.at, s.fn, s.h, s.env, s.arg
-	s.fn, s.h, s.env, s.arg = nil, nil, nil, nil
-	s.state = slotFree
-	s.gen++
-	l.free = append(l.free, e.slot)
-	return
-}
-
 // QueueLen returns the number of queued events.
-func (l *Loop) QueueLen() int { return len(l.heap) + l.nFar }
+func (l *Loop) QueueLen() int {
+	n := len(l.heap) + l.nFar + l.behind
+	if l.vacant {
+		n--
+	}
+	return n
+}
 
 // --- 4-ary min-heap over entry values ---
 //
@@ -454,15 +505,32 @@ func (l *Loop) QueueLen() int { return len(l.heap) + l.nFar }
 // more comparisons per level for fewer cache-missing levels — the
 // right trade for entries this small. Sift loops hole-shift instead
 // of swapping: the moving entry is written once at its final position.
-// Each placement records the entry's index in its arena slot, which is
-// what lets Cancel remove from the middle in O(depth).
+// Each placement of a slot's entry records the entry's index in the
+// slot, which is what lets Cancel remove from the middle in O(depth).
 
 func (l *Loop) place(h []entry, i int, e entry) {
 	h[i] = e
-	l.slots[e.slot].pos = int32(i)
+	if e.slot < streamTag {
+		l.slots[e.slot].pos = int32(i)
+	}
 }
 
+// queue puts e in the tier its time belongs to.
+func (l *Loop) queue(e entry) {
+	if e.at <= l.limit {
+		l.push(e)
+	} else {
+		l.pushFar(e)
+	}
+}
+
+// push adds e to the heap, into the vacant root if there is one.
 func (l *Loop) push(e entry) {
+	if l.vacant {
+		l.vacant = false
+		l.siftDown(0, e)
+		return
+	}
 	l.reserve()
 	l.heap = l.q[:len(l.heap)+1]
 	l.siftUp(len(l.heap)-1, e)
@@ -489,8 +557,7 @@ func (l *Loop) removeAt(i int) {
 	if i == n {
 		return
 	}
-	l.siftDown(i, e)
-	if l.slots[e.slot].pos == int32(i) {
+	if l.siftDown(i, e) == i {
 		l.siftUp(i, e)
 	}
 }
@@ -508,7 +575,8 @@ func (l *Loop) siftUp(i int, e entry) {
 	l.place(h, i, e)
 }
 
-func (l *Loop) siftDown(i int, e entry) {
+// siftDown places e at index i or below and returns where it went.
+func (l *Loop) siftDown(i int, e entry) int {
 	h := l.heap
 	n := len(h)
 	for {
@@ -537,6 +605,7 @@ func (l *Loop) siftDown(i int, e entry) {
 		i = m
 	}
 	l.place(h, i, e)
+	return i
 }
 
 // Uniform returns a duration drawn uniformly from [lo, hi].

@@ -439,3 +439,27 @@ func TestRandExpFloat64Mean(t *testing.T) {
 		t.Fatalf("exponential mean = %g, want ~1", mean)
 	}
 }
+
+// A stream's pushes must come in time order and not in the past: both
+// panic, since a stream runs its events in push order.
+func TestStreamPushOutOfOrderPanics(t *testing.T) {
+	l := NewLoop(1)
+	s := l.NewStream(nopHandler, nil)
+	mustPanic := func(what string, at Time) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		s.Push(at, nil)
+	}
+	s.Push(2*time.Millisecond, nil)
+	mustPanic("a push before the previous one", time.Millisecond)
+	s.Push(2*time.Millisecond, nil) // equal times are in order
+	l.Run(5 * time.Millisecond)
+	mustPanic("a push before now", 4*time.Millisecond)
+	if n := l.Processed(); n != 2 {
+		t.Fatalf("ran %d stream events, want 2", n)
+	}
+}

@@ -7,20 +7,23 @@ import (
 	"time"
 )
 
-// Differential test of the two-tier queue against a reference model:
-// a flat list scanned for the least (at, seq) key, obviously correct
-// and obviously slow. A random script of schedules (near, at the tier
-// boundary, far), cancels (in either tier, and of stale handles), Runs
-// with deadlines inside the far tier and RunAlls drives both in
-// lockstep; event callbacks schedule, cancel and Halt in turn, so later
-// Runs resume halted ones. After every step the run order, Now,
-// Processed, QueueLen and Pending of every handle ever issued must
-// agree.
+// Differential test of the two-tier queue and its streams against a
+// reference model: a flat list scanned for the least (at, seq) key,
+// obviously correct and obviously slow, in which a stream push is an
+// ordinary schedule. A random script of schedules (near, at the tier
+// boundary, far), stream pushes, cancels (in either tier, and of stale
+// handles), Runs with deadlines inside the far tier and RunAlls drives
+// both in lockstep. Event callbacks, which run while the loop's root is
+// vacant, schedule, push, cancel and Halt in turn, so later Runs resume
+// halted ones. After every step the run order, Now, Processed, QueueLen
+// (also as each callback saw it) and Pending of every handle ever
+// issued must agree.
 
 // queue is the surface both implementations expose to the script.
 type queue interface {
 	Now() Time
 	schedule(at Time, fn func()) any
+	push(stream int, at Time, fn func())
 	cancel(h any)
 	pending(h any) bool
 	Run(deadline Time) uint64
@@ -30,11 +33,37 @@ type queue interface {
 	QueueLen() int
 }
 
-type loopQueue struct{ *Loop }
+const testStreams = 3
+
+type loopQueue struct {
+	*Loop
+	streams []*Stream
+	// vacantCancels counts callbacks' cancels of near-tier events made
+	// while the root is vacant.
+	vacantCancels *int
+}
+
+func newLoopQueue(l *Loop, vacantCancels *int) loopQueue {
+	q := loopQueue{Loop: l, vacantCancels: vacantCancels}
+	for range testStreams {
+		q.streams = append(q.streams, l.NewStream(runFunc, nil))
+	}
+	return q
+}
+
+// runFunc is the test streams' handler: each event's arg is its callback.
+func runFunc(_, arg any) { arg.(func())() }
 
 func (q loopQueue) schedule(at Time, fn func()) any { return q.Schedule(at, fn) }
-func (q loopQueue) cancel(h any)                    { q.Cancel(h.(Event)) }
+func (q loopQueue) push(k int, at Time, fn func())  { q.streams[k].Push(at, fn) }
 func (q loopQueue) pending(h any) bool              { return q.Pending(h.(Event)) }
+func (q loopQueue) cancel(h any) {
+	e := h.(Event)
+	if q.vacant && q.Pending(e) && q.slots[e.slot-1].state == slotNear {
+		*q.vacantCancels++
+	}
+	q.Cancel(e)
+}
 
 type modelEvent struct {
 	at      Time
@@ -68,6 +97,8 @@ func (m *model) schedule(at Time, fn func()) any {
 	m.queued = append(m.queued, e)
 	return e
 }
+
+func (m *model) push(_ int, at Time, fn func()) { m.schedule(at, fn) }
 
 func (m *model) cancel(h any) {
 	e := h.(*modelEvent)
@@ -132,20 +163,27 @@ func (m *model) RunAll() uint64 {
 }
 
 type fired struct {
-	id int
-	at Time
+	id   int
+	at   Time
+	qlen int // QueueLen inside the callback
 }
 
 // world is one implementation plus the script state that lives inside
-// it: handles by id, and the order events ran in. Callbacks draw from
-// the world's own RNG; both worlds seed it alike, so they draw alike
-// as long as they run events in the same order.
+// it: handles by id, each stream's latest push, and the order events
+// ran in. Callbacks draw from the world's own RNG; both worlds seed it
+// alike, so they draw alike as long as they run events in the same
+// order.
 type world struct {
 	q       queue
 	rng     *rand.Rand
-	handles []any
+	handles []any // an Event or *modelEvent, or *streamed
+	last    [testStreams]Time
 	trace   []fired
 }
+
+// streamed is the handle of a stream event, which the loop gives none:
+// it is pending until its callback runs.
+type streamed struct{ pending bool }
 
 func (w *world) schedule(at Time) {
 	id := len(w.handles)
@@ -153,18 +191,45 @@ func (w *world) schedule(at Time) {
 	w.handles[id] = w.q.schedule(at, func() { w.fire(id) })
 }
 
+// push appends an event to stream k, d after the later of now and the
+// stream's previous push.
+func (w *world) push(k int, d time.Duration) {
+	id := len(w.handles)
+	h := &streamed{pending: true}
+	w.handles = append(w.handles, h)
+	at := max(w.q.Now(), w.last[k]) + d
+	w.last[k] = at
+	w.q.push(k, at, func() { h.pending = false; w.fire(id) })
+}
+
+// cancel cancels handle id; stream events cannot be canceled.
+func (w *world) cancel(id int) {
+	if _, ok := w.handles[id].(*streamed); !ok {
+		w.q.cancel(w.handles[id])
+	}
+}
+
+func (w *world) pending(id int) bool {
+	if h, ok := w.handles[id].(*streamed); ok {
+		return h.pending
+	}
+	return w.q.pending(w.handles[id])
+}
+
 // fire is every event's callback: record the run, then maybe schedule
-// a follow-up, cancel some handle (possibly stale, possibly itself) or
-// halt. Under one child per three events the chains die out, so
-// RunAll returns.
+// a follow-up, push onto a stream, cancel some handle (possibly stale,
+// possibly itself) or halt. Under one child per two events the chains
+// die out, so RunAll returns.
 func (w *world) fire(id int) {
-	w.trace = append(w.trace, fired{id, w.q.Now()})
+	w.trace = append(w.trace, fired{id, w.q.Now(), w.q.QueueLen()})
 	switch r := w.rng.Intn(12); {
 	case r < 4:
 		w.schedule(w.q.Now() + randDelay(w.rng))
-	case r < 7:
-		w.q.cancel(w.handles[w.rng.Intn(len(w.handles))])
-	case r == 7:
+	case r < 6:
+		w.push(w.rng.Intn(testStreams), randDelay(w.rng))
+	case r < 9:
+		w.cancel(w.rng.Intn(len(w.handles)))
+	case r == 9:
 		w.q.Halt()
 	}
 }
@@ -185,15 +250,20 @@ func randDelay(r *rand.Rand) time.Duration {
 }
 
 func TestTwoTierMatchesReferenceModel(t *testing.T) {
-	var nearCancels, farCancels, farRuns int
+	var nearCancels, farCancels, farRuns, vacantCancels, farStreamHeads int
 	for seed := int64(1); seed <= 30; seed++ {
 		l := NewLoop(seed)
 		worlds := []*world{
-			{q: loopQueue{l}, rng: rand.New(rand.NewSource(seed))},
+			{q: newLoopQueue(l, &vacantCancels), rng: rand.New(rand.NewSource(seed))},
 			{q: &model{}, rng: rand.New(rand.NewSource(seed))},
 		}
 		script := rand.New(rand.NewSource(-seed))
 		for step := 0; step < 400; step++ {
+			for _, e := range l.q[len(l.q)-l.nFar:] {
+				if e.slot >= streamTag {
+					farStreamHeads++
+				}
+			}
 			now := l.Now()
 			boundary := max(l.limit, now)
 			var op string
@@ -225,20 +295,23 @@ func TestTwoTierMatchesReferenceModel(t *testing.T) {
 				// boundary: span halves, stays or doubles.
 				at := boundary + l.span<<script.Intn(3)/2 + time.Duration(script.Intn(3))
 				op, apply = fmt.Sprintf("schedule at next boundary %v", at), func(w *world) { w.schedule(at) }
-			case r < 12:
+			case r < 10:
+				k, d := script.Intn(testStreams), randDelay(script)
+				op, apply = fmt.Sprintf("push %v on stream %d", d, k), func(w *world) { w.push(k, d) }
+			case r < 13:
 				n := len(worlds[0].handles)
 				if n == 0 {
 					continue
 				}
 				id := script.Intn(n)
-				if ev := worlds[0].handles[id].(Event); l.Pending(ev) {
+				if ev, ok := worlds[0].handles[id].(Event); ok && l.Pending(ev) {
 					if l.slots[ev.slot-1].state == slotFar {
 						farCancels++
 					} else {
 						nearCancels++
 					}
 				}
-				op, apply = fmt.Sprintf("cancel %d", id), func(w *world) { w.q.cancel(w.handles[id]) }
+				op, apply = fmt.Sprintf("cancel %d", id), func(w *world) { w.cancel(id) }
 			case r < 17:
 				deadline := now + randDelay(script)
 				if script.Intn(2) == 0 && l.nFar > 0 {
@@ -259,9 +332,10 @@ func TestTwoTierMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
-	if nearCancels == 0 || farCancels == 0 || farRuns == 0 {
-		t.Fatalf("script missed a case: near cancels %d, far cancels %d, far-tier deadlines %d",
-			nearCancels, farCancels, farRuns)
+	if nearCancels == 0 || farCancels == 0 || farRuns == 0 || vacantCancels == 0 || farStreamHeads == 0 {
+		t.Fatalf("script missed a case: near cancels %d, far cancels %d, far-tier deadlines %d, "+
+			"cancels with the root vacant %d, stream heads seen in the far tier %d",
+			nearCancels, farCancels, farRuns, vacantCancels, farStreamHeads)
 	}
 }
 
@@ -284,7 +358,7 @@ func compareWorlds(a, b *world) error {
 		return fmt.Errorf("QueueLen %d, model %d", a.q.QueueLen(), b.q.QueueLen())
 	}
 	for id := range a.handles {
-		if pa, pb := a.q.pending(a.handles[id]), b.q.pending(b.handles[id]); pa != pb {
+		if pa, pb := a.pending(id), b.pending(id); pa != pb {
 			return fmt.Errorf("Pending(handle %d) = %v, model %v", id, pa, pb)
 		}
 	}
