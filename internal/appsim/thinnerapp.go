@@ -319,6 +319,12 @@ func (a *ThinnerApp) initialArrived(id core.RequestID, from core.Address) {
 		a.replyAndForget(id, kindBusy, a.sizes.Busy) // blocked by the profile
 		return
 	}
+	if th := a.Auction(); th != nil && th.Health() == core.HealthStalled {
+		// Origin brownout: shed before asking for payment, as the live
+		// front does (the thinner counts the shed and answers busy).
+		a.policy.RequestArrived(id)
+		return
+	}
 	if a.policy.Busy() {
 		// Return the JavaScript; the client will issue the actual
 		// request (1) and the payment POST (2).
