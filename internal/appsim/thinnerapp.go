@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"speakup/internal/core"
+	"speakup/internal/front"
 	"speakup/internal/server"
 	"speakup/internal/tcpsim"
 	"speakup/internal/trace"
@@ -45,10 +46,12 @@ func (m Mode) String() string {
 }
 
 // ThinnerApp binds a front-end policy and the emulated server to a TCP
-// stack, implementing the thinner's side of the protocol.
+// stack: the simulated-TCP adapter of the admission front
+// (internal/front), which runs the protocol's request lifecycle.
 type ThinnerApp struct {
 	sizes  Sizes
 	policy core.Policy
+	front  *front.Front
 	prof   *core.Profiler // ModeProfiling's address profile, ahead of the pass-through
 	srv    *server.Server
 
@@ -107,15 +110,6 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 	}
 	a.onBytes = a.bytesArrived
 	a.onRecord = a.recordArrived
-	cb := core.Callbacks{
-		Admit:   a.serve,
-		Evict:   a.evict,
-		Suspend: srv.Suspend,
-		Done:    a.respond,
-		// A busy drop and a brownout shed answer busy rather than strand
-		// the client; a retrying client backs off and re-offers.
-		Refuse: func(id core.RequestID) { a.replyAndForget(id, kindBusy, a.sizes.Busy) },
-	}
 	switch cfg.Mode {
 	case ModeProfiling:
 		pc := cfg.Profiler
@@ -125,27 +119,33 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 		a.prof = core.NewProfiler(clock, pc)
 		fallthrough
 	case ModeOff:
-		p := core.NewPassThrough()
-		p.Callbacks = cb
-		a.policy = p
+		a.policy = core.NewPassThrough()
 	case ModeRandomDrop:
-		r := core.NewRandomDrop(clock, cfg.RandomDrop)
-		cb.Refuse = func(id core.RequestID) { a.reply(id, kindRetry, a.sizes.Retry) }
-		r.Callbacks = cb
-		a.policy = r
+		a.policy = core.NewRandomDrop(clock, cfg.RandomDrop)
 	case ModeAuction, ModeHetero:
 		th := core.NewThinner(clock, cfg.Thinner)
-		th.Callbacks, th.Trace = cb, cfg.Trace
+		th.Trace = cfg.Trace
 		a.policy = th
 	default:
 		panic("appsim: unknown mode")
 	}
-	srv.Done = a.policy.ServerDone
+	a.front = front.New(clock, a.policy, front.Origin{
+		Start:   srv.Start,
+		Suspend: srv.Suspend,
+		Abort: func(id core.RequestID) bool {
+			if !srv.Abort(id) {
+				return false
+			}
+			a.failRequest(id)
+			return true
+		},
+	}, front.Transport{EndPayment: a.endPayment, Route: a.respond})
+	srv.Done = func(id core.RequestID) { a.front.Done(id, nil) }
 	srv.Failed = func(id core.RequestID) {
 		// Crash: the closed connection tells the client; the thinner's
 		// brownout ladder defers the next auction.
 		a.failRequest(id)
-		a.policy.ServerDone(id)
+		a.front.Done(id, nil)
 	}
 	stack.Listen(a.accept)
 	return a
@@ -160,32 +160,13 @@ func (a *ThinnerApp) Auction() *core.Thinner {
 // Stats returns the active policy's activity counters.
 func (a *ThinnerApp) Stats() core.Stats { return a.policy.Stats() }
 
-// serve starts id on the server, or resumes it if the server holds it
-// suspended (§5).
-func (a *ThinnerApp) serve(id core.RequestID, _ int64) {
-	if a.srv.Suspended(id) {
-		a.srv.Resume(id)
-		return
-	}
-	a.srv.Start(id)
-}
-
-// evict closes id's payment channels (the thinner terminates request
-// (2) when request (1) is admitted, completes under §5, or times out).
-// A served request's price goes to OnAdmit. A §5 request the server
-// holds suspended is aborted, and closing its request connection tells
-// the client.
-func (a *ThinnerApp) evict(id core.RequestID, paid int64, wasted bool) {
+// endPayment closes id's payment channels: the thinner terminates
+// request (2) when request (1) is admitted, completes under §5, or
+// times out. A served request's price goes to OnAdmit.
+func (a *ThinnerApp) endPayment(id core.RequestID, paid int64, served bool) {
 	a.closePayment(id)
-	if !wasted {
-		if a.OnAdmit != nil {
-			a.OnAdmit(id, paid)
-		}
-		return
-	}
-	if a.srv.Suspended(id) {
-		a.srv.Abort(id)
-		a.failRequest(id)
+	if served && a.OnAdmit != nil {
+		a.OnAdmit(id, paid)
 	}
 }
 
@@ -227,10 +208,13 @@ func (a *ThinnerApp) forget(id core.RequestID, close bool) {
 	a.tidy(id, e)
 }
 
-// respond sends the final response on the request connection.
-func (a *ThinnerApp) respond(id core.RequestID) {
-	a.reply(id, kindResponse, a.sizes.Response)
-	a.forget(id, false)
+// respond sends a served request its response on the request
+// connection. An evicted one (nil body) gets no reply.
+func (a *ThinnerApp) respond(id core.RequestID, body []byte) {
+	if body != nil {
+		a.reply(id, kindResponse, a.sizes.Response)
+		a.forget(id, false)
+	}
 }
 
 // reply sends a small control message on the request connection.
@@ -242,10 +226,22 @@ func (a *ThinnerApp) reply(id core.RequestID, kind msgKind, size int) {
 	}
 }
 
-// replyAndForget replies and drops the request state (a refusal).
-func (a *ThinnerApp) replyAndForget(id core.RequestID, kind msgKind, size int) {
-	a.reply(id, kind, size)
-	a.forget(id, false)
+// answer sends the front's verdict on id's request connection.
+func (a *ThinnerApp) answer(id core.RequestID, v core.ArriveVerdict) {
+	switch v {
+	case core.ArriveOK:
+	case core.ArriveBusy:
+		// Return the JavaScript; the client will issue the actual
+		// request (1) and the payment POST (2).
+		a.reply(id, kindPlease, a.sizes.Please)
+	case core.ArriveRetry:
+		a.reply(id, kindRetry, a.sizes.Retry)
+	default:
+		// A shed answers busy rather than strand the client; a retrying
+		// client backs off and re-offers.
+		a.reply(id, kindBusy, a.sizes.Busy)
+		a.forget(id, false)
+	}
 }
 
 // failRequest tears down a request the origin lost (a crash, or a §5
@@ -300,36 +296,20 @@ func (a *ThinnerApp) recordArrived(conn *tcpsim.Conn, tag uint64) {
 	switch m.kind() {
 	case kindInitial:
 		a.entry(m.id()).conn = conn.Ref()
-		a.initialArrived(m.id(), core.Address(conn.Remote()))
+		// The profiling baseline blocks by the client's network address
+		// (speak-up itself never keys on addresses — §2.2).
+		if a.prof != nil && !a.prof.Allow(core.Address(conn.Remote())) {
+			a.answer(m.id(), core.ArriveShed)
+			return
+		}
+		a.answer(m.id(), a.front.Arrive(m.id(), nil, true))
 	case kindRequest:
-		a.policy.RequestArrived(m.id()) // the re-issued request (1)
+		// The re-issued request (1).
+		a.answer(m.id(), a.front.Arrive(m.id(), nil, false))
 	case kindPost:
 		// Full POST delivered without a win: ask for another.
 		if !conn.Closed() {
 			conn.Write(a.sizes.Continue, newMsg(kindContinue, m.id()))
 		}
 	}
-}
-
-// initialArrived handles the client's first GET. from is the client's
-// network address, used only by the profiling baseline (speak-up
-// itself never keys on addresses — §2.2).
-func (a *ThinnerApp) initialArrived(id core.RequestID, from core.Address) {
-	if a.prof != nil && !a.prof.Allow(from) {
-		a.replyAndForget(id, kindBusy, a.sizes.Busy) // blocked by the profile
-		return
-	}
-	if th := a.Auction(); th != nil && th.Health() == core.HealthStalled {
-		// Origin brownout: shed before asking for payment, as the live
-		// front does (the thinner counts the shed and answers busy).
-		a.policy.RequestArrived(id)
-		return
-	}
-	if a.policy.Busy() {
-		// Return the JavaScript; the client will issue the actual
-		// request (1) and the payment POST (2).
-		a.reply(id, kindPlease, a.sizes.Please)
-		return
-	}
-	a.policy.RequestArrived(id)
 }

@@ -827,9 +827,10 @@ func (t *BidTable) TotalRemoved() int64 {
 	return sum
 }
 
-// Waiter registration. The live front parks each held request's
-// response channel here, keyed by id in the same shards as the payment
-// channels, so registration contends only within a shard. Waiters have
+// Waiter registration. The admission front (internal/front) parks each
+// held request's transport waiter here, keyed by id in the same shards
+// as the payment channels, so registration contends only within a
+// shard. Waiters have
 // their own lifecycle: settling a payment channel does not disturb the
 // waiter (the origin response is delivered after service completes).
 

@@ -14,9 +14,10 @@
 // §8.1 address profile.
 //
 // The three admission policies share one Policy interface and one set
-// of Callbacks. They are transport-independent: the same state
-// machines drive the discrete-event simulation (internal/scenario) and
-// the real-socket front-ends (internal/web, internal/wire). Only payment
+// of Callbacks. They are transport-independent: one admission front
+// (internal/front) runs the same state machines for the discrete-event
+// simulation (internal/appsim) and the real-socket listeners
+// (internal/web, internal/wire). Only payment
 // runs concurrently: transports credit chunks through a cached PayChan
 // from any goroutine, with no lock. A policy's arrivals, auctions,
 // admissions and sweeps must be serialized by the caller; the live
@@ -132,6 +133,8 @@ type Policy interface {
 	Stats() Stats
 	// Stop cancels the policy's timers.
 	Stop()
+	// SetCallbacks installs the callbacks the policy acts through.
+	SetCallbacks(cb Callbacks)
 }
 
 // Callbacks are how a Policy acts. Nil callbacks are skipped.
@@ -155,6 +158,10 @@ type Callbacks struct {
 	// dropped by a busy pass-through, or told to retry by random drop.
 	Refuse func(id RequestID)
 }
+
+// SetCallbacks replaces c with cb; every policy embeds Callbacks, so
+// this implements Policy.SetCallbacks for all of them.
+func (c *Callbacks) SetCallbacks(cb Callbacks) { *c = cb }
 
 func (c *Callbacks) done(id RequestID) {
 	if c.Done != nil {
@@ -251,8 +258,9 @@ func (h HealthState) String() string {
 //
 // Wiring: the application layer calls RequestArrived, PaymentReceived,
 // and ServerDone; the thinner invokes the callbacks to act. It does
-// not encourage clients itself: a transport reads Busy and tells the
-// client to pay (the live front's 402, the simulator's please reply).
+// not encourage clients itself: the admission front (internal/front)
+// reads Busy and has the transport tell the client to pay (the live
+// front's 402, the simulator's please reply).
 // Control methods (RequestArrived, ServerDone, Stop, and the sweep
 // timer) must be called from one goroutine (or under one lock);
 // PaymentReceived — and crediting directly through the bid table's
@@ -424,10 +432,8 @@ func (t *Thinner) SetOriginStalled(stalled bool) {
 	}
 }
 
-// ShedArrival records one refused-during-brownout arrival. The live
-// front calls it directly (it answers the HTTP side itself);
-// RequestArrived uses it, then Refuse, for the simulator path.
-func (t *Thinner) ShedArrival(id RequestID) {
+// shed records one refused-during-brownout arrival.
+func (t *Thinner) shed(id RequestID) {
 	t.reg.RecordShed()
 	if t.Trace != nil {
 		t.Trace.OnShed(uint64(id), t.clock.Now())
@@ -441,7 +447,7 @@ func (t *Thinner) ShedArrival(id RequestID) {
 // as a waiter would just grow a queue the origin cannot drain.
 func (t *Thinner) RequestArrived(id RequestID) {
 	if t.Health() == HealthStalled {
-		t.ShedArrival(id)
+		t.shed(id)
 		t.refuse(id)
 		return
 	}

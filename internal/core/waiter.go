@@ -1,9 +1,10 @@
 package core
 
-// Waiter is a transport-side sink for a held request's outcome: each
-// transport registers one per held request in the BidTable (the HTTP
-// front a buffered channel, the wire front its connection), and the
-// front's admit/evict callbacks deliver through it.
+// Waiter is a transport-side sink for a held request's outcome. The
+// admission front (internal/front) registers one per held request in
+// the BidTable, where the live transports put one of their own (the
+// HTTP handler a buffered channel, the wire connection its event
+// queue), and delivers the request's outcome through it.
 type Waiter interface {
 	// Deliver hands the waiter its outcome: the origin's response body
 	// on admission, or nil on eviction. Called from the front's
@@ -24,13 +25,18 @@ const (
 	// ArriveDuplicate: a request with this id is already waiting
 	// (HTTP 409 Conflict).
 	ArriveDuplicate
-	// ArriveShed: origin brownout — auctions are paused and the
-	// arrival is refused with a retry hint (HTTP 503 + Retry-After).
+	// ArriveShed: the arrival is turned away with a retry hint: the
+	// origin is browned out and auctions are paused, or a no-defense
+	// baseline found the server busy (HTTP 503 + Retry-After; the
+	// simulator's "busy" reply).
 	ArriveShed
 	// ArriveBusy: an initial (not yet paying) request found the origin
 	// occupied, so nothing was registered; the client should open a
 	// payment channel and re-issue (HTTP 402 + Speakup-Action: pay).
 	ArriveBusy
+	// ArriveRetry: the §3.2 random drop lost the request's coin toss;
+	// the client retries at once (the simulator's "retry" reply).
+	ArriveRetry
 )
 
 // The refusal messages every transport sends with a verdict — HTTP as

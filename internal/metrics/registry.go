@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 )
 
@@ -46,6 +47,9 @@ type wireStats[U, I any] struct {
 	WireConns       I `json:"wire_conns" prom:"speakup_wire_conns" kind:"gauge" unit:"connections" help:"Open binary payment-transport connections."`
 	WireFrames      U `json:"wire_frames" prom:"speakup_wire_frames_total" kind:"counter" unit:"frames" help:"Frames decoded by the wire listener."`
 	WireIngestBytes I `json:"wire_ingest_bytes" prom:"speakup_wire_ingest_bytes_total" kind:"counter" unit:"bytes" help:"Payment bytes credited over the wire transport."`
+	// WireOverflows is reported in JSON only once nonzero, so healthy
+	// fronts keep their pinned /stats and /telemetry key sets.
+	WireOverflows U `json:"wire_overflows,omitempty" kind:"counter" unit:"connections" help:"Wire connections dropped because their client stopped draining its event queue."`
 }
 
 // Counters is the thinner's tally: what every admission policy counts,
@@ -134,7 +138,7 @@ func visit(v reflect.Value, fn func(Decl, reflect.Value)) {
 			visit(v.Field(i), fn)
 			continue
 		}
-		key := f.Tag.Get("json")
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		if key == "-" {
 			key = ""
 		}
@@ -213,6 +217,10 @@ func (r *Registry) RecordHealth(state int64) { r.g.Health.Store(state) }
 // RecordWireConn moves the open wire-connection gauge by delta
 // (+1 on accept, -1 on teardown).
 func (r *Registry) RecordWireConn(delta int64) { r.w.WireConns.Add(delta) }
+
+// RecordWireOverflow counts one wire connection dropped because its
+// event queue overflowed.
+func (r *Registry) RecordWireOverflow() { r.w.WireOverflows.Add(1) }
 
 // RecordWireRead accumulates one batched read's decode results:
 // frames completed and payment bytes credited. Called once per

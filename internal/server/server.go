@@ -122,11 +122,16 @@ func (s *Server) serviceTime(id core.RequestID) time.Duration {
 	return lo + time.Duration(s.rng.Int63n(int64(hi-lo)+1))
 }
 
-// Start begins serving a fresh request. Starting while busy panics:
-// the thinner exists precisely to prevent that.
+// Start begins serving a request, or resumes it if it is suspended
+// (§5). Starting while busy panics: the thinner exists precisely to
+// prevent that.
 func (s *Server) Start(id core.RequestID) {
 	if s.busy {
 		panic(fmt.Sprintf("server: Start(%d) while serving %d", id, s.current))
+	}
+	if s.Suspended(id) {
+		s.Resume(id)
+		return
 	}
 	work := s.serviceTime(id)
 	s.workOf[id] = work
@@ -206,11 +211,11 @@ func (s *Server) Resume(id core.RequestID) {
 	s.run(id, remaining)
 }
 
-// Abort discards a suspended request.
-func (s *Server) Abort(id core.RequestID) {
+// Abort discards id if it is suspended, and reports whether it was.
+func (s *Server) Abort(id core.RequestID) bool {
 	remaining, ok := s.suspended[id]
 	if !ok {
-		panic(fmt.Sprintf("server: Abort(%d) not suspended", id))
+		return false
 	}
 	delete(s.suspended, id)
 	consumed := s.workOf[id] - remaining
@@ -219,6 +224,7 @@ func (s *Server) Abort(id core.RequestID) {
 	if s.Observer != nil && consumed > 0 {
 		s.Observer(id, consumed)
 	}
+	return true
 }
 
 // Suspended reports whether the server holds suspended work for id.

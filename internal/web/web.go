@@ -33,6 +33,11 @@
 //	                              applied mid-brownout is indistinguishable
 //	                              from the patch causing it).
 //
+// The request lifecycle — the arrival ladder, the waiter registry and
+// the dispatch of the auction's admissions and evictions — is the
+// admission front's (internal/front); Front is its HTTP adapter, and
+// the wire listener (internal/wire) reaches the same front through it.
+//
 // Ingest architecture: the whole point of speak-up is that the thinner
 // absorbs far more traffic than the origin serves, so the payment path
 // must scale with cores. Each /pay stream resolves its request's
@@ -59,6 +64,7 @@ import (
 
 	"speakup/internal/config"
 	"speakup/internal/core"
+	"speakup/internal/front"
 	"speakup/internal/metrics"
 	"speakup/internal/trace"
 )
@@ -164,6 +170,7 @@ type Front struct {
 	// path — never takes it.
 	ctl   sync.Mutex
 	th    *core.Thinner
+	front *front.Front
 	table *core.BidTable
 	// cfgHash is the canonical hash of th's config, recomputed under
 	// ctl whenever the config changes (construction, Reconfigure) so
@@ -206,8 +213,7 @@ func NewFront(origin Origin, cfg Config) *Front {
 	f.ctl.Lock()
 	f.th = core.NewThinner(clock, f.cfg.Thinner)
 	f.table = f.th.Table()
-	f.th.Admit = f.admit
-	f.th.Evict = f.evict
+	f.front = front.New(clock, f.th, front.Origin{Start: f.serve}, front.Transport{})
 	tc := f.cfg.Trace
 	tc.Hists = f.th.Registry().Latency()
 	f.tracer = trace.New(tc)
@@ -236,19 +242,11 @@ type chanWaiter chan []byte
 // never blocks, even once the handler has given up.
 func (w chanWaiter) Deliver(body []byte) { w <- body }
 
-// deliver hands a taken waiter, if any, its outcome.
-func deliver(w core.Waiter, body []byte) {
-	if w != nil {
-		w.Deliver(body)
-	}
-}
-
-// admit (called with ctl held, from the thinner core) collects the
-// held request's waiter and dispatches the request to the origin on
-// its own goroutine. The winner's payment POST learns of the admission
-// from its channel's state word, which the core flipped on settle.
-func (f *Front) admit(id core.RequestID, paid int64) {
-	w := f.table.TakeWaiter(id)
+// serve is the origin's Start (called with ctl held, from the admission
+// front): it serves id on its own goroutine and reports to the front
+// when done. The winner's payment POST learns of the admission from its
+// channel's state word, which the core flipped on settle.
+func (f *Front) serve(id core.RequestID) {
 	go func() {
 		// Watchdog: a Serve call that exceeds OriginStallAfter browns
 		// the thinner out. The done flag is flipped under ctl, so the
@@ -267,68 +265,27 @@ func (f *Front) admit(id core.RequestID, paid int64) {
 		if err != nil {
 			body = []byte("origin error: " + err.Error())
 		}
-		if body == nil {
-			body = []byte{}
-		}
 		f.served.Add(1)
-		deliver(w, body)
 		f.ctl.Lock()
 		done.Store(true)
 		watchdog.Stop()
 		// No-op unless the watchdog fired: recovery re-opens the
-		// auction floor (with an eviction grace window) before
-		// ServerDone settles the next winner.
+		// auction floor (with an eviction grace window) before the
+		// front's Done settles the next winner.
 		f.th.SetOriginStalled(false)
-		f.th.ServerDone(id)
+		f.front.Done(id, body)
 		f.ctl.Unlock()
 	}()
 }
 
-// evict (called with ctl held, from the sweep) releases a timed-out
-// contender's held request, if any. A nil body tells the waiter it was
-// evicted. The payment POST itself stops via the state word.
-func (f *Front) evict(id core.RequestID, paid int64, wasted bool) {
-	if !wasted {
-		return // auction winner: admit delivers the response
-	}
-	deliver(f.table.TakeWaiter(id), nil)
-}
-
-// Arrive runs the front's pinned arrival protocol for a re-issued
-// (waiting) request on behalf of any transport: under the control
-// mutex it sheds during a brownout, rejects a duplicate id, and
-// otherwise registers w as the id's waiter and announces the arrival
-// to the thinner. The HTTP wait path and the wire front's OPEN both
-// land here, so the 503/409/held semantics cannot drift apart.
+// Arrive runs the admission front's arrival ladder for a re-issued
+// (waiting) request on behalf of any transport, under the control
+// mutex. The HTTP wait path and the wire front's OPEN both land on
+// the one ladder, so the 503/409/held semantics cannot drift apart.
 func (f *Front) Arrive(id core.RequestID, w core.Waiter) core.ArriveVerdict {
-	return f.arrive(id, w, false)
-}
-
-// arrive is Arrive with the HTTP initial leg folded in: an initial
-// request that finds the origin occupied gets ArriveBusy (the 402
-// "pay" reply) after the brownout check and before anything is
-// registered.
-func (f *Front) arrive(id core.RequestID, w core.Waiter, initial bool) core.ArriveVerdict {
 	f.ctl.Lock()
 	defer f.ctl.Unlock()
-	if f.th.Health() == core.HealthStalled {
-		// Origin brownout: shed fast with a retry hint instead of
-		// stranding this client as a waiter the origin cannot drain.
-		// Contenders already holding channels keep their balances.
-		f.th.ShedArrival(id)
-		return core.ArriveShed
-	}
-	if initial && f.th.Busy() {
-		return core.ArriveBusy
-	}
-	if !f.table.SetWaiter(id, w) {
-		// A request with this id is already held. Overwriting would
-		// strand the earlier waiter until RequestTimeout.
-		f.tracer.OnDuplicate(uint64(id), f.Now())
-		return core.ArriveDuplicate
-	}
-	f.th.RequestArrived(id)
-	return core.ArriveOK
+	return f.front.Arrive(id, w, false)
 }
 
 // Channel resolves id's payment channel at the front's clock — the
@@ -340,9 +297,7 @@ func (f *Front) Channel(id core.RequestID) *core.PayChan {
 // ReleaseWaiter drops w's registration for id if it is still the
 // current waiter — a transport's client gave up (HTTP: request
 // context canceled; wire: CLOSE frame or connection teardown).
-func (f *Front) ReleaseWaiter(id core.RequestID, w core.Waiter) {
-	f.table.DropWaiter(id, w)
-}
+func (f *Front) ReleaseWaiter(id core.RequestID, w core.Waiter) { f.front.Release(id, w) }
 
 // Registry exposes the thinner's registry — the one tally /stats,
 // /telemetry and /metrics read — so additional transports record into
@@ -397,7 +352,10 @@ func (f *Front) handleRequest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ch := make(chanWaiter, 1)
-	switch f.arrive(id, ch, r.URL.Query().Get("wait") == "") {
+	f.ctl.Lock()
+	verdict := f.front.Arrive(id, ch, r.URL.Query().Get("wait") == "")
+	f.ctl.Unlock()
+	switch verdict {
 	case core.ArriveBusy:
 		// The "JavaScript" reply: open a payment channel and re-issue.
 		w.Header().Set("Speakup-Action", "pay")
@@ -422,9 +380,9 @@ func (f *Front) handleRequest(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(body)
 	case <-r.Context().Done():
-		f.table.DropWaiter(id, ch)
+		f.front.Release(id, ch)
 	case <-time.After(f.cfg.RequestTimeout):
-		f.table.DropWaiter(id, ch)
+		f.front.Release(id, ch)
 		http.Error(w, "timed out waiting for service", http.StatusGatewayTimeout)
 	}
 }

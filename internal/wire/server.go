@@ -11,13 +11,14 @@ import (
 	"speakup/internal/trace"
 )
 
-// Backend is the front the wire listener feeds — the same arrival
-// protocol, bid table, auction, and brownout ladder the HTTP listener
-// uses. web.Front implements it (asserted in the speakup facade).
+// Backend is the front the wire listener feeds: the admission front
+// (internal/front) — its arrival ladder, waiter registry and brownout
+// ladder — over the same bid table and auction the HTTP listener uses.
+// web.Front implements it (asserted in the speakup facade).
 type Backend interface {
-	// Arrive registers w as id's waiter and announces
-	// the arrival to the thinner under the front's control lock,
-	// returning the pinned shed/duplicate/held verdict.
+	// Arrive runs the admission front's arrival ladder for a re-issued
+	// request answered through w, returning the pinned
+	// shed/duplicate/held verdict.
 	Arrive(id core.RequestID, w core.Waiter) core.ArriveVerdict
 	// Channel resolves id's payment channel at the front's clock.
 	Channel(id core.RequestID) *core.PayChan
@@ -46,8 +47,9 @@ const (
 	readBuf = 256 << 10
 	// eventQueue bounds the per-connection server→client event queue.
 	// A client that stops draining events overflows it and is
-	// disconnected (events may be delivered from the thinner's control
-	// path, which must never block on a slow client).
+	// disconnected, counted as a wire overflow (events may be delivered
+	// from the thinner's control path, which must never block on a
+	// slow client).
 	eventQueue = 256
 )
 
@@ -184,22 +186,28 @@ func newConn(s *Server, nc net.Conn) *conn {
 	}
 }
 
-func (c *conn) teardown() {
+// teardown closes the connection and reports whether this call did.
+func (c *conn) teardown() (first bool) {
 	c.closeOnce.Do(func() {
+		first = true
 		close(c.closed)
 		c.nc.Close()
 	})
+	return first
 }
 
 // send enqueues one event without ever blocking: Deliver may run on
 // the thinner's control path, and a client that stops reading must
-// not wedge auctions. Overflow drops the whole connection.
+// not wedge auctions. Overflow drops the whole connection, counted
+// once however many sends find the queue full.
 func (c *conn) send(op byte, ch uint64, payload []byte) {
 	select {
 	case c.out <- event{op: op, ch: ch, payload: payload}:
 	case <-c.closed:
 	default:
-		c.teardown()
+		if c.teardown() && c.srv.cfg.Registry != nil {
+			c.srv.cfg.Registry.RecordWireOverflow()
+		}
 	}
 }
 
@@ -212,8 +220,8 @@ var (
 )
 
 // connWaiter adapts a conn to core.Waiter for one channel id. Deliver
-// runs on front goroutines (admit's origin worker, the sweep), never
-// the conn's own; it only touches the event queue.
+// runs on the admission front's dispatch paths (the origin worker, the
+// sweep), never the conn's own; it only touches the event queue.
 type connWaiter struct {
 	c  *conn
 	ch uint64
