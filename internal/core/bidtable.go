@@ -830,9 +830,9 @@ func (t *BidTable) TotalRemoved() int64 {
 // Waiter registration. The admission front (internal/front) parks each
 // held request's transport waiter here, keyed by id in the same shards
 // as the payment channels, so registration contends only within a
-// shard. Waiters have
-// their own lifecycle: settling a payment channel does not disturb the
-// waiter (the origin response is delivered after service completes).
+// shard. Waiters have their own lifecycle: settling a payment channel
+// does not disturb the waiter (the origin response is delivered after
+// service completes).
 
 // SetWaiter registers w as id's transport waiter. It reports false —
 // registering nothing — if a waiter is already present, which the

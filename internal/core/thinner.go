@@ -17,9 +17,9 @@
 // of Callbacks. They are transport-independent: one admission front
 // (internal/front) runs the same state machines for the discrete-event
 // simulation (internal/appsim) and the real-socket listeners
-// (internal/web, internal/wire). Only payment
-// runs concurrently: transports credit chunks through a cached PayChan
-// from any goroutine, with no lock. A policy's arrivals, auctions,
+// (internal/web, internal/wire). Only payment runs concurrently:
+// transports credit chunks through a cached PayChan from any
+// goroutine, with no lock. A policy's arrivals, auctions,
 // admissions and sweeps must be serialized by the caller; the live
 // front holds its control mutex for them (see the BidTable's
 // concurrency contract in bidtable.go).

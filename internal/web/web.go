@@ -4,13 +4,13 @@
 //
 // Protocol (mirroring the JavaScript flow the paper describes):
 //
-//	GET  /request?id=N            the client's request. If the origin is
-//	                              free it is served directly. If busy,
-//	                              the thinner replies 402 with
-//	                              Speakup-Action: pay.
-//	GET  /request?id=N&wait=1     the re-issued actual request; held open
-//	                              until N wins an auction and the origin
-//	                              responds.
+//	GET  /request?id=N            the client's request, answered by the
+//	                              admission front's ladder (internal/front):
+//	                              served, 402 + Speakup-Action: pay, or
+//	                              503 + Retry-After during a brownout.
+//	GET  /request?id=N&wait=1     the re-issued request; held open until
+//	                              it is served or evicted (503), or 409
+//	                              if the id is already held.
 //	POST /pay?id=N                the payment channel: the thinner sinks
 //	                              and counts the dummy body bytes. The
 //	                              response tells the client to continue
@@ -32,11 +32,6 @@
 //	                              the origin is browned out (a patch
 //	                              applied mid-brownout is indistinguishable
 //	                              from the patch causing it).
-//
-// The request lifecycle — the arrival ladder, the waiter registry and
-// the dispatch of the auction's admissions and evictions — is the
-// admission front's (internal/front); Front is its HTTP adapter, and
-// the wire listener (internal/wire) reaches the same front through it.
 //
 // Ingest architecture: the whole point of speak-up is that the thinner
 // absorbs far more traffic than the origin serves, so the payment path
@@ -157,8 +152,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Front is the speak-up HTTP front-end. Create with NewFront; it
-// implements http.Handler.
+// Front is the speak-up HTTP front-end: the admission front's HTTP
+// adapter, which the wire listener reaches too. Create with NewFront;
+// it implements http.Handler.
 type Front struct {
 	cfg     Config
 	origin  Origin
