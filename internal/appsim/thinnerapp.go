@@ -142,8 +142,9 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 	}, front.Transport{EndPayment: a.endPayment, Route: a.respond})
 	srv.Done = func(id core.RequestID) { a.front.Done(id, nil) }
 	srv.Failed = func(id core.RequestID) {
-		// Crash: the closed connection tells the client; the thinner's
-		// brownout ladder defers the next auction.
+		// Crash: the closed connection tells the client (so Done's
+		// response goes nowhere); the thinner's brownout ladder defers
+		// the next auction.
 		a.failRequest(id)
 		a.front.Done(id, nil)
 	}
