@@ -50,7 +50,9 @@ func (m Mode) String() string {
 // (internal/front), which runs the protocol's request lifecycle.
 type ThinnerApp struct {
 	sizes  Sizes
+	clock  core.Clock
 	policy core.Policy
+	th     *core.Thinner // the policy in the auction modes; nil in the baselines
 	front  *front.Front
 	prof   *core.Profiler // ModeProfiling's address profile, ahead of the pass-through
 	srv    *server.Server
@@ -77,10 +79,6 @@ type thinReq struct {
 	pay  []tcpsim.Ref // the payment connection(s), in the order they registered
 }
 
-// paymentConn marks an accepted Conn's Ctx once it is registered as a
-// payment channel.
-type paymentConn struct{}
-
 // ThinnerConfig assembles a ThinnerApp.
 type ThinnerConfig struct {
 	Mode  Mode
@@ -105,6 +103,7 @@ type ThinnerConfig struct {
 func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cfg ThinnerConfig) *ThinnerApp {
 	a := &ThinnerApp{
 		sizes: cfg.Sizes.withDefaults(),
+		clock: clock,
 		srv:   srv,
 		reqs:  make(map[core.RequestID]*thinReq),
 	}
@@ -123,9 +122,9 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 	case ModeRandomDrop:
 		a.policy = core.NewRandomDrop(clock, cfg.RandomDrop)
 	case ModeAuction, ModeHetero:
-		th := core.NewThinner(clock, cfg.Thinner)
-		th.Trace = cfg.Trace
-		a.policy = th
+		a.th = core.NewThinner(clock, cfg.Thinner)
+		a.th.Trace = cfg.Trace
+		a.policy = a.th
 	default:
 		panic("appsim: unknown mode")
 	}
@@ -153,10 +152,7 @@ func NewThinnerApp(stack *tcpsim.Stack, clock core.Clock, srv *server.Server, cf
 }
 
 // Auction exposes the auction thinner (nil in the baseline modes).
-func (a *ThinnerApp) Auction() *core.Thinner {
-	th, _ := a.policy.(*core.Thinner)
-	return th
-}
+func (a *ThinnerApp) Auction() *core.Thinner { return a.th }
 
 // Stats returns the active policy's activity counters.
 func (a *ThinnerApp) Stats() core.Stats { return a.policy.Stats() }
@@ -275,20 +271,30 @@ func (a *ThinnerApp) accept(conn *tcpsim.Conn) {
 	conn.OnRecord = a.onRecord
 }
 
-// bytesArrived credits payment bytes. They may arrive long before the
-// first full POST record completes, so the channel is registered on
-// its first bytes: eviction must be able to close it mid-POST.
+// bytesArrived credits payment bytes to the connection's payment
+// channel, which its Ctx keeps. They may arrive long before the first
+// full POST record completes, so the connection is registered on its
+// first bytes: eviction must be able to close it mid-POST. Once the
+// channel settles (its request admitted or evicted), the table's
+// current channel for the id takes the bytes, as a fresh POST's would;
+// they open an orphan. The baselines take no payment.
 func (a *ThinnerApp) bytesArrived(conn *tcpsim.Conn, n int, tag uint64) {
 	m := msg(tag)
-	if m.kind() != kindPost {
+	if m.kind() != kindPost || a.th == nil {
 		return
 	}
-	if conn.Ctx == nil {
-		e := a.entry(m.id())
+	id, bytes, now := m.id(), int64(n), a.clock.Now()
+	ch, _ := conn.Ctx.(*core.PayChan)
+	if ch == nil {
+		e := a.entry(id)
 		e.pay = append(e.pay, conn.Ref())
-		conn.Ctx = paymentConn{}
 	}
-	a.policy.PaymentReceived(m.id(), int64(n))
+	if ch == nil || !ch.Credit(bytes, now) {
+		ch = a.th.Table().Channel(id, now)
+		ch.Credit(bytes, now)
+		conn.Ctx = ch
+	}
+	a.th.Trace.OnCredit(uint64(id), bytes, now, trace.TransportSim)
 }
 
 // recordArrived handles one complete client message.

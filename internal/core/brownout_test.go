@@ -11,12 +11,10 @@ import (
 func TestBrownoutLadder(t *testing.T) {
 	h := newHarness(Config{})
 	cfg := h.th.Config()
-	var shed []RequestID
-	h.th.Refuse = func(id RequestID) { shed = append(shed, id) }
 
 	h.th.RequestArrived(1) // occupies the server
 	h.th.RequestArrived(2) // contender
-	h.th.PaymentReceived(2, 4000)
+	h.th.Table().Credit(2, 4000, h.clock.Now())
 
 	h.th.SetOriginStalled(true)
 	if h.th.Health() != HealthStalled {
@@ -31,9 +29,8 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 
 	// Arrivals during the brownout are shed, not stranded.
-	h.th.RequestArrived(3)
-	if len(shed) != 1 || shed[0] != 3 || h.th.Stats().Shed != 1 {
-		t.Fatalf("shed = %v (stats %d), want [3]", shed, h.th.Stats().Shed)
+	if v := h.th.RequestArrived(3); v != ArriveShed || h.th.Stats().Shed != 1 {
+		t.Fatalf("verdict = %v (stats %d), want shed", v, h.th.Stats().Shed)
 	}
 
 	// The origin failing its request mid-stall must not trigger an
@@ -83,7 +80,7 @@ func TestBrownoutRecoveryNoAuctionWhileBusy(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1) // busy
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 100)
+	h.th.Table().Credit(2, 100, h.clock.Now())
 	h.th.SetOriginStalled(true)
 	h.th.SetOriginStalled(false) // origin still serving request 1
 	if len(h.admitted) != 1 {

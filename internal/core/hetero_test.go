@@ -63,8 +63,8 @@ func TestHeteroAdmitsTopPayerOnTick(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(1, 100)
-	h.th.PaymentReceived(2, 900)
+	h.th.Table().Credit(1, 100, h.clock.Now())
+	h.th.Table().Credit(2, 900, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond)
 	if len(h.starts) != 1 || h.starts[0] != 2 {
 		t.Fatalf("starts = %v, want [2]", h.starts)
@@ -82,15 +82,15 @@ func TestHeteroAdmitsTopPayerOnTick(t *testing.T) {
 func TestHeteroActiveKeepsServerWhilePayingMore(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 500)
+	h.th.Table().Credit(1, 500, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // 1 admitted
 	// Each quantum 1 pays 300 while challenger 2 trickles 50; the
 	// challenger's accumulated bid (max 250 over 5 quanta) never
 	// exceeds the active request's per-quantum payment.
 	h.th.RequestArrived(2)
 	for i := 0; i < 5; i++ {
-		h.th.PaymentReceived(1, 300)
-		h.th.PaymentReceived(2, 50)
+		h.th.Table().Credit(1, 300, h.clock.Now())
+		h.th.Table().Credit(2, 50, h.clock.Now())
 		h.clock.Advance(100 * time.Millisecond)
 	}
 	if len(h.suspends) != 0 {
@@ -106,10 +106,10 @@ func TestHeteroActiveKeepsServerWhilePayingMore(t *testing.T) {
 func TestHeteroSuspendAndResume(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 100)
+	h.th.Table().Credit(1, 100, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // 1 active
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 1000) // outbids 1 (who pays nothing more)
+	h.th.Table().Credit(2, 1000, h.clock.Now()) // outbids 1 (who pays nothing more)
 	h.clock.Advance(100 * time.Millisecond)
 	if len(h.suspends) != 1 || h.suspends[0] != 1 {
 		t.Fatalf("suspends = %v, want [1]", h.suspends)
@@ -118,7 +118,7 @@ func TestHeteroSuspendAndResume(t *testing.T) {
 		t.Fatalf("starts = %v, want [1 2]", h.starts)
 	}
 	// Now 1 outbids 2.
-	h.th.PaymentReceived(1, 2000)
+	h.th.Table().Credit(1, 2000, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond)
 	if len(h.suspends) != 2 || h.suspends[1] != 2 {
 		t.Fatalf("suspends = %v, want [1 2]", h.suspends)
@@ -131,14 +131,14 @@ func TestHeteroSuspendAndResume(t *testing.T) {
 func TestHeteroAbortAfterLongSuspension(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 100)
+	h.th.Table().Credit(1, 100, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // 1 active
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 1000)
+	h.th.Table().Credit(2, 1000, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // 1 suspended, 2 active
 	// 2 keeps outbidding for >30s; 1 stays suspended and gets aborted.
 	for i := 0; i < 310; i++ {
-		h.th.PaymentReceived(2, 1000)
+		h.th.Table().Credit(2, 1000, h.clock.Now())
 		h.clock.Advance(100 * time.Millisecond)
 	}
 	found := false
@@ -155,10 +155,10 @@ func TestHeteroAbortAfterLongSuspension(t *testing.T) {
 func TestHeteroServerDoneFreesAndAdmitsNext(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 100)
+	h.th.Table().Credit(1, 100, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond)
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 50)
+	h.th.Table().Credit(2, 50, h.clock.Now())
 	h.th.ServerDone(1)
 	if len(h.done) != 1 || h.done[0] != 1 {
 		t.Fatalf("done = %v", h.done)
@@ -176,10 +176,10 @@ func TestHeteroServerDoneFreesAndAdmitsNext(t *testing.T) {
 func TestHeteroChargesAccumulateAcrossQuanta(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 100)
+	h.th.Table().Credit(1, 100, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // charged 100
 	for i := 0; i < 3; i++ {
-		h.th.PaymentReceived(1, 100)
+		h.th.Table().Credit(1, 100, h.clock.Now())
 		h.clock.Advance(100 * time.Millisecond) // charged 100 each tick
 	}
 	h.th.ServerDone(1)
@@ -199,8 +199,8 @@ func TestHeteroHardRequestsPayProportionally(t *testing.T) {
 	var served1, served2 int
 	// Both pay the same rate every quantum.
 	for i := 0; i < 60; i++ {
-		h.th.PaymentReceived(1, 100)
-		h.th.PaymentReceived(2, 100)
+		h.th.Table().Credit(1, 100, h.clock.Now())
+		h.th.Table().Credit(2, 100, h.clock.Now())
 		h.clock.Advance(100 * time.Millisecond)
 		if id, ok := h.active, h.hasActive; ok {
 			switch id {
@@ -228,7 +228,7 @@ func TestHeteroHardRequestsPayProportionally(t *testing.T) {
 
 func TestHeteroOrphanPaymentEvicted(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
-	h.th.PaymentReceived(9, 500) // no request ever follows
+	h.th.Table().Credit(9, 500, h.clock.Now()) // no request ever follows
 	h.clock.Advance(15 * time.Second)
 	if h.th.Table().Contains(9) {
 		t.Fatal("orphan payment channel not evicted")
@@ -255,10 +255,10 @@ func TestHeteroIdleServerAdmitsWithinTau(t *testing.T) {
 func TestHeteroActiveNotEvictedAsOrphan(t *testing.T) {
 	h := newHetHarness(100 * time.Millisecond)
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(1, 100)
+	h.th.Table().Credit(1, 100, h.clock.Now())
 	h.clock.Advance(100 * time.Millisecond) // 1 admitted, charged 100
 	for i := 0; i < 150; i++ {              // 15s, past the 10s OrphanTimeout
-		h.th.PaymentReceived(1, 10)
+		h.th.Table().Credit(1, 10, h.clock.Now())
 		h.clock.Advance(100 * time.Millisecond)
 	}
 	h.th.ServerDone(1)

@@ -28,10 +28,10 @@ func liveTimers(c *fakeClock) int {
 }
 
 func TestReconfigureDuringStallHoldsEvictions(t *testing.T) {
-	h := newHarness(Config{})     // defaults: orphan 10s, inactivity 30s, sweep 1s
-	h.th.RequestArrived(1)        // busy
-	h.th.PaymentReceived(42, 500) // orphan candidate: bytes, no request
-	h.th.RequestArrived(2)        // inactivity candidate: request, no bytes
+	h := newHarness(Config{})                   // defaults: orphan 10s, inactivity 30s, sweep 1s
+	h.th.RequestArrived(1)                      // busy
+	h.th.Table().Credit(42, 500, h.clock.Now()) // orphan candidate: bytes, no request
+	h.th.RequestArrived(2)                      // inactivity candidate: request, no bytes
 	h.th.SetOriginStalled(true)
 
 	// Mid-brownout, a rollout shrinks every timeout far below the
@@ -89,9 +89,9 @@ func TestReconfigureDuringStallKeepsSingleSweepChain(t *testing.T) {
 }
 
 func TestReconfigureDuringRecoveryRespectsHold(t *testing.T) {
-	h := newHarness(Config{})     // orphan timeout 10s
-	h.th.RequestArrived(1)        // busy
-	h.th.PaymentReceived(42, 500) // orphan candidate
+	h := newHarness(Config{})                   // orphan timeout 10s
+	h.th.RequestArrived(1)                      // busy
+	h.th.Table().Credit(42, 500, h.clock.Now()) // orphan candidate
 	h.th.SetOriginStalled(true)
 	h.clock.Advance(3 * time.Second)
 
@@ -128,7 +128,7 @@ func TestReconfigureDuringRecoveryRespectsHold(t *testing.T) {
 func TestReconfigureBeforeRecoverySetsNewGrace(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(42, 500)
+	h.th.Table().Credit(42, 500, h.clock.Now())
 	h.th.SetOriginStalled(true)
 
 	// The push lands during the stall; recovery afterwards grants grace

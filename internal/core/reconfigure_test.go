@@ -15,7 +15,7 @@ func TestReconfigureSweepCadence(t *testing.T) {
 	defer th.Stop()
 
 	// An orphan channel due at t=2s under the original cadence.
-	th.PaymentReceived(1, 100)
+	th.Table().Credit(1, 100, clock.Now())
 	clock.Advance(1500 * time.Millisecond) // one sweep at 1s: nothing due
 
 	if err := th.Reconfigure(Config{SweepInterval: 100 * time.Millisecond}); err != nil {
@@ -79,7 +79,7 @@ func TestReconfigureInactivityTimeout(t *testing.T) {
 	defer th.Stop()
 
 	th.RequestArrived(1) // admitted directly: origin busy from here on
-	th.PaymentReceived(2, 10)
+	th.Table().Credit(2, 10, clock.Now())
 	th.RequestArrived(2) // eligible contender, then silent
 	if err := th.Reconfigure(Config{InactivityTimeout: time.Second}); err != nil {
 		t.Fatal(err)
@@ -103,12 +103,12 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 	defer th.Stop()
 
 	th.RequestArrived(1) // direct admission
-	th.PaymentReceived(2, 500)
+	th.Table().Credit(2, 500, clock.Now())
 	th.RequestArrived(2)
-	th.PaymentReceived(3, 200)
+	th.Table().Credit(3, 200, clock.Now())
 	th.RequestArrived(3)
 	th.ServerDone(1) // auction: 2 wins at 500
-	th.PaymentReceived(4, 50)
+	th.Table().Credit(4, 50, clock.Now())
 	clock.Advance(5 * time.Second) // orphan 4 times out
 	th.SetOriginStalled(true)
 	th.RequestArrived(5) // shed
@@ -140,13 +140,14 @@ func TestThinnerFeedsRegistry(t *testing.T) {
 // inside a callback, so a positive sum is read off the wall.
 func TestWallClockThinnerTimesAuctions(t *testing.T) {
 	var mu sync.Mutex
-	th := NewThinner(&WallClock{Mu: &mu, Epoch: time.Now()}, Config{SweepInterval: time.Hour})
+	clock := &WallClock{Mu: &mu, Epoch: time.Now()}
+	th := NewThinner(clock, Config{SweepInterval: time.Hour})
 	mu.Lock()
 	defer mu.Unlock()
 	defer th.Stop()
 
 	th.RequestArrived(1) // direct admission
-	th.PaymentReceived(2, 500)
+	th.Table().Credit(2, 500, clock.Now())
 	th.RequestArrived(2)
 	th.ServerDone(1) // auction: 2 wins
 	if lat := &th.Registry().Latency().AuctionLatency; lat.Count() != 1 || lat.Sum() <= 0 {

@@ -115,15 +115,17 @@ func (w *wallTimer) CancelTimer(uint64) {
 }
 
 // Policy is an admission policy: the Thinner (§3.3, or §5 with a
-// Quantum), RandomDrop (§3.2) or PassThrough (no defense). A transport
-// feeds it arrivals, payment and completions, and acts on its
-// Callbacks. PaymentReceived may run on any goroutine; the other
-// methods must be serialized by the caller.
+// Quantum), RandomDrop (§3.2) or PassThrough (no defense). The
+// admission front (internal/front) feeds it arrivals and completions
+// and acts on its Callbacks, all from one goroutine or under one lock.
+// Payment does not pass through it: transports credit the Thinner's
+// payment channels directly, and the baselines take none.
 type Policy interface {
-	// RequestArrived offers a request to the policy.
-	RequestArrived(id RequestID)
-	// PaymentReceived credits payment bytes to id.
-	PaymentReceived(id RequestID, bytes int64)
+	// RequestArrived offers a request to the policy and returns its
+	// verdict: ArriveOK when it is admitted, held or queued, ArriveShed
+	// during a brownout or from a busy pass-through, ArriveRetry when
+	// random drop loses its coin toss.
+	RequestArrived(id RequestID) ArriveVerdict
 	// ServerDone reports that the server finished (or lost) id.
 	ServerDone(id RequestID)
 	// Busy reports whether an arriving request should be told to pay
@@ -131,8 +133,6 @@ type Policy interface {
 	Busy() bool
 	// Stats returns the activity counters.
 	Stats() Stats
-	// Stop cancels the policy's timers.
-	Stop()
 	// SetCallbacks installs the callbacks the policy acts through.
 	SetCallbacks(cb Callbacks)
 }
@@ -140,8 +140,9 @@ type Policy interface {
 // Callbacks are how a Policy acts. Nil callbacks are skipped.
 type Callbacks struct {
 	// Admit hands id to the server: start it, or resume it if the
-	// server holds suspended work for it (§5). paid is the bid that
-	// won it (0 when the server was free).
+	// server holds suspended work for it (§5). paid is its price: the
+	// winning bid, or on a direct admission to a free server whatever
+	// it paid beforehand.
 	Admit func(id RequestID, paid int64)
 	// Evict ends id's payment: the client should stop sending. paid is
 	// its price; wasted is true when it will not be served (a timeout
@@ -154,9 +155,6 @@ type Callbacks struct {
 	// Done delivers id's response. ServerDone calls it after settling
 	// id's price and before admitting the next request.
 	Done func(id RequestID)
-	// Refuse turns an arrival away: shed during an origin brownout,
-	// dropped by a busy pass-through, or told to retry by random drop.
-	Refuse func(id RequestID)
 }
 
 // SetCallbacks replaces c with cb; every policy embeds Callbacks, so
@@ -166,12 +164,6 @@ func (c *Callbacks) SetCallbacks(cb Callbacks) { *c = cb }
 func (c *Callbacks) done(id RequestID) {
 	if c.Done != nil {
 		c.Done(id)
-	}
-}
-
-func (c *Callbacks) refuse(id RequestID) {
-	if c.Refuse != nil {
-		c.Refuse(id)
 	}
 }
 
@@ -256,17 +248,16 @@ func (h HealthState) String() string {
 // Thinner is the virtual-auction front-end of §3.3 and, with a
 // Config.Quantum, the §5 scheduler for unequal requests.
 //
-// Wiring: the application layer calls RequestArrived, PaymentReceived,
-// and ServerDone; the thinner invokes the callbacks to act. It does
-// not encourage clients itself: the admission front (internal/front)
-// reads Busy and has the transport tell the client to pay (the live
-// front's 402, the simulator's please reply).
+// Wiring: the application layer calls RequestArrived and ServerDone;
+// the thinner invokes the callbacks to act. It does not encourage
+// clients itself: the admission front (internal/front) reads Busy and
+// has the transport tell the client to pay (the live front's 402, the
+// simulator's please reply).
 // Control methods (RequestArrived, ServerDone, Stop, and the sweep
 // timer) must be called from one goroutine (or under one lock);
-// PaymentReceived — and crediting directly through the bid table's
-// channels — is safe from any goroutine, which is what lets the live
-// front sink payment bytes on every core while the auction stays
-// single-threaded. Under §5 the sweep runs the auction every quantum
+// crediting through the bid table's channels is safe from any
+// goroutine, which is what lets the live front sink payment bytes on
+// every core while the auction stays single-threaded. Under §5 the sweep runs the auction every quantum
 // and also aborts requests suspended longer than AbortAfter.
 type Thinner struct {
 	Callbacks
@@ -443,13 +434,13 @@ func (t *Thinner) shed(id RequestID) {
 // RequestArrived processes a client request message. If the server is
 // free it is admitted immediately; otherwise the client becomes an
 // eligible contender whose payments count toward the next auction.
-// During an origin brownout the request is shed instead: stranding it
-// as a waiter would just grow a queue the origin cannot drain.
-func (t *Thinner) RequestArrived(id RequestID) {
+// Either way the verdict is ArriveOK. During an origin brownout the
+// request is shed instead (ArriveShed): stranding it as a waiter would
+// just grow a queue the origin cannot drain.
+func (t *Thinner) RequestArrived(id RequestID) ArriveVerdict {
 	if t.Health() == HealthStalled {
 		t.shed(id)
-		t.refuse(id)
-		return
+		return ArriveShed
 	}
 	if t.Trace != nil {
 		t.Trace.OnArrive(uint64(id), t.clock.Now())
@@ -463,18 +454,10 @@ func (t *Thinner) RequestArrived(id RequestID) {
 		if t.Admit != nil {
 			t.Admit(id, paid)
 		}
-		return
+		return ArriveOK
 	}
 	t.table.MarkEligible(id, t.clock.Now())
-}
-
-// PaymentReceived credits bytes to id. Payment may arrive before the
-// request message; such entries are orphans until the request shows up
-// and are evicted after OrphanTimeout.
-func (t *Thinner) PaymentReceived(id RequestID, bytes int64) {
-	now := t.clock.Now()
-	t.table.Credit(id, bytes, now)
-	t.Trace.OnCredit(uint64(id), bytes, now, trace.TransportSim)
+	return ArriveOK
 }
 
 // ServerDone signals that the server finished id. Under §5 the thinner

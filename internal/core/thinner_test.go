@@ -65,8 +65,8 @@ func TestThinnerAuctionPicksTopPayer(t *testing.T) {
 	h.th.RequestArrived(1) // occupies server
 	h.th.RequestArrived(2)
 	h.th.RequestArrived(3)
-	h.th.PaymentReceived(2, 1000)
-	h.th.PaymentReceived(3, 5000)
+	h.th.Table().Credit(2, 1000, h.clock.Now())
+	h.th.Table().Credit(3, 5000, h.clock.Now())
 	h.th.ServerDone(1)
 	if len(h.admitted) != 2 || h.admitted[1] != 3 {
 		t.Fatalf("admitted = %v, want [1 3]", h.admitted)
@@ -100,7 +100,7 @@ func TestThinnerPaymentBeforeRequest(t *testing.T) {
 	// Bytes may arrive before the request message (saturated uplink).
 	h := newHarness(Config{})
 	h.th.RequestArrived(1) // busy
-	h.th.PaymentReceived(2, 9000)
+	h.th.Table().Credit(2, 9000, h.clock.Now())
 	h.th.ServerDone(1)
 	if h.th.Busy() {
 		t.Fatal("payment-only entry must not win (not eligible)")
@@ -118,7 +118,7 @@ func TestThinnerPaymentBeforeRequest(t *testing.T) {
 func TestThinnerOrphanEviction(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1) // busy
-	h.th.PaymentReceived(42, 12345)
+	h.th.Table().Credit(42, 12345, h.clock.Now())
 	h.clock.Advance(11 * time.Second) // sweeps run every 1s; orphan timeout 10s
 	if len(h.evicted) != 1 || h.evicted[0] != 42 {
 		t.Fatalf("evicted = %v, want [42]", h.evicted)
@@ -139,7 +139,7 @@ func TestThinnerOrphanEviction(t *testing.T) {
 func TestThinnerOrphanSurvivesIfRequestArrives(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1) // busy
-	h.th.PaymentReceived(2, 100)
+	h.th.Table().Credit(2, 100, h.clock.Now())
 	h.clock.Advance(5 * time.Second)
 	h.th.RequestArrived(2) // becomes eligible before the 10s timeout
 	h.clock.Advance(20 * time.Second)
@@ -168,7 +168,7 @@ func TestThinnerActiveContenderNotEvicted(t *testing.T) {
 	// Keep paying a trickle: must never be evicted.
 	for i := 0; i < 40; i++ {
 		h.clock.Advance(time.Second)
-		h.th.PaymentReceived(2, 10)
+		h.th.Table().Credit(2, 10, h.clock.Now())
 	}
 	if len(h.evicted) != 0 {
 		t.Fatalf("paying contender evicted: %v", h.evicted)
@@ -185,7 +185,7 @@ func TestThinnerWinnerChannelTerminated(t *testing.T) {
 	}
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 100)
+	h.th.Table().Credit(2, 100, h.clock.Now())
 	h.th.ServerDone(1)
 	// Every admission ends the request's payment: 1's at its direct
 	// admission, winner 2's at the auction.
@@ -198,7 +198,7 @@ func TestThinnerStatsAccounting(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 500)
+	h.th.Table().Credit(2, 500, h.clock.Now())
 	h.th.ServerDone(1)
 	s := h.th.Stats()
 	if s.Admitted != 2 || s.AdmittedDirect != 1 || s.Auctions != 1 {
@@ -212,7 +212,7 @@ func TestThinnerStatsAccounting(t *testing.T) {
 func TestThinnerStopCancelsSweeper(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1)
-	h.th.PaymentReceived(9, 100)
+	h.th.Table().Credit(9, 100, h.clock.Now())
 	h.th.Stop()
 	h.clock.Advance(time.Minute)
 	if len(h.evicted) != 0 {
@@ -224,10 +224,10 @@ func TestThinnerGoingRateTracksLastAuction(t *testing.T) {
 	h := newHarness(Config{})
 	h.th.RequestArrived(1)
 	h.th.RequestArrived(2)
-	h.th.PaymentReceived(2, 100)
+	h.th.Table().Credit(2, 100, h.clock.Now())
 	h.th.ServerDone(1) // 2 wins at 100
 	h.th.RequestArrived(3)
-	h.th.PaymentReceived(3, 700)
+	h.th.Table().Credit(3, 700, h.clock.Now())
 	h.th.ServerDone(2) // 3 wins at 700
 	if p := h.th.Registry().Snapshot().GoingPrice; p != 700 {
 		t.Fatalf("going rate = %d, want 700", p)
@@ -238,12 +238,16 @@ func TestPassThroughDropsWhenBusy(t *testing.T) {
 	p := NewPassThrough()
 	var admitted, dropped []RequestID
 	p.Admit = func(id RequestID, _ int64) { admitted = append(admitted, id) }
-	p.Refuse = func(id RequestID) { dropped = append(dropped, id) }
-	p.RequestArrived(1)
-	p.RequestArrived(2)
-	p.RequestArrived(3)
+	arrive := func(id RequestID) {
+		if p.RequestArrived(id) == ArriveShed {
+			dropped = append(dropped, id)
+		}
+	}
+	arrive(1)
+	arrive(2)
+	arrive(3)
 	p.ServerDone(1)
-	p.RequestArrived(4)
+	arrive(4)
 	if len(admitted) != 2 || admitted[0] != 1 || admitted[1] != 4 {
 		t.Fatalf("admitted = %v, want [1 4]", admitted)
 	}
@@ -256,7 +260,6 @@ func TestRandomDropAdaptsProbability(t *testing.T) {
 	clock := &fakeClock{}
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 10, Seed: 1})
 	rd.Admit = func(id RequestID, _ int64) {}
-	rd.Refuse = func(id RequestID) {}
 	// 100 requests in 1s against capacity 10 -> p should become 0.1.
 	for i := 0; i < 100; i++ {
 		rd.RequestArrived(RequestID(i))
@@ -281,7 +284,6 @@ func TestRandomDropAdmissionRateTracksCapacity(t *testing.T) {
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 10, Seed: 7})
 	served := 0
 	rd.Admit = func(id RequestID, _ int64) { served++ }
-	rd.Refuse = func(id RequestID) {}
 	// Steady overload: 200 req/s for 20 simulated seconds.
 	id := RequestID(0)
 	for sec := 0; sec < 20; sec++ {
@@ -306,10 +308,11 @@ func TestRandomDropQueueBound(t *testing.T) {
 	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 1000, MaxQueue: 2, Seed: 1})
 	var admitted, retried int
 	rd.Admit = func(id RequestID, _ int64) { admitted++ }
-	rd.Refuse = func(id RequestID) { retried++ }
 	// p=1: everything admitted until the queue fills (1 busy + 2 queued).
 	for i := 0; i < 10; i++ {
-		rd.RequestArrived(RequestID(i))
+		if rd.RequestArrived(RequestID(i)) == ArriveRetry {
+			retried++
+		}
 	}
 	if admitted != 1 || retried != 7 {
 		t.Fatalf("admitted=%d retried=%d, want 1/7", admitted, retried)

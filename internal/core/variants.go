@@ -18,16 +18,13 @@ type baseline struct {
 // Busy is always false: the baselines ask no one to pay.
 func (b *baseline) Busy() bool { return false }
 
-// PaymentReceived ignores payment bytes: the baselines take none.
-func (b *baseline) PaymentReceived(RequestID, int64) {}
-
 // Stats returns the activity counters, read from the registry.
 func (b *baseline) Stats() Stats { return b.reg.Snapshot().Counters }
 
-// refuse counts id as evicted and turns it away.
-func (b *baseline) refuse(id RequestID) {
+// refuse counts an arrival as evicted and turns it away with v.
+func (b *baseline) refuse(v ArriveVerdict) ArriveVerdict {
 	b.reg.RecordEvict(0)
-	b.Callbacks.refuse(id)
+	return v
 }
 
 // admit counts id's admission, ends its (empty) payment and hands it
@@ -53,17 +50,15 @@ type PassThrough struct{ baseline }
 // NewPassThrough returns the OFF-mode front-end.
 func NewPassThrough() *PassThrough { return &PassThrough{} }
 
-// Stop is a no-op: the baseline runs no timers.
-func (p *PassThrough) Stop() {}
-
-// RequestArrived admits the request if the server is free, else drops it.
-func (p *PassThrough) RequestArrived(id RequestID) {
+// RequestArrived admits the request if the server is free, else sheds
+// it.
+func (p *PassThrough) RequestArrived(id RequestID) ArriveVerdict {
 	if p.busy {
-		p.refuse(id)
-		return
+		return p.refuse(ArriveShed)
 	}
 	p.busy = true
 	p.admit(id, true)
+	return ArriveOK
 }
 
 // ServerDone signals that the server finished id.
@@ -91,8 +86,7 @@ type RandomDrop struct {
 	cfg   RandomDropConfig
 
 	prob    float64
-	arrived int // requests in the current adaptation interval
-	tick    Timer
+	arrived int         // requests in the current adaptation interval
 	tickFn  func()      // built once; rescheduled every AdaptEvery
 	queue   []RequestID // admitted, waiting for the server
 }
@@ -142,13 +136,7 @@ func NewRandomDrop(clock Clock, cfg RandomDropConfig) *RandomDrop {
 // Prob returns the current admission probability (the price is 1/Prob).
 func (r *RandomDrop) Prob() float64 { return r.prob }
 
-// Stop cancels the adaptation timer.
-func (r *RandomDrop) Stop() {
-	r.tick.Stop()
-	r.tick = Timer{}
-}
-
-func (r *RandomDrop) scheduleTick() { r.tick = r.clock.After(r.cfg.AdaptEvery, r.tickFn) }
+func (r *RandomDrop) scheduleTick() { r.clock.After(r.cfg.AdaptEvery, r.tickFn) }
 
 // adapt sets the admission probability from the last interval's
 // arrival rate and starts the next interval.
@@ -164,19 +152,19 @@ func (r *RandomDrop) adapt() {
 }
 
 // RequestArrived applies the drop coin. Admitted requests go to the
-// server (or its short queue); dropped ones trigger a retry signal.
-func (r *RandomDrop) RequestArrived(id RequestID) {
+// server (or its short queue); dropped ones are told to retry.
+func (r *RandomDrop) RequestArrived(id RequestID) ArriveVerdict {
 	r.arrived++
 	if r.rng.Float64() >= r.prob || len(r.queue) >= r.cfg.MaxQueue {
-		r.refuse(id)
-		return
+		return r.refuse(ArriveRetry)
 	}
 	if r.busy {
 		r.queue = append(r.queue, id)
-		return
+		return ArriveOK
 	}
 	r.busy = true
 	r.admit(id, false)
+	return ArriveOK
 }
 
 // ServerDone signals that the server finished id; the next queued

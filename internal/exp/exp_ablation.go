@@ -158,7 +158,8 @@ type theoremGame struct {
 func playTheorem(g theoremGame, bid bidFunc) TheoremPoint {
 	loop := sim.NewLoop(g.Seed)
 	rng := loop.Rand()
-	th := core.NewThinner(simclock.New(loop), core.Config{})
+	clock := simclock.New(loop)
+	th := core.NewThinner(clock, core.Config{})
 	defer th.Stop()
 	adv, x := core.RequestID(1), core.RequestID(1<<40)
 	active := core.RequestID(0) // the filler
@@ -184,12 +185,12 @@ func playTheorem(g theoremGame, bid bidFunc) TheoremPoint {
 	}
 	tick = func() {
 		xPay := int64(g.XRate * theoremUnit * f)
-		th.PaymentReceived(x, xPay)
+		th.Table().Credit(x, xPay, clock.Now())
 		xBytes += xPay
 		bank += int64(g.AdvRate * theoremUnit * f)
 		reveal := min(max(bid(round, bank, th.Table().Balance(x), rng), 0), bank)
 		if reveal > 0 {
-			th.PaymentReceived(adv, reveal)
+			th.Table().Credit(adv, reveal, clock.Now())
 			bank -= reveal
 			advBytes += reveal
 		}

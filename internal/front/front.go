@@ -15,7 +15,8 @@
 //
 // Like a core.Policy, a Front must be driven from one goroutine or
 // under one lock; only Release may run anywhere. Payment bypasses it:
-// transports credit the policy's payment channels directly.
+// every transport, the simulator's included, credits the thinner's
+// payment channels directly.
 package front
 
 import "speakup/internal/core"
@@ -55,31 +56,25 @@ type Front struct {
 	th     *core.Thinner // nil for a baseline, which has no brownout ladder
 	// table is the waiter registry: the thinner's bid table, or one of
 	// the front's own for a baseline.
-	table   *core.BidTable
-	origin  Origin
-	tr      Transport
-	refusal core.ArriveVerdict
+	table  *core.BidTable
+	origin Origin
+	tr     Transport
 
 	serving map[core.RequestID]core.Waiter // admitted, until the origin is done
 	body    []byte                         // what Done delivers
-	refused bool                           // the policy refused the current arrival
 }
 
 // New builds the front for policy and takes over its callbacks.
 func New(clock core.Clock, policy core.Policy, origin Origin, tr Transport) *Front {
 	f := &Front{clock: clock, policy: policy, origin: origin, tr: tr,
-		refusal: core.ArriveShed, serving: make(map[core.RequestID]core.Waiter)}
+		serving: make(map[core.RequestID]core.Waiter)}
 	f.th, _ = policy.(*core.Thinner)
 	if f.th != nil {
 		f.table = f.th.Table()
 	} else {
 		f.table = core.NewBidTable(1)
 	}
-	if _, ok := policy.(*core.RandomDrop); ok {
-		f.refusal = core.ArriveRetry
-	}
-	policy.SetCallbacks(core.Callbacks{Admit: f.admit, Evict: f.evict, Suspend: origin.Suspend,
-		Done: f.done, Refuse: func(core.RequestID) { f.refused = true }})
+	policy.SetCallbacks(core.Callbacks{Admit: f.admit, Evict: f.evict, Suspend: origin.Suspend, Done: f.done})
 	return f
 }
 
@@ -87,9 +82,7 @@ func New(clock core.Clock, policy core.Policy, origin Origin, tr Transport) *Fro
 // marks a request not yet paying.
 func (f *Front) Arrive(id core.RequestID, w core.Waiter, initial bool) core.ArriveVerdict {
 	if f.th != nil && f.th.Health() == core.HealthStalled {
-		f.th.RequestArrived(id) // the thinner counts the shed and refuses
-		f.refused = false
-		return core.ArriveShed
+		return f.th.RequestArrived(id) // the thinner counts the shed
 	}
 	if initial && f.policy.Busy() {
 		return core.ArriveBusy
@@ -100,15 +93,11 @@ func (f *Front) Arrive(id core.RequestID, w core.Waiter, initial bool) core.Arri
 		}
 		return core.ArriveDuplicate
 	}
-	f.policy.RequestArrived(id)
-	if !f.refused {
-		return core.ArriveOK
-	}
-	f.refused = false
-	if w != nil {
+	v := f.policy.RequestArrived(id)
+	if v != core.ArriveOK && w != nil {
 		f.table.DropWaiter(id, w)
 	}
-	return f.refusal
+	return v
 }
 
 // Done reports that the origin finished id: its waiter gets body (nil

@@ -135,7 +135,7 @@ func routed(id core.RequestID, want ...string) step {
 }
 
 func pay(id core.RequestID, n int64) step {
-	return step{func(r *rig) { r.policy.PaymentReceived(id, n) }, nil}
+	return step{func(r *rig) { r.policy.(*core.Thinner).Table().Credit(id, n, r.clock.Now()) }, nil}
 }
 
 func done(id core.RequestID, want ...string) step {
