@@ -387,3 +387,40 @@ func TestHeteroOrphanPaymentClosed(t *testing.T) {
 		t.Fatal("the evicted channel came back")
 	}
 }
+
+// TestLateRetryIsNotServedAgain sends a §3.2 retry after its request
+// was answered, as a pipelined retry still in flight at the response
+// does: the thinner ignores it, so the origin serves the request once.
+func TestLateRetryIsNotServedAgain(t *testing.T) {
+	loop := sim.NewLoop(13)
+	n := netsim.New(loop)
+	tn := n.AddNode("thinner", nil)
+	cn := n.AddNode("client", nil)
+	n.Connect(cn, tn, 100e6, 250*time.Microsecond, 256*1500)
+	n.ComputeRoutes()
+
+	clock := simclock.New(loop)
+	srv := server.New(clock, server.Config{Capacity: 2, Seed: 5})
+	app := NewThinnerApp(tcpsim.NewStack(n, tn, tcpsim.Options{}), clock, srv, ThinnerConfig{
+		Mode:       ModeRandomDrop,
+		RandomDrop: core.RandomDropConfig{Capacity: 2, Seed: 5},
+	})
+	sizes := Sizes{}.withDefaults()
+	var responses int
+	conn := tcpsim.NewStack(n, cn, tcpsim.Options{}).Dial(tn, nil)
+	conn.OnRecord = func(_ *tcpsim.Conn, tag uint64) {
+		if msg(tag).kind() == kindResponse {
+			responses++
+		}
+	}
+	conn.Write(sizes.Initial, newMsg(kindInitial, 5))
+	loop.Run(5 * time.Second)
+	if responses != 1 {
+		t.Fatalf("%d responses to the request, want 1", responses)
+	}
+	conn.Write(sizes.Request, newMsg(kindRequest, 5))
+	loop.Run(10 * time.Second)
+	if st := app.Stats(); st.Admitted != 1 || responses != 1 {
+		t.Fatalf("admitted %d, %d responses after a late retry, want 1 and 1", st.Admitted, responses)
+	}
+}

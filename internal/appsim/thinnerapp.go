@@ -311,7 +311,12 @@ func (a *ThinnerApp) recordArrived(conn *tcpsim.Conn, tag uint64) {
 		}
 		a.answer(m.id(), a.front.Arrive(m.id(), nil, true))
 	case kindRequest:
-		// The re-issued request (1).
+		// The re-issued request (1), or a §3.2 retry. A retry still in
+		// flight when its request was answered finds the connection
+		// forgotten: offering it again would serve the request twice.
+		if e := a.reqs[m.id()]; e == nil || e.conn.Conn() != conn {
+			return
+		}
 		a.answer(m.id(), a.front.Arrive(m.id(), nil, false))
 	case kindPost:
 		// Full POST delivered without a win: ask for another.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -322,5 +324,35 @@ func TestRandomDropQueueBound(t *testing.T) {
 	rd.ServerDone(2)
 	if admitted != 3 {
 		t.Fatalf("queued requests not drained: admitted=%d", admitted)
+	}
+}
+
+// TestRandomDropServesARetryOnce checks that a pipelined retry of a
+// request already admitted is served once, whether it waits in the
+// queue or holds the server: the retry is counted and answered ok, but
+// flips no coin and is not queued again.
+func TestRandomDropServesARetryOnce(t *testing.T) {
+	clock := &fakeClock{}
+	rd := NewRandomDrop(clock, RandomDropConfig{Capacity: 1000, Seed: 1})
+	var admitted []RequestID
+	rd.Admit = func(id RequestID, _ int64) { admitted = append(admitted, id) }
+	for _, id := range []RequestID{1, 2, 2, 1} { // 1 in service, 2 queued, then each retried
+		if v := rd.RequestArrived(id); v != ArriveOK {
+			t.Fatalf("arrival of %d: verdict %v, want ok", id, v)
+		}
+	}
+	if len(rd.queue) != 1 || rd.arrived != 4 {
+		t.Fatalf("queue %v after %d arrivals, want [2] after 4", rd.queue, rd.arrived)
+	}
+	coin := rand.New(rand.NewSource(1)) // the two first arrivals' coins
+	coin.Float64()
+	coin.Float64()
+	if got, want := rd.rng.Float64(), coin.Float64(); got != want {
+		t.Fatal("a retry of an admitted request flipped a coin")
+	}
+	rd.ServerDone(1)
+	rd.ServerDone(2)
+	if !slices.Equal(admitted, []RequestID{1, 2}) || rd.busy {
+		t.Fatalf("admitted %v (busy %v), want [1 2] once each", admitted, rd.busy)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"speakup/internal/metrics"
@@ -89,6 +90,7 @@ type RandomDrop struct {
 	arrived int         // requests in the current adaptation interval
 	tickFn  func()      // built once; rescheduled every AdaptEvery
 	queue   []RequestID // admitted, waiting for the server
+	active  RequestID   // the request the server holds, while busy
 }
 
 // RandomDropConfig tunes a RandomDrop front-end.
@@ -152,9 +154,14 @@ func (r *RandomDrop) adapt() {
 }
 
 // RequestArrived applies the drop coin. Admitted requests go to the
-// server (or its short queue); dropped ones are told to retry.
+// server (or its short queue); dropped ones are told to retry. A
+// pipelined retry of a request already queued or in service counts
+// toward the arrival rate but flips no coin: it is already admitted.
 func (r *RandomDrop) RequestArrived(id RequestID) ArriveVerdict {
 	r.arrived++
+	if (r.busy && r.active == id) || slices.Contains(r.queue, id) {
+		return ArriveOK
+	}
 	if r.rng.Float64() >= r.prob || len(r.queue) >= r.cfg.MaxQueue {
 		return r.refuse(ArriveRetry)
 	}
@@ -162,7 +169,7 @@ func (r *RandomDrop) RequestArrived(id RequestID) ArriveVerdict {
 		r.queue = append(r.queue, id)
 		return ArriveOK
 	}
-	r.busy = true
+	r.busy, r.active = true, id
 	r.admit(id, false)
 	return ArriveOK
 }
@@ -177,6 +184,6 @@ func (r *RandomDrop) ServerDone(id RequestID) {
 	}
 	next := r.queue[0]
 	r.queue = r.queue[1:]
-	r.busy = true
+	r.busy, r.active = true, next
 	r.admit(next, false)
 }

@@ -240,11 +240,13 @@ func TestLifecycle(t *testing.T) {
 		{"random drop, answered by id", randomDrop, true, []step{
 			routed(1, "end 1 paid=0 served=true", "start 1", "-> ok"),
 			routed(2, "-> ok"),
-			routed(2, "-> ok"), // a re-issue: queued twice, not a duplicate
-			routed(2, "-> retry"),
+			routed(2, "-> ok"), // a re-issue: not a duplicate, and not queued again
+			routed(1, "-> ok"), // nor is one of the request in service
+			routed(3, "-> ok"),
+			routed(4, "-> retry"),
 			done(1, `deliver 1 "body 1"`, "end 2 paid=0 served=true", "start 2"),
-			done(2, `deliver 2 "body 2"`, "end 2 paid=0 served=true", "start 2"),
-			done(2, `deliver 2 "body 2"`),
+			done(2, `deliver 2 "body 2"`, "end 3 paid=0 served=true", "start 3"),
+			done(3, `deliver 3 "body 3"`),
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
