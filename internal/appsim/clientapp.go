@@ -58,8 +58,6 @@ type ClientAppConfig struct {
 	// PayConns is the number of parallel payment connections opened
 	// per request (§3.4 gaming; default 1).
 	PayConns int
-	// MaxRetryPipeline caps outstanding §3.2 retries. Default 32.
-	MaxRetryPipeline int
 	// Payer sizes each payment POST. Required.
 	Payer Payer
 }
@@ -68,11 +66,11 @@ func (c ClientAppConfig) withDefaults() ClientAppConfig {
 	if c.PayConns == 0 {
 		c.PayConns = 1
 	}
-	if c.MaxRetryPipeline == 0 {
-		c.MaxRetryPipeline = 32
-	}
 	return c
 }
+
+// maxRetryPipeline caps a request's outstanding §3.2 retries.
+const maxRetryPipeline = 32
 
 // clientReq is one request's state. Each of its connections carries it
 // in Ctx, and it knows its app, so the connection callbacks are plain
@@ -165,7 +163,7 @@ func reqRecord(c *tcpsim.Conn, tag uint64) {
 		if r.retries > 0 {
 			r.retries--
 		}
-		for r.retries < a.cfg.MaxRetryPipeline {
+		for r.retries < maxRetryPipeline {
 			c.Write(a.sizes.Request, newMsg(kindRequest, r.id))
 			r.retries += 1
 			if r.retries >= 2 { // growth batch per reply

@@ -74,3 +74,41 @@ func TestEvictionSparesRecycledPaymentConn(t *testing.T) {
 		t.Fatal("request 2's own eviction did not close its channel")
 	}
 }
+
+// TestSimPaymentCreditAllocs fences the simulated thinner's payment
+// path: a payment segment credits the channel its connection keeps,
+// without allocating, and the first segment after the channel settles
+// allocates only the fresh channel the table opens for it.
+func TestSimPaymentCreditAllocs(t *testing.T) {
+	loop := sim.NewLoop(3)
+	n := netsim.New(loop)
+	tn := n.AddNode("thinner", nil)
+	cn := n.AddNode("client", nil)
+	n.Connect(cn, tn, 100e6, 250*time.Microsecond, 256*1500)
+	n.ComputeRoutes()
+	clock := simclock.New(loop)
+	srv := server.New(clock, server.Config{Capacity: 2, Seed: 5})
+	app := NewThinnerApp(tcpsim.NewStack(n, tn, tcpsim.Options{}), clock, srv, ThinnerConfig{Mode: ModeAuction})
+	table := app.Auction().Table()
+	conn := tcpsim.NewStack(n, cn, tcpsim.Options{}).Dial(tn, nil)
+	const id = 7
+	tag := newMsg(kindPost, id)
+	app.bytesArrived(conn, 1000, tag) // registers the connection
+	if avg := testing.AllocsPerRun(1000, func() { app.bytesArrived(conn, 1000, tag) }); avg != 0 {
+		t.Fatalf("a credit through the stored channel allocates %.1f, want 0", avg)
+	}
+	if got := table.Balance(id); got != 1002*1000 {
+		t.Fatalf("balance %d, want %d", got, 1002*1000)
+	}
+	settled := func() {
+		table.Remove(id, core.ChanAdmitted)
+		app.bytesArrived(conn, 1000, tag)
+	}
+	settled()
+	if avg := testing.AllocsPerRun(1000, settled); avg > 1 {
+		t.Fatalf("a credit after a settle allocates %.1f, want at most the new channel", avg)
+	}
+	if got := table.Balance(id); got != 1000 || len(app.reqs[id].pay) != 1 {
+		t.Fatalf("balance %d with %d payment connections, want 1000 on the one", got, len(app.reqs[id].pay))
+	}
+}

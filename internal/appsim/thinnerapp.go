@@ -275,9 +275,9 @@ func (a *ThinnerApp) accept(conn *tcpsim.Conn) {
 // channel, which its Ctx keeps. They may arrive long before the first
 // full POST record completes, so the connection is registered on its
 // first bytes: eviction must be able to close it mid-POST. Once the
-// channel settles (its request admitted or evicted), the table's
-// current channel for the id takes the bytes, as a fresh POST's would;
-// they open an orphan. The baselines take no payment.
+// channel settles (its request admitted or evicted), the bytes go to
+// the id's channel in the table, opened afresh if need be, as a new
+// POST's would. The baselines take no payment.
 func (a *ThinnerApp) bytesArrived(conn *tcpsim.Conn, n int, tag uint64) {
 	m := msg(tag)
 	if m.kind() != kindPost || a.th == nil {

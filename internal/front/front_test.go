@@ -300,3 +300,49 @@ func TestReleasedWinnerGetsNothing(t *testing.T) {
 		t.Fatalf("delivered to a released waiter: %q", r.log)
 	}
 }
+
+// TestSimRequestPathAllocs fences the simulator's request path through
+// a Front: answered by id with no waiters, a request admitted to a
+// free origin and completed allocates nothing, and one that contends
+// (told to pay, re-issued, admitted by the auction) allocates only its
+// payment channel.
+func TestSimRequestPathAllocs(t *testing.T) {
+	clock := &fakeClock{}
+	th := core.NewThinner(clock, core.Config{})
+	var started int
+	f := New(clock, th, Origin{Start: func(core.RequestID) { started++ }},
+		Transport{Route: func(core.RequestID, []byte) {}})
+	id := core.RequestID(0)
+	direct := func() {
+		id++
+		if v := f.Arrive(id, nil, true); v != core.ArriveOK {
+			t.Fatalf("direct arrival: verdict %v", v)
+		}
+		f.Done(id, nil)
+	}
+	contended := func() {
+		id++
+		f.Arrive(id, nil, true) // holds the origin
+		if v := f.Arrive(id+1, nil, true); v != core.ArriveBusy {
+			t.Fatalf("initial arrival at a busy origin: verdict %v", v)
+		}
+		if v := f.Arrive(id+1, nil, false); v != core.ArriveOK {
+			t.Fatalf("re-issued arrival: verdict %v", v)
+		}
+		f.Done(id, nil) // the auction admits id+1
+		id++
+		f.Done(id, nil)
+	}
+	direct()
+	contended()
+	if avg := testing.AllocsPerRun(1000, direct); avg != 0 {
+		t.Fatalf("direct admission allocates %.1f/request, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, contended); avg > 1 {
+		t.Fatalf("an auctioned request allocates %.1f, want at most its payment channel", avg)
+	}
+	// AllocsPerRun calls its function once more than it is asked to.
+	if want := 3 + 1001 + 2*1001; started != want {
+		t.Fatalf("origin started %d requests, want %d", started, want)
+	}
+}

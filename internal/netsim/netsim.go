@@ -248,11 +248,6 @@ type Network struct {
 
 	// The lanes by offset: tx-done events and deliveries.
 	txLanes, rxLanes map[time.Duration]*sim.Stream
-
-	// Trace, when non-nil, observes packet events: "send" (enqueued on
-	// a link), "drop" (drop-tail), "recv" (delivered to final handler).
-	// The packet is reclaimed after a "drop"/"recv" callback returns.
-	Trace func(event string, l *Link, pkt *Packet)
 }
 
 // New creates an empty network on the given loop.
@@ -394,9 +389,6 @@ func (n *Network) Send(pkt *Packet) {
 
 func (n *Network) forward(at *node, pkt *Packet) {
 	if at.id == pkt.Dst {
-		if n.Trace != nil {
-			n.Trace("recv", nil, pkt)
-		}
 		if at.handler != nil {
 			at.handler(pkt)
 		}
@@ -434,12 +426,9 @@ func (l *Link) enqueue(pkt *Packet) {
 	l.transmit(pkt)
 }
 
-// drop destroys pkt on l: the tracer sees it, its payload goes back to
-// its pool, and the packet to the network's.
+// drop destroys pkt on l: its payload goes back to its pool, and the
+// packet to the network's.
 func (l *Link) drop(pkt *Packet) {
-	if l.net.Trace != nil {
-		l.net.Trace("drop", l, pkt)
-	}
 	if r, ok := pkt.Payload.(Recycler); ok {
 		r.Recycle()
 	}
@@ -452,9 +441,6 @@ func (l *Link) drop(pkt *Packet) {
 // has sent each of its packet sizes.
 func (l *Link) transmit(pkt *Packet) {
 	l.busy = true
-	if l.net.Trace != nil {
-		l.net.Trace("send", l, pkt)
-	}
 	if pkt.Size != l.txSize {
 		l.txSize = pkt.Size
 		l.txTime = max(time.Duration(float64(pkt.Size)*8/l.rate*float64(time.Second)), time.Nanosecond)

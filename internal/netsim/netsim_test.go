@@ -208,15 +208,14 @@ func TestComputeRoutesRequired(t *testing.T) {
 }
 
 func TestTraceHooks(t *testing.T) {
-	n, a, b, _, _ := twoNodes(t, 8e4, time.Millisecond, 800)
-	events := map[string]int{}
-	n.Trace = func(ev string, l *Link, p *Packet) { events[ev]++ }
+	n, a, b, _, atB := twoNodes(t, 8e4, time.Millisecond, 800)
 	for i := 0; i < 3; i++ {
 		n.Send(&Packet{Size: 800, Src: a, Dst: b})
 	}
 	n.Loop().RunAll()
-	if events["send"] != 2 || events["recv"] != 2 || events["drop"] != 1 {
-		t.Fatalf("trace events = %v", events)
+	st := n.Links()[0].Stats
+	if st.PktsSent != 2 || *atB != 2 || st.PktsDropped != 1 {
+		t.Fatalf("sent %d, received %d, dropped %d; want 2, 2, 1", st.PktsSent, *atB, st.PktsDropped)
 	}
 }
 
