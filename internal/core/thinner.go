@@ -257,8 +257,9 @@ func (h HealthState) String() string {
 // timer) must be called from one goroutine (or under one lock);
 // crediting through the bid table's channels is safe from any
 // goroutine, which is what lets the live front sink payment bytes on
-// every core while the auction stays single-threaded. Under §5 the sweep runs the auction every quantum
-// and also aborts requests suspended longer than AbortAfter.
+// every core while the auction stays single-threaded. Under §5 the
+// sweep runs the auction every quantum and also aborts requests
+// suspended longer than AbortAfter.
 type Thinner struct {
 	Callbacks
 
