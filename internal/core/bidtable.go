@@ -517,9 +517,9 @@ func (t *BidTable) Lookup(id RequestID) *PayChan {
 	return c
 }
 
-// Credit adds bytes to id's balance, creating the channel if absent —
-// the single-goroutine (simulator) entry point. Concurrent transports
-// should cache the *PayChan instead and credit through it.
+// Credit adds bytes to id's balance, creating the channel if absent,
+// for a caller holding no channel. Transports, the simulator's
+// included, cache the *PayChan and credit through it.
 func (t *BidTable) Credit(id RequestID, bytes int64, now time.Duration) {
 	t.Channel(id, now).Credit(bytes, now)
 }
