@@ -124,7 +124,7 @@ type Policy interface {
 	// RequestArrived offers a request to the policy and returns its
 	// verdict: ArriveOK when it is admitted, held or queued, ArriveShed
 	// during a brownout or from a busy pass-through, ArriveRetry when
-	// random drop loses its coin toss.
+	// random drop drops it (a lost coin toss or a full queue).
 	RequestArrived(id RequestID) ArriveVerdict
 	// ServerDone reports that the server finished (or lost) id.
 	ServerDone(id RequestID)

@@ -7,11 +7,12 @@
 // initial request, one not yet paying, that finds the origin occupied
 // is told to pay (402, "please"); an id another waiter holds is a
 // duplicate (409, wire REJECT). Otherwise the waiter is registered and
-// the policy admits the request, holds it as a contender, queues it, or
-// refuses it (a busy pass-through sheds, random drop asks for a retry).
-// An admission starts the origin; when it is done the waiter gets the
-// body, then the policy admits the next request. A timeout eviction
-// hands the held waiter nil; under §5 it aborts a suspended request.
+// the policy's verdict answers it: admitted, held as a contender or
+// queued (ok), or turned away (a busy pass-through sheds, random drop
+// asks for a retry). An admission starts the origin; when it is done
+// the waiter gets the body, then the policy admits the next request. A
+// timeout eviction hands the held waiter nil; under §5 it aborts a
+// suspended request.
 //
 // Like a core.Policy, a Front must be driven from one goroutine or
 // under one lock; only Release may run anywhere. Payment bypasses it:

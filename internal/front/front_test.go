@@ -167,8 +167,8 @@ func randomDrop(c core.Clock) core.Policy {
 
 // TestLifecycle drives every policy through the arrival ladder and the
 // dispatch of its callbacks: shed, pay, duplicate, direct and auction
-// admission, timeout eviction, refusal, and under §5 suspension and
-// abort.
+// admission, timeout eviction, a policy turning an arrival away, and
+// under §5 suspension and abort.
 func TestLifecycle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -223,7 +223,7 @@ func TestLifecycle(t *testing.T) {
 		}},
 		{"pass-through", passThrough, false, []step{
 			arrive(1, true, "end 1 paid=0 served=true", "start 1", "-> ok"),
-			arrive(2, true, "-> shed"), // refused: the server is busy
+			arrive(2, true, "-> shed"), // turned away: the server is busy
 			done(1, `deliver 1 "body 1"`),
 			arrive(2, true, "end 2 paid=0 served=true", "start 2", "-> ok"),
 		}},
@@ -232,7 +232,7 @@ func TestLifecycle(t *testing.T) {
 			arrive(2, true, "-> ok"), // queued behind 1
 			arrive(2, false, "-> duplicate"),
 			arrive(3, false, "-> ok"),
-			arrive(4, false, "-> retry"), // refused: the queue is full
+			arrive(4, false, "-> retry"), // turned away: the queue is full
 			done(1, `deliver 1 "body 1"`, "end 2 paid=0 served=true", "start 2"),
 			done(2, `deliver 2 "body 2"`, "end 3 paid=0 served=true", "start 3"),
 			done(3, `deliver 3 "body 3"`),
